@@ -21,23 +21,23 @@ from .cli_helpers import parse_problem_file, resolve_source  # noqa: F401
 from .complexes import MultiplicityAssignment
 from .errors import (
     CmLabError,
+    HypothesesViolated,
     MethodNotApplicable,
-    NotCohenMacaulay,
+    NotPure,
     NotQuasiTree,
     NotShellable,
-    NotTreeFacetGraph,
     ParseError,
 )
 from .fixtures import fixture_names, get_fixture, problem_json
-from .graphs import ROOT, facet_graph, is_tree, relation_trees, vertex_graph
-from .homology import FieldSpec, is_cm_complex, is_cm_ideal_oracle
+from .graphs import ROOT, facet_graph, relation_trees, vertex_graph
+from .homology import FieldSpec, is_cm_ideal_oracle
 from .ideals import expand_ideal, irreducible_component, render_ideal
 from .satisfying import (
     is_general_satisfying,
     is_quasitree_satisfying,
     is_tree_satisfying,
 )
-from .structure import classify, find_shelling
+from .structure import classify, find_shelling, require_tree_case
 
 __all__ = ["main"]
 
@@ -102,7 +102,7 @@ def cmd_analyze(args) -> int:
         print(f"tree criterion: {state}")
         for line in _violation_lines(verdict):
             print(line)
-    except (NotTreeFacetGraph, NotCohenMacaulay) as exc:
+    except HypothesesViolated as exc:
         print(f"tree criterion: not applicable ({exc})")
     try:
         verdict = is_quasitree_satisfying(mult)
@@ -126,7 +126,7 @@ def cmd_analyze(args) -> int:
 def _check_tree(mult, field) -> int:
     try:
         verdict = is_tree_satisfying(mult, field)
-    except (NotTreeFacetGraph, NotCohenMacaulay) as exc:
+    except HypothesesViolated as exc:
         raise MethodNotApplicable(f"method tree not applicable: {exc}") from None
     if verdict.satisfied:
         print("verdict: Cohen-Macaulay")
@@ -173,6 +173,21 @@ def _check_oracle(mult, field) -> int:
     return 1
 
 
+def _applies(method: str, cx, field) -> bool:
+    """Whether the hypotheses of the tree, quasitree or general method
+    hold on the complex, so that its answer means something."""
+    try:
+        if method == "tree":
+            require_tree_case(cx, field)
+        elif method == "quasitree":
+            relation_trees(cx)
+        else:
+            return find_shelling(cx) is not None
+    except (HypothesesViolated, NotQuasiTree, NotPure):
+        return False
+    return True
+
+
 def cmd_check(args) -> int:
     cx, mult, char, _ = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
@@ -180,16 +195,10 @@ def cmd_check(args) -> int:
         mult = MultiplicityAssignment.constant(cx)
     method = args.method
     if method == "auto":
-        tree_ok = cx.is_pure and is_tree(facet_graph(cx)) and is_cm_complex(cx, field)
-        if tree_ok:
+        if _applies("tree", cx, field):
             print(f"method: auto -> tree (characteristic {field.characteristic})")
             return _check_tree(mult, field)
-        quasi_ok = True
-        try:
-            relation_trees(cx)
-        except NotQuasiTree:
-            quasi_ok = False
-        if quasi_ok:
+        if _applies("quasitree", cx, field):
             print("method: auto -> quasitree")
             code = _check_quasitree(mult)
             if code != 2:
@@ -223,13 +232,9 @@ def cmd_cross_validate(args) -> int:
         f"samples={args.samples} max-exp={args.max_exp} seed={args.seed}"
         f" characteristic={field.characteristic}"
     )
-    tree_ok = cx.is_pure and is_tree(facet_graph(cx)) and is_cm_complex(cx, field)
-    quasi_ok = True
-    try:
-        relation_trees(cx)
-    except NotQuasiTree:
-        quasi_ok = False
-    general_ok = cx.is_pure and find_shelling(cx) is not None
+    tree_ok, quasi_ok, general_ok = (
+        _applies(method, cx, field) for method in ("tree", "quasitree", "general")
+    )
 
     domain = [(j, i) for j, i, _ in MultiplicityAssignment.constant(cx).entries]
     rng = random.Random(args.seed)

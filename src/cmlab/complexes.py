@@ -12,7 +12,7 @@ only face is the empty set.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
@@ -219,11 +219,6 @@ def _exponent_domain(cx: SimplicialComplex) -> tuple[tuple[int, int], ...]:
     )
 
 
-@lru_cache(maxsize=None)
-def _pair_map(entries: tuple[tuple[int, int, int], ...]) -> Mapping[tuple[int, int], int]:
-    return {(j, i): v for j, i, v in entries}
-
-
 def _validated_entries(
     cx: SimplicialComplex,
     entries: tuple[tuple[int, int, int], ...],
@@ -256,13 +251,12 @@ class MultiplicityAssignment:
 
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
+    _values: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "entries",
-            _validated_entries(self.complex, tuple(self.entries), 1, "exponent table"),
-        )
+        entries = _validated_entries(self.complex, tuple(self.entries), 1, "exponent table")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_values", {(j, i): v for j, i, v in entries})
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
@@ -287,7 +281,7 @@ class MultiplicityAssignment:
 
     def value(self, j: int, i: int) -> int:
         try:
-            return _pair_map(self.entries)[(j, i)]
+            return self._values[(j, i)]
         except KeyError:
             raise MultiplicityDomainMismatch(
                 f"no exponent slot at facet {j}, vertex {i}"
@@ -338,13 +332,12 @@ class ExponentOffset:
 
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
+    _values: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self,
-            "entries",
-            _validated_entries(self.complex, tuple(self.entries), 0, "offset table"),
-        )
+        entries = _validated_entries(self.complex, tuple(self.entries), 0, "offset table")
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "_values", {(j, i): v for j, i, v in entries})
 
     @classmethod
     def zero(cls, cx: SimplicialComplex) -> ExponentOffset:
@@ -365,16 +358,16 @@ class ExponentOffset:
         )
 
     def value(self, j: int, i: int) -> int:
-        return _pair_map(self.entries)[(j, i)]
+        return self._values[(j, i)]
 
     def __add__(self, other: ExponentOffset) -> ExponentOffset:
         if not isinstance(other, ExponentOffset):
             return NotImplemented
         if other.complex != self.complex:
             raise MultiplicityDomainMismatch("offsets live on different complexes")
-        om = _pair_map(other.entries)
         return ExponentOffset(
-            self.complex, tuple((j, i, v + om[(j, i)]) for j, i, v in self.entries)
+            self.complex,
+            tuple((j, i, v + other._values[(j, i)]) for j, i, v in self.entries),
         )
 
     def scale(self, k: int) -> ExponentOffset:

@@ -62,19 +62,12 @@ class NotShellable(CmLabError):
 
 
 class DimensionOutOfRange(CmLabError):
-    """Requested boundary dimension is outside -1..dim."""
+    """Requested boundary dimension is outside -1..dim, or matrix entries
+    do not match the declared shape."""
 
 
 class VoidComplex(CmLabError):
     """Operation is undefined for the void complex (no faces at all)."""
-
-
-class NotTreeFacetGraph(CmLabError):
-    """Operation requires the facet graph to be a tree."""
-
-
-class NotCohenMacaulay(CmLabError):
-    """Operation requires a Cohen-Macaulay complex over the chosen field."""
 
 
 class AmbientMismatch(CmLabError):
@@ -82,7 +75,15 @@ class AmbientMismatch(CmLabError):
 
 
 class HypothesesViolated(CmLabError):
-    """Structural hypotheses of the requested identity do not hold."""
+    """Structural hypotheses of the requested operation do not hold."""
+
+
+class NotTreeFacetGraph(HypothesesViolated, NotATree):
+    """Operation requires a pure complex whose facet graph is a tree."""
+
+
+class NotCohenMacaulay(HypothesesViolated):
+    """Operation requires a Cohen-Macaulay complex over the chosen field."""
 
 
 class ParseError(CmLabError):

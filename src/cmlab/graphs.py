@@ -13,6 +13,8 @@ from functools import lru_cache
 
 from .complexes import SimplicialComplex, leaf_branches
 from .errors import (
+    FacetIndexOutOfRange,
+    HypothesesViolated,
     NotATree,
     NotPure,
     NotQuasiTree,
@@ -53,12 +55,10 @@ class FacetLevelGraph:
         object.__setattr__(self, "edges", _canonical_edges(self.edges))
         node_set = set(self.nodes)
         for a, b in self.edges:
-            assert a != b, "self-loops are not allowed"
-            assert a in node_set and b in node_set, "edge endpoint missing from nodes"
-
-    @property
-    def has_root(self) -> bool:
-        return ROOT in self.nodes
+            if a == b:
+                raise HypothesesViolated(f"self-loop at node {a} is not allowed")
+            if a not in node_set or b not in node_set:
+                raise FacetIndexOutOfRange(f"edge {a}-{b} has an endpoint missing from nodes")
 
     def neighbors(self, node: int) -> tuple[int, ...]:
         return tuple(
@@ -99,12 +99,6 @@ class RootedOrientation:
                 return parent
         return None
 
-    def facet_edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed edges between facet nodes, root edges dropped."""
-        return tuple(
-            (p, c) for p, c in self.directed_edges if p != ROOT and c != ROOT
-        )
-
 
 def root_orientation(g: FacetLevelGraph, root: int) -> RootedOrientation:
     if root not in g.nodes:
@@ -140,6 +134,18 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), tuple(edges))
 
 
+def _restrict(cx: SimplicialComplex, base: FacetLevelGraph, i: int) -> FacetLevelGraph:
+    """The formal root plus the nodes of base (facets 1..m) omitting
+    vertex i: edges among those are kept, and the root is joined to each
+    one adjacent in base to a facet containing the vertex."""
+    omitting = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+    edges = [(a, b) for a, b in base.edges if a in omitting and b in omitting]
+    for j in sorted(omitting):
+        if any(k not in omitting for k in base.neighbors(j)):
+            edges.append((ROOT, j))
+    return FacetLevelGraph((ROOT,) + tuple(sorted(omitting)), tuple(edges))
+
+
 @lru_cache(maxsize=None)
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """The formal root 0 plus every facet omitting vertex i; facet-facet
@@ -150,14 +156,7 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """
     if not 1 <= i <= cx.n:
         raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
-    base = facet_graph(cx)
-    omitting = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    containing = set(base.nodes) - omitting
-    edges = [(a, b) for a, b in base.edges if a in omitting and b in omitting]
-    for j in sorted(omitting):
-        if any(k in containing for k in base.neighbors(j)):
-            edges.append((ROOT, j))
-    return FacetLevelGraph((ROOT,) + tuple(sorted(omitting)), tuple(edges))
+    return _restrict(cx, facet_graph(cx), i)
 
 
 @lru_cache(maxsize=None)
@@ -211,13 +210,7 @@ def restrict_relation_tree(
     containing the vertex.  The result is always a tree."""
     if tree not in relation_trees(cx):
         raise NotRelationTree("not a relation tree of this complex")
-    omitting = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    containing = set(range(1, cx.m + 1)) - omitting
-    edges = [(a, b) for a, b in tree.edges if a in omitting and b in omitting]
-    for j in sorted(omitting):
-        if any(k in containing for k in tree.neighbors(j)):
-            edges.append((ROOT, j))
-    restricted = FacetLevelGraph((ROOT,) + tuple(sorted(omitting)), tuple(edges))
+    restricted = _restrict(cx, tree, i)
     if not is_tree(restricted):
         raise RestrictionNotTree(
             f"restriction to vertex {i} is not a tree; this should be impossible"

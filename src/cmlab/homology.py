@@ -66,8 +66,12 @@ class ExactMatrix:
     entries: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        assert len(self.entries) == self.nrows
-        assert all(len(r) == self.ncols for r in self.entries)
+        if len(self.entries) != self.nrows or any(
+            len(r) != self.ncols for r in self.entries
+        ):
+            raise DimensionOutOfRange(
+                f"entries do not form a {self.nrows} x {self.ncols} matrix"
+            )
 
     def rank(self) -> int:
         p = self.field.characteristic
@@ -99,23 +103,6 @@ class ExactMatrix:
             if rank == self.nrows:
                 break
         return rank
-
-    def matmul(self, other: ExactMatrix) -> ExactMatrix:
-        assert self.field == other.field and self.ncols == other.nrows
-        product = tuple(
-            tuple(
-                sum(self.entries[r][k] * other.entries[k][c] for k in range(self.ncols))
-                for c in range(other.ncols)
-            )
-            for r in range(self.nrows)
-        )
-        return ExactMatrix(self.field, self.nrows, other.ncols, product)
-
-    def is_zero(self) -> bool:
-        p = self.field.characteristic
-        if p:
-            return all(x % p == 0 for row in self.entries for x in row)
-        return all(x == 0 for row in self.entries for x in row)
 
 
 def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS) -> ExactMatrix:
@@ -197,9 +184,9 @@ def is_cm_ideal_oracle(
     grids: list[tuple[int, ...]] = []
     cut: list[list[tuple[int, int]]] = []
     for i in range(1, cx.n + 1):
-        values = {v for j, i2, v in mult.entries if i2 == i}
-        grids.append(tuple(sorted({0} | values)))
-        cut.append([(j - 1, v) for j, i2, v in mult.entries if i2 == i])
+        values = mult.vertex_values(i)
+        grids.append(tuple(sorted({0} | {v for _, v in values})))
+        cut.append([(j - 1, v) for j, v in values])
 
     full_mask = (1 << cx.m) - 1
     memo: dict[tuple[int, int], tuple[int, ...] | None] = {}

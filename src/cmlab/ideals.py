@@ -16,10 +16,13 @@ from .errors import (
     AmbientMismatch,
     FacetIndexOutOfRange,
     HypothesesViolated,
+    InternalInvariantViolation,
+    MultiplicityDomainMismatch,
+    VertexOutOfRange,
 )
-from .graphs import facet_graph, is_tree
-from .homology import RATIONALS, FieldSpec, is_cm_complex
-from .structure import is_shelling
+from .graphs import facet_graph
+from .homology import RATIONALS, FieldSpec
+from .structure import is_shelling, require_tree_case
 
 __all__ = [
     "Monomial",
@@ -68,8 +71,12 @@ class MonomialIdeal:
 
     def __post_init__(self) -> None:
         for g in self.generators:
-            assert len(g) == self.n, "generator has wrong ambient dimension"
-            assert all(isinstance(e, int) and e >= 0 for e in g)
+            if len(g) != self.n:
+                raise AmbientMismatch(f"generator {g} does not have {self.n} exponents")
+            if not all(isinstance(e, int) and e >= 0 for e in g):
+                raise MultiplicityDomainMismatch(
+                    f"generator {g} must have integer exponents >= 0"
+                )
         object.__setattr__(self, "generators", _minimalize(self.generators))
 
     @classmethod
@@ -115,7 +122,8 @@ class MonomialIdeal:
         )
 
     def contains_monomial(self, mono: Monomial) -> bool:
-        assert len(mono) == self.n
+        if len(mono) != self.n:
+            raise AmbientMismatch(f"monomial {mono} does not have {self.n} exponents")
         return any(_divides(g, mono) for g in self.generators)
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
@@ -127,7 +135,8 @@ def variable_ideal(n: int, variables: Iterable[int]) -> MonomialIdeal:
     """The prime generated by the given variables (1-based)."""
     gens = []
     for i in variables:
-        assert 1 <= i <= n
+        if not 1 <= i <= n:
+            raise VertexOutOfRange(f"variable {i} not in 1..{n}")
         gens.append(tuple(1 if k == i else 0 for k in range(1, n + 1)))
     return MonomialIdeal(n, tuple(gens))
 
@@ -177,25 +186,22 @@ def splitting_witness(
     the identity fails for this table and order.
     """
     cx = mult.complex
-    base = facet_graph(cx)
-    if not is_tree(base):
-        raise HypothesesViolated("the facet graph must be a tree")
-    if not is_cm_complex(cx, field):
-        raise HypothesesViolated(
-            f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
-        )
+    require_tree_case(cx, field)
     if cx.m < 2:
         raise HypothesesViolated("need at least two facets")
     seq = tuple(order)
     if not is_shelling(cx, seq):
         raise HypothesesViolated(f"{seq} is not a shelling")
     last = seq[-1]
-    neighbors = base.neighbors(last)
+    neighbors = facet_graph(cx).neighbors(last)
     if len(neighbors) != 1:
         raise HypothesesViolated("the last facet must have a unique neighbor")
     against = neighbors[0]
     private = set(cx.facets[last - 1]) - set(cx.facets[against - 1])
-    assert len(private) == 1
+    if len(private) != 1:
+        raise InternalInvariantViolation(
+            f"adjacent facets {last} and {against} differ in {len(private)} vertices"
+        )
     i = private.pop()
     s = mult.value(against, i)
     q_last = irreducible_component(mult, last)

@@ -15,9 +15,7 @@ from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
-    NotCohenMacaulay,
     NotShellable,
-    NotTreeFacetGraph,
     RestrictionNotTree,
     VertexOutOfRange,
 )
@@ -30,8 +28,8 @@ from .graphs import (
     root_orientation,
     vertex_graph,
 )
-from .homology import RATIONALS, FieldSpec, is_cm_complex
-from .structure import find_shelling
+from .homology import RATIONALS, FieldSpec
+from .structure import find_shelling, require_tree_case
 
 __all__ = [
     "SatisfyingVerdict",
@@ -60,13 +58,36 @@ class SatisfyingVerdict:
         return self.satisfied
 
 
-def _tree_gates(cx: SimplicialComplex, field: FieldSpec) -> None:
-    if not cx.is_pure or not is_tree(facet_graph(cx)):
-        raise NotTreeFacetGraph("the facet graph must be a tree")
-    if not is_cm_complex(cx, field):
-        raise NotCohenMacaulay(
-            f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
+def _adjacency(g: FacetLevelGraph) -> dict[int, tuple[int, ...]]:
+    return {node: g.neighbors(node) for node in g.nodes}
+
+
+def _violations(
+    adjacency: Mapping[int, tuple[int, ...]], i: int, values: Mapping[int, int]
+) -> list[Violation]:
+    """Walk a tree on the facets, restricted to the facets omitting
+    vertex i (the keys of values), breadth-first away from the formal
+    root, which is joined to each such facet that is adjacent to a facet
+    containing i.  Every facet-facet edge along which the value grows is
+    a violation; neighbours are visited in ascending order."""
+    start = [j for j in sorted(values) if any(k not in values for k in adjacency[j])]
+    facet_edges = sum(1 for j in values for k in adjacency[j] if k in values) // 2
+    seen = set(start)
+    queue = deque(start)
+    found: list[Violation] = []
+    while queue:
+        h = queue.popleft()
+        for k in adjacency[h]:
+            if k in values and k not in seen:
+                if values[h] < values[k]:
+                    found.append((i, (h, k), (values[h], values[k])))
+                seen.add(k)
+                queue.append(k)
+    if len(seen) != len(values) or len(start) + facet_edges != len(values):
+        raise RestrictionNotTree(
+            f"restriction to vertex {i} is not a tree; this should be impossible"
         )
+    return found
 
 
 def is_tree_satisfying(
@@ -76,18 +97,13 @@ def is_tree_satisfying(
     the vertex graph; root edges carry no constraint.  Exact criterion
     when the facet graph is a tree and the complex is Cohen-Macaulay."""
     cx = mult.complex
-    _tree_gates(cx, field)
-    violations: list[Violation] = []
-    for i in range(1, cx.n + 1):
-        g = vertex_graph(cx, i)
-        if len(g.nodes) == 1:
-            continue
-        orientation = root_orientation(g, ROOT)
-        for parent, child in orientation.facet_edges():
-            pv = mult.value(parent, i)
-            cv = mult.value(child, i)
-            if pv < cv:
-                violations.append((i, (parent, child), (pv, cv)))
+    require_tree_case(cx, field)
+    adjacency = _adjacency(facet_graph(cx))
+    violations = [
+        v
+        for i in range(1, cx.n + 1)
+        for v in _violations(adjacency, i, dict(mult.vertex_values(i)))
+    ]
     return SatisfyingVerdict(not violations, tuple(violations))
 
 
@@ -95,41 +111,6 @@ def check_cm_tree_case(
     mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
 ) -> bool:
     return is_tree_satisfying(mult, field).satisfied
-
-
-def _passes_for_vertex(
-    cx: SimplicialComplex,
-    adjacency: Mapping[int, tuple[int, ...]],
-    i: int,
-    values: Mapping[int, int],
-) -> bool:
-    # Walk the restricted tree away from the formal root and test the
-    # non-increase condition on facet-facet edges only.
-    omitting = set(values)
-    start = [
-        j
-        for j in sorted(omitting)
-        if any(k not in omitting for k in adjacency[j])
-    ]
-    facet_edges = (
-        sum(1 for j in omitting for k in adjacency[j] if k in omitting) // 2
-    )
-    seen = set(start)
-    queue = deque(start)
-    ok = True
-    while queue:
-        h = queue.popleft()
-        for k in adjacency[h]:
-            if k in omitting and k not in seen:
-                if values[h] < values[k]:
-                    ok = False
-                seen.add(k)
-                queue.append(k)
-    if len(seen) != len(omitting) or len(start) + facet_edges != len(omitting):
-        raise RestrictionNotTree(
-            f"restriction to vertex {i} is not a tree; this should be impossible"
-        )
-    return ok
 
 
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
@@ -142,12 +123,8 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
         i: dict(mult.vertex_values(i)) for i in range(1, cx.n + 1)
     }
     for tree in trees:
-        adjacency = {node: tree.neighbors(node) for node in tree.nodes}
-        if all(
-            _passes_for_vertex(cx, adjacency, i, values)
-            for i, values in per_vertex.items()
-            if values
-        ):
+        adjacency = _adjacency(tree)
+        if not any(_violations(adjacency, i, values) for i, values in per_vertex.items()):
             return SatisfyingVerdict(True, (), tree)
     return SatisfyingVerdict(False, (), None)
 
@@ -203,7 +180,7 @@ def check_cm_uniform_block(
     """Exact criterion for block-uniform tables: the ideal is
     Cohen-Macaulay iff, per block vertex, the vertex graph induced on
     the root plus the block facets missing that vertex is a tree."""
-    _tree_gates(cx, field)
+    require_tree_case(cx, field)
     vs = sorted(set(block_vertices))
     fs = sorted(set(block_facets))
     for i in vs:
@@ -245,8 +222,7 @@ def semigroup_generators(
     With vertex given, only that vertex's offsets are returned; the
     global list is deduplicated, which merges the zero offsets.
     """
-    if not cx.is_pure or not is_tree(facet_graph(cx)):
-        raise NotTreeFacetGraph("the facet graph must be a tree")
+    require_tree_case(cx)
     if vertex is not None and not 1 <= vertex <= cx.n:
         raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
     wanted = [vertex] if vertex is not None else list(range(1, cx.n + 1))
@@ -276,8 +252,7 @@ def decompose_into_generators(
     some level set is not ancestor-closed, i.e. the table is not
     tree-satisfying."""
     cx = mult.complex
-    if not cx.is_pure or not is_tree(facet_graph(cx)):
-        raise NotTreeFacetGraph("the facet graph must be a tree")
+    require_tree_case(cx)
     parts: list[ExponentOffset] = []
     for i in range(1, cx.n + 1):
         values = dict(mult.vertex_values(i))

@@ -11,10 +11,11 @@ from .complexes import SimplicialComplex, leaf_branches
 from .errors import (
     FacetIndexOutOfRange,
     InternalInvariantViolation,
-    NotATree,
+    NotCohenMacaulay,
     NotPermutation,
     NotPure,
     NotShellable,
+    NotTreeFacetGraph,
 )
 from .graphs import facet_graph, is_tree
 from .homology import RATIONALS, FieldSpec, is_cm_complex
@@ -25,11 +26,23 @@ __all__ = [
     "is_leaf",
     "LeafOrder",
     "find_leaf_order",
-    "find_leaf_order_exhaustive",
     "ClassificationReport",
     "classify",
     "free_vertex_of_last",
+    "require_tree_case",
 ]
+
+
+def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> None:
+    """Raise unless the complex is pure with a tree facet graph and, when
+    a field is given, Cohen-Macaulay over it: the hypotheses of the
+    tree-case criterion and of the constructions built on it."""
+    if not cx.is_pure or not is_tree(facet_graph(cx)):
+        raise NotTreeFacetGraph("the facet graph must be a tree")
+    if field is not None and not is_cm_complex(cx, field):
+        raise NotCohenMacaulay(
+            f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
+        )
 
 
 def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int, ...]:
@@ -168,35 +181,6 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
     return LeafOrder(order, branches)
 
 
-def find_leaf_order_exhaustive(cx: SimplicialComplex) -> LeafOrder | None:
-    """Backtracking variant used to validate the greedy search."""
-    dead: set[frozenset[int]] = set()
-
-    def search(remaining: frozenset[int]) -> list[tuple[int, int | None]] | None:
-        if len(remaining) <= 1:
-            return [(j, None) for j in remaining]
-        if remaining in dead:
-            return None
-        back = sorted(remaining)
-        sub = tuple(cx.facets[t - 1] for t in back)
-        for pos, j in enumerate(back):
-            branches = leaf_branches(sub, pos)
-            if not branches:
-                continue
-            head = search(remaining - {j})
-            if head is not None:
-                return head + [(j, back[branches[0]])]
-        dead.add(remaining)
-        return None
-
-    result = search(frozenset(range(1, cx.m + 1)))
-    if result is None:
-        return None
-    return LeafOrder(
-        tuple(j for j, _ in result), tuple(g for _, g in result)
-    )
-
-
 @dataclass(frozen=True)
 class ClassificationReport:
     field: FieldSpec
@@ -230,7 +214,11 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     cm = is_cm_complex(cx, field)
     mm = cx.has_minimal_multiplicity()
     qt = find_leaf_order(cx) is not None
-    tree = is_tree(facet_graph(cx)) if pure else False
+    try:
+        require_tree_case(cx)
+        tree = True
+    except NotTreeFacetGraph:
+        tree = False
     report = ClassificationReport(
         field=field,
         pure=pure,
@@ -257,12 +245,10 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
 def free_vertex_of_last(cx: SimplicialComplex, order: Iterable[int]) -> bool:
     """Whether the last facet of the shelling has degree 1 in the facet
     graph; the facet graph must be a tree."""
-    base = facet_graph(cx)
-    if not is_tree(base):
-        raise NotATree("requires a tree facet graph")
+    require_tree_case(cx)
     seq = _check_permutation(cx, order)
     if not is_shelling(cx, seq):
         raise NotShellable(f"{seq} is not a shelling")
     if cx.m == 1:
         return True
-    return base.degree(seq[-1]) == 1
+    return facet_graph(cx).degree(seq[-1]) == 1

@@ -8,6 +8,7 @@ import pytest
 
 from cmlab import get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
+from cmlab.homology import ExactMatrix
 
 
 @pytest.fixture
@@ -97,3 +98,22 @@ def random_tree_satisfying(
     return MultiplicityAssignment(
         cx, tuple((j, i, values.get((j, i), 1)) for j, i in domain)
     )
+
+
+def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
+    assert a.field == b.field and a.ncols == b.nrows
+    product = tuple(
+        tuple(
+            sum(a.entries[r][k] * b.entries[k][c] for k in range(a.ncols))
+            for c in range(b.ncols)
+        )
+        for r in range(a.nrows)
+    )
+    return ExactMatrix(a.field, a.nrows, b.ncols, product)
+
+
+def is_zero(mx: ExactMatrix) -> bool:
+    p = mx.field.characteristic
+    if p:
+        return all(x % p == 0 for row in mx.entries for x in row)
+    return all(x == 0 for row in mx.entries for x in row)

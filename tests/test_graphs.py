@@ -16,6 +16,8 @@ from conftest import random_pure_strongly_connected, random_quasi_tree
 from cmlab import get_fixture
 from cmlab.complexes import SimplicialComplex
 from cmlab.errors import (
+    FacetIndexOutOfRange,
+    HypothesesViolated,
     NotATree,
     NotPure,
     NotQuasiTree,
@@ -41,6 +43,13 @@ def test_graph_canonicalization():
     assert g.edges == ((1, 2), (2, 3))
     assert g.neighbors(2) == (1, 3)
     assert g.degree(2) == 2
+
+
+def test_graph_rejects_self_loops_and_foreign_endpoints():
+    with pytest.raises(HypothesesViolated):
+        FacetLevelGraph((1, 2), ((1, 1),))
+    with pytest.raises(FacetIndexOutOfRange):
+        FacetLevelGraph((1, 2), ((1, 3),))
 
 
 def test_facet_graph_of_main_fixture(tree_fixture):
@@ -78,7 +87,7 @@ def test_root_orientation_of_main_vertex_graph(tree_fixture):
     assert orient.parent_of(4) == 3
     assert orient.parent_of(5) == 4
     assert orient.parent_of(6) == 4
-    assert orient.facet_edges() == ((3, 2), (3, 4), (4, 5), (4, 6))
+    assert orient.directed_edges == ((ROOT, 3), (3, 2), (3, 4), (4, 5), (4, 6))
 
 
 def test_root_orientation_errors(tree_fixture):

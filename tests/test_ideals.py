@@ -12,7 +12,12 @@ from conftest import random_tree_satisfying
 
 from cmlab import get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
-from cmlab.errors import AmbientMismatch, FacetIndexOutOfRange, HypothesesViolated
+from cmlab.errors import (
+    AmbientMismatch,
+    FacetIndexOutOfRange,
+    HypothesesViolated,
+    VertexOutOfRange,
+)
 from cmlab.ideals import (
     MonomialIdeal,
     expand_ideal,
@@ -82,6 +87,17 @@ def test_containment():
 def test_ambient_mismatch():
     with pytest.raises(AmbientMismatch):
         ideal(2, (1, 0)).intersect(ideal(3, (1, 0, 0)))
+    with pytest.raises(AmbientMismatch):
+        ideal(2, (1, 0), (0, 1, 0))
+    with pytest.raises(AmbientMismatch):
+        ideal(2, (1, 0)).contains_monomial((1, 0, 0))
+
+
+def test_variable_ideal_rejects_out_of_range_vertex():
+    assert variable_ideal(3, [1, 3]) == ideal(3, (1, 0, 0), (0, 0, 1))
+    for bad in (0, 4):
+        with pytest.raises(VertexOutOfRange):
+            variable_ideal(3, [1, bad])
 
 
 def test_irreducible_components_of_star_alpha():

@@ -10,7 +10,7 @@ import pytest
 from conftest import random_pure_strongly_connected, random_quasi_tree
 
 from cmlab import RATIONALS, get_fixture
-from cmlab.complexes import SimplicialComplex
+from cmlab.complexes import SimplicialComplex, leaf_branches
 from cmlab.errors import (
     FacetIndexOutOfRange,
     NotATree,
@@ -19,9 +19,9 @@ from cmlab.errors import (
     NotShellable,
 )
 from cmlab.structure import (
+    LeafOrder,
     classify,
     find_leaf_order,
-    find_leaf_order_exhaustive,
     find_shelling,
     free_vertex_of_last,
     is_leaf,
@@ -111,6 +111,35 @@ def test_find_leaf_order_main(tree_fixture):
         ok, _ = is_leaf(sub, local)
         assert ok
         assert lo.branches[k] in lo.order[:k]
+
+
+def find_leaf_order_exhaustive(cx: SimplicialComplex) -> LeafOrder | None:
+    """Backtracking variant used to validate the greedy search."""
+    dead: set[frozenset[int]] = set()
+
+    def search(remaining: frozenset[int]) -> list[tuple[int, int | None]] | None:
+        if len(remaining) <= 1:
+            return [(j, None) for j in remaining]
+        if remaining in dead:
+            return None
+        back = sorted(remaining)
+        sub = tuple(cx.facets[t - 1] for t in back)
+        for pos, j in enumerate(back):
+            branches = leaf_branches(sub, pos)
+            if not branches:
+                continue
+            head = search(remaining - {j})
+            if head is not None:
+                return head + [(j, back[branches[0]])]
+        dead.add(remaining)
+        return None
+
+    result = search(frozenset(range(1, cx.m + 1)))
+    if result is None:
+        return None
+    return LeafOrder(
+        tuple(j for j, _ in result), tuple(g for _, g in result)
+    )
 
 
 def test_greedy_leaf_order_matches_exhaustive():
