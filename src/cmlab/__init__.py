@@ -17,7 +17,6 @@ from .fixtures import Fixture, fixture_names, get_fixture, problem_json
 from .graphs import (
     ROOT,
     FacetLevelGraph,
-    RootedOrientation,
     facet_graph,
     is_tree,
     relation_trees,
@@ -87,7 +86,6 @@ __all__ = [
     "OracleVerdict",
     "RATIONALS",
     "ROOT",
-    "RootedOrientation",
     "SatisfyingVerdict",
     "SimplicialComplex",
     "boundary_matrix",

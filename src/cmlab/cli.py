@@ -368,6 +368,10 @@ def main(argv: list[str] | None = None) -> int:
     except (CmLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except (RecursionError, MemoryError) as exc:
+        what = "recursion depth" if isinstance(exc, RecursionError) else "memory"
+        print(f"error: input too large: {what} exhausted", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

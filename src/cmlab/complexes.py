@@ -381,6 +381,3 @@ class ExponentOffset:
         return MultiplicityAssignment(
             self.complex, tuple((j, i, v + 1) for j, i, v in self.entries)
         )
-
-    def is_zero(self) -> bool:
-        return all(v == 0 for _, _, v in self.entries)

@@ -49,8 +49,10 @@ class NotRelationTree(CmLabError):
     """Given tree is not produced by any leaf order of the complex."""
 
 
-class RestrictionNotTree(CmLabError):
-    """Restriction of a relation tree failed to be a tree; indicates a bug."""
+class RestrictionNotTree(NotATree):
+    """Restriction of a tree on the facets to the facets omitting a vertex
+    is not a tree: a bug for relation trees, or a complex outside the
+    tree-case hypotheses."""
 
 
 class NotPermutation(CmLabError):

@@ -1,6 +1,7 @@
 """Graphs whose nodes are facets: the adjacency graph of a pure
-complex, its per-vertex variants with a formal root, rooted
-orientations, and relation trees of quasi-trees.
+complex, its per-vertex variants with a formal root, the rooted
+breadth-first walk behind every traversal, and relation trees of
+quasi-trees.
 
 Nodes are 1-based facet indices into the complex's canonical facet
 list; node 0 is reserved for the formal root of per-vertex graphs.
@@ -8,8 +9,10 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Collection, Mapping
 
 from .complexes import SimplicialComplex, leaf_branches
 from .errors import (
@@ -26,11 +29,11 @@ from .errors import (
 
 __all__ = [
     "FacetLevelGraph",
-    "RootedOrientation",
     "facet_graph",
     "vertex_graph",
     "is_tree",
     "root_orientation",
+    "rooted_walk",
     "relation_trees",
     "restrict_relation_tree",
 ]
@@ -45,25 +48,29 @@ def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
 @dataclass(frozen=True)
 class FacetLevelGraph:
     """Undirected graph on facet indices, optionally with the formal
-    root node 0."""
+    root node 0.  adjacency maps each node to its sorted neighbours."""
 
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
+    adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
         object.__setattr__(self, "edges", _canonical_edges(self.edges))
-        node_set = set(self.nodes)
+        adjacency: dict[int, list[int]] = {node: [] for node in self.nodes}
         for a, b in self.edges:
             if a == b:
                 raise HypothesesViolated(f"self-loop at node {a} is not allowed")
-            if a not in node_set or b not in node_set:
+            if a not in adjacency or b not in adjacency:
                 raise FacetIndexOutOfRange(f"edge {a}-{b} has an endpoint missing from nodes")
+            adjacency[a].append(b)
+            adjacency[b].append(a)
+        object.__setattr__(
+            self, "adjacency", {node: tuple(sorted(nbs)) for node, nbs in adjacency.items()}
+        )
 
     def neighbors(self, node: int) -> tuple[int, ...]:
-        return tuple(
-            sorted(b if a == node else a for a, b in self.edges if node in (a, b))
-        )
+        return self.adjacency.get(node, ())
 
     def degree(self, node: int) -> int:
         return len(self.neighbors(node))
@@ -71,51 +78,46 @@ class FacetLevelGraph:
     def is_connected(self) -> bool:
         if not self.nodes:
             return False
-        seen = {self.nodes[0]}
-        queue = [self.nodes[0]]
-        while queue:
-            for nb in self.neighbors(queue.pop()):
-                if nb not in seen:
-                    seen.add(nb)
-                    queue.append(nb)
-        return len(seen) == len(self.nodes)
+        edges, _ = rooted_walk(self.adjacency, set(self.nodes[1:]), self.nodes[0])
+        return len(edges) == len(self.nodes) - 1
+
+
+def rooted_walk(
+    adjacency: Mapping[int, tuple[int, ...]], kept: Collection[int], root: int
+) -> tuple[tuple[tuple[int, int], ...], bool]:
+    """Breadth-first walk over the nodes in kept (every one a key of
+    adjacency) away from root, which is joined to each kept node with a
+    neighbour outside kept.  Start nodes and neighbours are visited in
+    ascending order.  Returns the directed (parent, child) edges in
+    visiting order, and whether root plus kept form a tree."""
+    start = [j for j in sorted(kept) if any(k not in kept for k in adjacency[j])]
+    directed = [(root, j) for j in start]
+    seen = set(start)
+    queue = deque(start)
+    while queue:
+        h = queue.popleft()
+        for k in adjacency[h]:
+            if k in kept and k not in seen:
+                seen.add(k)
+                directed.append((h, k))
+                queue.append(k)
+    inner = sum(1 for j in kept for k in adjacency[j] if k in kept) // 2
+    return tuple(directed), len(directed) == len(kept) == len(start) + inner
 
 
 def is_tree(g: FacetLevelGraph) -> bool:
     return bool(g.nodes) and len(g.edges) == len(g.nodes) - 1 and g.is_connected()
 
 
-@dataclass(frozen=True)
-class RootedOrientation:
-    """A tree with every edge directed away from a chosen root."""
-
-    base: FacetLevelGraph
-    root: int
-    directed_edges: tuple[tuple[int, int], ...]
-
-    def parent_of(self, node: int) -> int | None:
-        for parent, child in self.directed_edges:
-            if child == node:
-                return parent
-        return None
-
-
-def root_orientation(g: FacetLevelGraph, root: int) -> RootedOrientation:
-    if root not in g.nodes:
+def root_orientation(g: FacetLevelGraph, root: int) -> tuple[tuple[int, int], ...]:
+    """The tree's edges directed away from root, in breadth-first order
+    with neighbours ascending."""
+    if root not in g.adjacency:
         raise RootNotFound(f"node {root} is not in the graph")
-    if not is_tree(g):
+    directed, tree = rooted_walk(g.adjacency, set(g.nodes) - {root}, root)
+    if not tree:
         raise NotATree("orientation requires a tree")
-    directed: list[tuple[int, int]] = []
-    seen = {root}
-    queue = [root]
-    while queue:
-        node = queue.pop(0)
-        for nb in g.neighbors(node):
-            if nb not in seen:
-                seen.add(nb)
-                directed.append((node, nb))
-                queue.append(nb)
-    return RootedOrientation(g, root, tuple(directed))
+    return directed
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +189,11 @@ def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
             if not branches:
                 continue
             rest = grow(present - {j})
+            if not rest:
+                # Removing a leaf leaves a quasi-forest, so no leaf
+                # order can start here if none starts after removing j.
+                out.clear()
+                break
             for g in branches:
                 edge = (min(j, back[g]) + 1, max(j, back[g]) + 1)
                 out.update(t | {edge} for t in rest)

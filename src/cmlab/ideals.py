@@ -50,13 +50,13 @@ def _display_key(g: Monomial) -> tuple[int, ...]:
 
 
 def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    unique = sorted(set(gens), key=_display_key)
-    kept = [
-        g
-        for g in unique
-        if not any(d != g and _divides(d, g) for d in unique)
-    ]
-    return tuple(kept)
+    # A proper divisor has smaller total degree, so in ascending degree
+    # each candidate only needs checking against generators already kept.
+    kept: list[Monomial] = []
+    for g in sorted(set(gens), key=sum):
+        if not any(_divides(d, g) for d in kept):
+            kept.append(g)
+    return tuple(sorted(kept, key=_display_key))
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,9 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Collection, Iterable, Mapping
 
 from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
 from .errors import (
@@ -25,7 +24,7 @@ from .graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    root_orientation,
+    rooted_walk,
     vertex_graph,
 )
 from .homology import RATIONALS, FieldSpec
@@ -58,36 +57,27 @@ class SatisfyingVerdict:
         return self.satisfied
 
 
-def _adjacency(g: FacetLevelGraph) -> dict[int, tuple[int, ...]]:
-    return {node: g.neighbors(node) for node in g.nodes}
+def _rooted_edges(
+    adjacency: Mapping[int, tuple[int, ...]], i: int, kept: Collection[int]
+) -> tuple[tuple[int, int], ...]:
+    """The root-directed edges of a tree on the facets restricted to the
+    facets omitting vertex i (kept), in the walk's breadth-first order."""
+    directed, tree = rooted_walk(adjacency, kept, ROOT)
+    if not tree:
+        raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
+    return directed
 
 
 def _violations(
     adjacency: Mapping[int, tuple[int, ...]], i: int, values: Mapping[int, int]
 ) -> list[Violation]:
-    """Walk a tree on the facets, restricted to the facets omitting
-    vertex i (the keys of values), breadth-first away from the formal
-    root, which is joined to each such facet that is adjacent to a facet
-    containing i.  Every facet-facet edge along which the value grows is
-    a violation; neighbours are visited in ascending order."""
-    start = [j for j in sorted(values) if any(k not in values for k in adjacency[j])]
-    facet_edges = sum(1 for j in values for k in adjacency[j] if k in values) // 2
-    seen = set(start)
-    queue = deque(start)
-    found: list[Violation] = []
-    while queue:
-        h = queue.popleft()
-        for k in adjacency[h]:
-            if k in values and k not in seen:
-                if values[h] < values[k]:
-                    found.append((i, (h, k), (values[h], values[k])))
-                seen.add(k)
-                queue.append(k)
-    if len(seen) != len(values) or len(start) + facet_edges != len(values):
-        raise RestrictionNotTree(
-            f"restriction to vertex {i} is not a tree; this should be impossible"
-        )
-    return found
+    """Every facet-facet edge of the restriction to the facets omitting
+    vertex i (the keys of values) along which the value grows."""
+    return [
+        (i, (h, k), (values[h], values[k]))
+        for h, k in _rooted_edges(adjacency, i, values)
+        if h != ROOT and values[h] < values[k]
+    ]
 
 
 def is_tree_satisfying(
@@ -98,7 +88,7 @@ def is_tree_satisfying(
     when the facet graph is a tree and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
-    adjacency = _adjacency(facet_graph(cx))
+    adjacency = facet_graph(cx).adjacency
     violations = [
         v
         for i in range(1, cx.n + 1)
@@ -123,8 +113,7 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
         i: dict(mult.vertex_values(i)) for i in range(1, cx.n + 1)
     }
     for tree in trees:
-        adjacency = _adjacency(tree)
-        if not any(_violations(adjacency, i, values) for i, values in per_vertex.items()):
+        if not any(_violations(tree.adjacency, i, values) for i, values in per_vertex.items()):
             return SatisfyingVerdict(True, (), tree)
     return SatisfyingVerdict(False, (), None)
 
@@ -207,9 +196,11 @@ def check_cm_uniform_block(
 
 
 def _parent_map(cx: SimplicialComplex, i: int) -> dict[int, int]:
-    g = vertex_graph(cx, i)
-    orientation = root_orientation(g, ROOT)
-    return {child: parent for parent, child in orientation.directed_edges}
+    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+    return {
+        child: parent
+        for parent, child in _rooted_edges(facet_graph(cx).adjacency, i, kept)
+    }
 
 
 def semigroup_generators(

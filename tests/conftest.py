@@ -86,10 +86,8 @@ def random_tree_satisfying(
 
     values: dict[tuple[int, int], int] = {}
     for i in sorted(cx.vertices):
-        g = vertex_graph(cx, i)
-        orient = root_orientation(g, ROOT)
         chosen: dict[int, int] = {}
-        for parent, child in orient.directed_edges:
+        for parent, child in root_orientation(vertex_graph(cx, i), ROOT):
             cap = max_exp if parent == ROOT else chosen[parent]
             chosen[child] = rng.randint(1, cap)
         for j, v in chosen.items():

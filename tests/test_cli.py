@@ -152,6 +152,16 @@ def test_usage_errors_exit_three(capsys):
     assert "characteristic" in err
 
 
+def test_recursion_exhaustion_exits_three(tmp_path, capsys):
+    # the oracle recurses once per vertex, past the default limit here
+    doc = tmp_path / "simplex.json"
+    doc.write_text(json.dumps({"n": 1100, "facets": [list(range(1, 1101))]}))
+    code, _, err = run(capsys, "check", str(doc), "--method", "oracle")
+    assert code == 3
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

@@ -8,6 +8,7 @@ exactly and then checks the structural invariants on random complexes.
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
@@ -33,6 +34,7 @@ from cmlab.graphs import (
     relation_trees,
     restrict_relation_tree,
     root_orientation,
+    rooted_walk,
     vertex_graph,
 )
 from cmlab.structure import find_leaf_order
@@ -79,15 +81,47 @@ def test_strong_connectivity_matches_graph_connectivity():
         assert facet_graph(cx).is_connected() == cx.is_strongly_connected()
 
 
+def test_rooted_walk_orders_edges_and_flags_trees():
+    path = FacetLevelGraph((1, 2, 3, 4), ((1, 2), (2, 3), (3, 4)))
+    # the root attaches to kept nodes with a neighbour outside kept
+    assert rooted_walk(path.adjacency, {2, 3, 4}, ROOT) == (
+        ((ROOT, 2), (2, 3), (3, 4)),
+        True,
+    )
+    assert rooted_walk(path.adjacency, {1, 2, 4}, ROOT) == (
+        ((ROOT, 2), (ROOT, 4), (2, 1)),
+        True,
+    )
+    assert rooted_walk(path.adjacency, set(), ROOT) == ((), True)
+    # every kept node reached, but one edge too many
+    cycle = FacetLevelGraph((1, 2, 3, 4), ((1, 2), (2, 3), (3, 4), (1, 4)))
+    assert rooted_walk(cycle.adjacency, {2, 3, 4}, 1) == (
+        ((1, 2), (1, 4), (2, 3)),
+        False,
+    )
+    # no kept node touches the outside, so nothing is reached
+    assert rooted_walk(path.adjacency, {1, 2, 3, 4}, ROOT) == ((), False)
+
+
+def test_adjacency_is_indexed_and_sorted(tree_fixture):
+    g = facet_graph(tree_fixture)
+    assert set(g.adjacency) == set(g.nodes)
+    for node in g.nodes:
+        expected = sorted(b if a == node else a for a, b in g.edges if node in (a, b))
+        assert g.adjacency[node] == g.neighbors(node) == tuple(expected)
+    assert g.neighbors(99) == ()
+
+
 def test_root_orientation_of_main_vertex_graph(tree_fixture):
     g = vertex_graph(tree_fixture, 1)
-    orient = root_orientation(g, ROOT)
-    assert orient.parent_of(3) == ROOT
-    assert orient.parent_of(2) == 3
-    assert orient.parent_of(4) == 3
-    assert orient.parent_of(5) == 4
-    assert orient.parent_of(6) == 4
-    assert orient.directed_edges == ((ROOT, 3), (3, 2), (3, 4), (4, 5), (4, 6))
+    edges = root_orientation(g, ROOT)
+    parent = {child: p for p, child in edges}
+    assert parent[3] == ROOT
+    assert parent[2] == 3
+    assert parent[4] == 3
+    assert parent[5] == 4
+    assert parent[6] == 4
+    assert edges == ((ROOT, 3), (3, 2), (3, 4), (4, 5), (4, 6))
 
 
 def test_root_orientation_errors(tree_fixture):
@@ -208,3 +242,38 @@ def test_quasi_tree_prefixes_stay_strongly_connected():
             prefix = [cx.facets[j - 1] for j in lo.order[:k]]
             sub = SimplicialComplex(cx.n, tuple(prefix))
             assert sub.is_strongly_connected()
+
+
+def _annulus_with_pendants(pendants: int) -> SimplicialComplex:
+    """Twelve triangles around an annulus (inner vertices 1..6, outer
+    7..12), plus one pendant triangle on each of the first few edges."""
+    facets = []
+    for k in range(6):
+        a, a2, b, b2 = k % 6 + 1, (k + 1) % 6 + 1, k % 6 + 7, (k + 1) % 6 + 7
+        facets += [(a, a2, b), (a2, b, b2)]
+    edges = sorted({tuple(sorted(e)) for f in facets for e in combinations(f, 2)})
+    for t, (u, v) in enumerate(edges[:pendants]):
+        facets.append((u, v, 13 + t))
+    return SimplicialComplex.from_facets(12 + pendants, facets)
+
+
+def test_relation_trees_give_up_at_the_first_dead_end():
+    # every order of removing the 20 pendant leaves ends at the leafless
+    # annulus; the search must not try them all
+    cx = _annulus_with_pendants(20)
+    assert cx.m == 32
+    with pytest.raises(NotQuasiTree, match="no leaf order exists"):
+        relation_trees(cx)
+    assert find_leaf_order(cx) is None
+
+
+def test_relation_trees_exist_exactly_when_a_leaf_order_does():
+    rng = random.Random(41)
+    for _ in range(400):
+        cx = random_pure_strongly_connected(rng, max_n=7, max_m=6)
+        try:
+            relation_trees(cx)
+            found = True
+        except NotQuasiTree:
+            found = False
+        assert found == (find_leaf_order(cx) is not None)

@@ -40,6 +40,22 @@ def test_minimalization_drops_redundant_generators():
     assert i.generators == ((1, 0),)
 
 
+def test_minimalization_matches_definition():
+    # a generator is kept exactly when no other candidate divides it
+    rng = random.Random(7)
+    for _ in range(200):
+        gens = {
+            tuple(rng.randint(0, 3) for _ in range(3))
+            for _ in range(rng.randint(1, 12))
+        }
+        expected = sorted(
+            (g for g in gens
+             if not any(d != g and all(x <= y for x, y in zip(d, g)) for d in gens)),
+            key=lambda g: tuple(-e for e in g),
+        )
+        assert ideal(3, *gens).generators == tuple(expected)
+
+
 def test_zero_and_unit():
     z = MonomialIdeal.zero(3)
     u = MonomialIdeal.unit(3)

@@ -21,7 +21,17 @@ from cmlab.errors import (
     NotQuasiTree,
     NotShellable,
     NotTreeFacetGraph,
+    RestrictionNotTree,
     VertexOutOfRange,
+)
+from cmlab.graphs import (
+    ROOT,
+    facet_graph,
+    is_tree,
+    relation_trees,
+    restrict_relation_tree,
+    root_orientation,
+    vertex_graph,
 )
 from cmlab.homology import is_cm_ideal_oracle
 from cmlab.satisfying import (
@@ -117,8 +127,6 @@ def test_quasitree_star_counterexample_is_silent():
 
 def test_quasitree_witness_is_lexicographically_first(star_fixture):
     ones = MultiplicityAssignment.constant(star_fixture)
-    from cmlab.graphs import relation_trees
-
     first_passing = is_quasitree_satisfying(ones).witness_tree
     trees = relation_trees(star_fixture)
     assert first_passing == trees[0]
@@ -215,19 +223,18 @@ def test_generator_counts(tree_fixture):
 
 def test_generators_include_zero(tree_fixture):
     gens = semigroup_generators(tree_fixture, 4)
-    assert any(g.is_zero() for g in gens)
+    assert ExponentOffset.zero(tree_fixture) in gens
 
 
 def test_generator_supports_are_ancestor_closed(tree_fixture):
-    from cmlab.graphs import ROOT, root_orientation, vertex_graph
-
     for i in (1, 4, 8):
-        orient = root_orientation(vertex_graph(tree_fixture, i), ROOT)
+        parent = {
+            child: p for p, child in root_orientation(vertex_graph(tree_fixture, i), ROOT)
+        }
         for g in semigroup_generators(tree_fixture, i):
             chosen = {j for j, i2, v in g.entries if v and i2 == i}
             for j in chosen:
-                parent = orient.parent_of(j)
-                assert parent == ROOT or parent in chosen
+                assert parent[j] == ROOT or parent[j] in chosen
 
 
 def test_generators_are_tree_satisfying(tree_fixture):
@@ -282,3 +289,66 @@ def test_quasitree_soundness_on_random_quasi_trees():
             am = random_assignment(rng, cx, 2)
             if is_quasitree_satisfying(am).satisfied:
                 assert is_cm_ideal_oracle(am).is_cm
+
+
+def _grows_along(edges, mult, i):
+    """The facet-facet edges of a rooted orientation along which the
+    value at vertex i grows, as violation records."""
+    return [
+        (i, (h, k), (mult.value(h, i), mult.value(k, i)))
+        for h, k in edges
+        if h != ROOT and mult.value(h, i) < mult.value(k, i)
+    ]
+
+
+def test_tree_violations_match_oriented_vertex_graphs():
+    rng = random.Random(67)
+    complexes = [get_fixture("triangle-tree").complex]
+    while len(complexes) < 12:
+        cx = random_quasi_tree(rng, max_m=7)
+        if cx.m >= 4 and is_tree(facet_graph(cx)):
+            complexes.append(cx)
+    for cx in complexes:
+        tables = [random_assignment(rng, cx, 3) for _ in range(6)]
+        tables += [random_tree_satisfying(rng, cx, 3) for _ in range(4)]
+        for am in tables:
+            expected = [
+                v
+                for i in range(1, cx.n + 1)
+                for v in _grows_along(root_orientation(vertex_graph(cx, i), ROOT), am, i)
+            ]
+            verdict = is_tree_satisfying(am)
+            assert list(verdict.violations) == expected
+            assert verdict.satisfied == (not expected)
+
+
+def test_quasitree_witness_is_first_tree_with_monotone_restrictions():
+    rng = random.Random(71)
+    for _ in range(12):
+        cx = random_quasi_tree(rng, max_m=5)
+        for _ in range(6):
+            am = random_assignment(rng, cx, 2)
+            first = next(
+                (
+                    t
+                    for t in relation_trees(cx)
+                    if not any(
+                        _grows_along(
+                            root_orientation(restrict_relation_tree(cx, t, i), ROOT), am, i
+                        )
+                        for i in range(1, cx.n + 1)
+                    )
+                ),
+                None,
+            )
+            verdict = is_quasitree_satisfying(am)
+            assert verdict.witness_tree == first
+            assert verdict.satisfied == (first is not None)
+
+
+def test_tree_criterion_rejects_uncovered_vertex():
+    # the raw constructor may leave a vertex in no facet; its restriction
+    # then has no root edge and is not a tree
+    cx = SimplicialComplex(3, ((1, 2),))
+    with pytest.raises(RestrictionNotTree):
+        is_tree_satisfying(MultiplicityAssignment.constant(cx))
