@@ -12,6 +12,7 @@ only face is the empty set.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
@@ -109,7 +110,9 @@ class SimplicialComplex:
         return _all_faces(self)
 
     def faces_of_dim(self, q: int) -> tuple[Face, ...]:
-        return tuple(f for f in _all_faces(self) if len(f) == q + 1)
+        faces = _all_faces(self)
+        lo = bisect_left(faces, q + 1, key=len)
+        return faces[lo : bisect_left(faces, q + 2, lo=lo, key=len)]
 
     def has_face(self, face: Iterable[int]) -> bool:
         key = tuple(sorted(set(face)))

@@ -1,8 +1,10 @@
 """Exact reduced simplicial homology over the rationals or a prime
 field, and the Cohen-Macaulayness oracles built on it.
 
-Everything here is exact: characteristic 0 uses Fractions, positive
-characteristic uses residues.  No floating point is involved anywhere,
+Everything here is exact.  Ranks come from one sparse elimination
+kernel: XOR on integer bitsets in characteristic 2, residues mod p in an
+odd characteristic p, and fraction-free integer elimination with content
+division in characteristic 0.  No floating point is involved anywhere,
 so rank decisions are never approximate.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import NamedTuple
 
 from .complexes import MultiplicityAssignment, SimplicialComplex
@@ -56,53 +59,87 @@ RATIONALS = FieldSpec(0)
 GF2 = FieldSpec(2)
 
 
-@dataclass(frozen=True)
+def _rank(rows: list[dict[int, int]], p: int) -> int:
+    """Rank over GF(p), or over the rationals when p is 0, of the integer
+    matrix with these sparse rows.  Each row is reduced against the pivot
+    rows kept so far, keyed by leading column, until it vanishes or leads
+    in a new column."""
+    if p == 2:
+        bit_pivots: dict[int, int] = {}
+        for row in rows:
+            bits = sum(1 << c for c, x in row.items() if x & 1)
+            while bits and (lead := bits.bit_length()) in bit_pivots:
+                bits ^= bit_pivots[lead]
+            if bits:
+                bit_pivots[lead] = bits
+        return len(bit_pivots)
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = _reduced(row, p)
+        while row:
+            lead = min(row)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                pivots[lead] = row
+                break
+            # a * row - b * pivot cancels the lead without any division
+            g = gcd(pivot[lead], row[lead])
+            a, b = pivot[lead] // g, row[lead] // g
+            row = {c: a * x for c, x in row.items()}
+            for c, x in pivot.items():
+                row[c] = row.get(c, 0) - b * x
+            row = _reduced(row, p)
+    return len(pivots)
+
+
+def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
+    """The nonzero entries of a row as residues mod p or, when p is 0,
+    divided by their gcd."""
+    if p:
+        return {c: x % p for c, x in row.items() if x % p}
+    content = gcd(*row.values())
+    return {c: x // content for c, x in row.items() if x}
+
+
+@dataclass(frozen=True, init=False)
 class ExactMatrix:
-    """Dense integer matrix interpreted over a fixed field."""
+    """Integer or rational matrix over a fixed field, kept as sparse rows
+    of (column, value) pairs.  ``rank`` clears each row's denominators,
+    which over GF(p) must be prime to p, and runs the sparse kernel."""
 
     field: FieldSpec
     nrows: int
     ncols: int
-    entries: tuple[tuple[int, ...], ...]
+    _rows: tuple[tuple[tuple[int, int | Fraction], ...], ...]
 
-    def __post_init__(self) -> None:
-        if len(self.entries) != self.nrows or any(
-            len(r) != self.ncols for r in self.entries
-        ):
-            raise DimensionOutOfRange(
-                f"entries do not form a {self.nrows} x {self.ncols} matrix"
-            )
+    def __init__(
+        self, field: FieldSpec, nrows: int, ncols: int, entries: tuple[tuple, ...]
+    ) -> None:
+        if len(entries) != nrows or any(len(r) != ncols for r in entries):
+            raise DimensionOutOfRange(f"entries do not form a {nrows} x {ncols} matrix")
+        rows = tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in entries)
+        vars(self).update(field=field, nrows=nrows, ncols=ncols, _rows=rows)
+
+    @classmethod
+    def _from_rows(cls, field: FieldSpec, ncols: int, rows: tuple) -> ExactMatrix:
+        mx = object.__new__(cls)
+        vars(mx).update(field=field, nrows=len(rows), ncols=ncols, _rows=rows)
+        return mx
+
+    @property
+    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
+        zeros = [0] * self.ncols
+        return tuple(tuple(map(dict(r).get, range(self.ncols), zeros)) for r in self._rows)
 
     def rank(self) -> int:
         p = self.field.characteristic
-        if p:
-            rows = [[x % p for x in r] for r in self.entries]
-        else:
-            rows = [[Fraction(x) for x in r] for r in self.entries]
-        rank = 0
-        for col in range(self.ncols):
-            pivot = next(
-                (r for r in range(rank, self.nrows) if rows[r][col] != 0), None
-            )
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            lead = rows[rank][col]
-            inv = pow(lead, p - 2, p) if p else 1 / lead
-            for r in range(rank + 1, self.nrows):
-                factor = rows[r][col] * inv
-                if factor == 0:
-                    continue
-                if p:
-                    rows[r] = [
-                        (a - factor * b) % p for a, b in zip(rows[r], rows[rank])
-                    ]
-                else:
-                    rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-            if rank == self.nrows:
-                break
-        return rank
+        rows = []
+        for row in self._rows:
+            den = lcm(*(x.denominator for _, x in row))
+            if p and den % p == 0:
+                raise InvalidCharacteristic(f"a denominator is divisible by {p}")
+            rows.append({c: x.numerator * (den // x.denominator) for c, x in row})
+        return _rank(rows, p)
 
 
 def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS) -> ExactMatrix:
@@ -112,19 +149,13 @@ def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS)
     """
     if q < -1 or q > cx.dim:
         raise DimensionOutOfRange(f"no boundary map in dimension {q}")
-    if q == -1:
-        return ExactMatrix(field, 0, 1, ())
     cols = cx.faces_of_dim(q)
-    if q == 0:
-        return ExactMatrix(field, 1, len(cols), (tuple(1 for _ in cols),))
-    rows = cx.faces_of_dim(q - 1)
-    index = {face: r for r, face in enumerate(rows)}
-    entries = [[0] * len(cols) for _ in rows]
+    index = {face: r for r, face in enumerate(cx.faces_of_dim(q - 1))}
+    rows: list[list[tuple[int, int]]] = [[] for _ in index]
     for c, face in enumerate(cols):
         for k in range(len(face)):
-            sub = face[:k] + face[k + 1 :]
-            entries[index[sub]][c] = (-1) ** k
-    return ExactMatrix(field, len(rows), len(cols), tuple(map(tuple, entries)))
+            rows[index[face[:k] + face[k + 1 :]]].append((c, (-1) ** k))
+    return ExactMatrix._from_rows(field, len(cols), tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=None)
@@ -134,13 +165,9 @@ def reduced_homology_ranks(
     """Ranks of the reduced homology groups in dimensions -1..dim."""
     if cx.is_void:
         raise VoidComplex("the void complex has no chain complex")
-    face_counts = (1,) + cx.f_vector()
-    boundary_ranks = [boundary_matrix(cx, q, field).rank() for q in range(-1, cx.dim + 1)]
-    boundary_ranks.append(0)
-    return tuple(
-        face_counts[q + 1] - boundary_ranks[q + 1] - boundary_ranks[q + 2]
-        for q in range(-1, cx.dim + 1)
-    )
+    maps = [boundary_matrix(cx, q, field) for q in range(-1, cx.dim + 1)]
+    ranks = [d.rank() for d in maps] + [0]
+    return tuple(d.ncols - ranks[k] - ranks[k + 1] for k, d in enumerate(maps))
 
 
 @lru_cache(maxsize=None)
@@ -149,12 +176,22 @@ def is_cm_complex(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     decided by checking that every face's link has vanishing reduced
     homology below its top dimension.
 
-    The void complex and the irrelevant complex both count as
-    Cohen-Macaulay.
+    Three shortcuts keep every verdict: Cohen-Macaulay implies pure; a
+    cone is Cohen-Macaulay exactly when its base is, so the vertices
+    common to all facets are stripped; a link of dimension <= 0 never
+    fails, so the sweep stops at the first face that has one.  The void
+    complex and the irrelevant complex both count as Cohen-Macaulay.
     """
     if cx.is_void or cx.is_irrelevant:
         return True
+    if not cx.is_pure:
+        return False
+    apex = set(cx.facets[0]).intersection(*cx.facets[1:])
+    if apex:
+        cx = SimplicialComplex(cx.n, tuple(tuple(set(f) - apex) for f in cx.facets))
     for face in cx.all_faces():
+        if len(face) >= cx.dim:
+            break
         ranks = reduced_homology_ranks(cx.link(face), field)
         if any(r != 0 for r in ranks[:-1]):
             return False

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from cmlab import get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
-from cmlab.homology import ExactMatrix
+from cmlab.homology import ExactMatrix, FieldSpec, reduced_homology_ranks
 
 
 @pytest.fixture
@@ -115,3 +116,82 @@ def is_zero(mx: ExactMatrix) -> bool:
     if p:
         return all(x % p == 0 for row in mx.entries for x in row)
     return all(x == 0 for row in mx.entries for x in row)
+
+
+def random_complex(
+    rng: random.Random, n: int, max_size: int, cone: int = 0
+) -> SimplicialComplex:
+    """Random facets of sizes 1..max_size on 1..n, usually not pure, each
+    joined with the apex vertices n+1..n+cone; vertices in no facet are
+    left uncovered."""
+    facets = [
+        rng.sample(range(1, n + 1), rng.randint(1, max_size))
+        for _ in range(rng.randint(1, 5))
+    ]
+    apex = list(range(n + 1, n + cone + 1))
+    return SimplicialComplex(n + cone, tuple(tuple(f + apex) for f in facets))
+
+
+def dense_rank(field: FieldSpec, entries) -> int:
+    """Reference rank by dense Gaussian elimination, over Fraction in
+    characteristic 0 and over residues mod p otherwise."""
+    p = field.characteristic
+    if p:
+        rows = [
+            [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in r]
+            for r in entries
+        ]
+    else:
+        rows = [[Fraction(x) for x in r] for r in entries]
+    nrows = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    for col in range(ncols):
+        pivot = next((r for r in range(rank, nrows) if rows[r][col] != 0), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        lead = rows[rank][col]
+        inv = pow(lead, p - 2, p) if p else 1 / lead
+        for r in range(rank + 1, nrows):
+            factor = rows[r][col] * inv
+            if factor == 0:
+                continue
+            if p:
+                rows[r] = [(a - factor * b) % p for a, b in zip(rows[r], rows[rank])]
+            else:
+                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+def dense_boundary(cx: SimplicialComplex, q: int) -> list[list[int]]:
+    """Reference q-th boundary map as dense rows: (q-1)-faces by q-faces,
+    both in all_faces() order."""
+    faces = cx.all_faces()
+    cols = [f for f in faces if len(f) == q + 1]
+    index = {f: r for r, f in enumerate(f for f in faces if len(f) == q)}
+    entries = [[0] * len(cols) for _ in index]
+    for c, face in enumerate(cols):
+        for k in range(len(face)):
+            entries[index[face[:k] + face[k + 1 :]]][c] = (-1) ** k
+    return entries
+
+
+def dense_homology_ranks(cx: SimplicialComplex, field: FieldSpec) -> tuple[int, ...]:
+    """Reference reduced homology ranks in dimensions -1..dim."""
+    counts = [sum(1 for f in cx.all_faces() if len(f) == q + 1) for q in range(-1, cx.dim + 1)]
+    ranks = [dense_rank(field, dense_boundary(cx, q)) for q in range(-1, cx.dim + 1)]
+    ranks.append(0)
+    return tuple(counts[k] - ranks[k] - ranks[k + 1] for k in range(len(counts)))
+
+
+def unpruned_is_cm(cx: SimplicialComplex, field: FieldSpec) -> bool:
+    """Reference Reisner check: every face's link, no pruning."""
+    if cx.is_void or cx.is_irrelevant:
+        return True
+    return not any(
+        any(reduced_homology_ranks(cx.link(face), field)[:-1]) for face in cx.all_faces()
+    )

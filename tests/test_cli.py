@@ -162,6 +162,16 @@ def test_recursion_exhaustion_exits_three(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_large_simplex_is_decided_by_auto(tmp_path, capsys):
+    # a simplex is a cone over the irrelevant complex: no face sweep
+    doc = tmp_path / "simplex.json"
+    doc.write_text(json.dumps({"n": 1100, "facets": [list(range(1, 1101))]}))
+    code, out, err = run(capsys, "check", str(doc), "--method", "auto")
+    assert code == 0
+    assert "verdict: Cohen-Macaulay" in out
+    assert err == ""
+
+
 def test_help_exits_zero(capsys):
     assert run(capsys, "--help")[0] == 0
 

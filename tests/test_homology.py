@@ -7,7 +7,17 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import is_zero, matmul, random_assignment, random_pure_strongly_connected
+from conftest import (
+    dense_boundary,
+    dense_homology_ranks,
+    dense_rank,
+    is_zero,
+    matmul,
+    random_assignment,
+    random_complex,
+    random_pure_strongly_connected,
+    unpruned_is_cm,
+)
 
 from cmlab import GF2, RATIONALS, fixture_names, get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
@@ -193,3 +203,89 @@ def test_euler_characteristic_identity():
             assert chi == sum(
                 (-1) ** (q - 1) * r for q, r in enumerate(ranks)
             )
+
+
+FIELDS = (RATIONALS, GF2, FieldSpec(3))
+
+
+def _corpus():
+    rng = random.Random(2024)
+    complexes = [get_fixture(name).complex for name in fixture_names()]
+    complexes += [random_complex(rng, 7, 4) for _ in range(40)]
+    complexes += [random_pure_strongly_connected(rng, max_n=7, max_m=6) for _ in range(20)]
+    return complexes
+
+
+def test_sparse_kernel_matches_dense_reference_on_complexes():
+    rp = get_fixture("projective-plane").complex
+    assert dense_homology_ranks(rp, RATIONALS) == (0, 0, 0, 0)
+    assert dense_homology_ranks(rp, GF2) == (0, 0, 1, 1)
+    for cx in _corpus():
+        for field in FIELDS:
+            assert reduced_homology_ranks(cx, field) == dense_homology_ranks(cx, field)
+            for q in range(-1, cx.dim + 1):
+                mx = boundary_matrix(cx, q, field)
+                assert [list(r) for r in mx.entries] == dense_boundary(cx, q)
+                assert mx.rank() == dense_rank(field, mx.entries)
+
+
+def _random_low_rank(rng, nrows, ncols, entry):
+    # a product through an inner dimension below both sides drops rank
+    # and leaves pivots that are not units
+    k = rng.randint(1, max(1, min(nrows, ncols) - 1))
+    a = [[entry() for _ in range(k)] for _ in range(nrows)]
+    b = [[entry() for _ in range(ncols)] for _ in range(k)]
+    return tuple(
+        tuple(sum(a[r][t] * b[t][c] for t in range(k)) for c in range(ncols))
+        for r in range(nrows)
+    )
+
+
+def test_sparse_kernel_matches_dense_reference_on_random_matrices():
+    rng = random.Random(99)
+
+    def integer():
+        return rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9, 1))
+
+    def fraction():
+        return Fraction(integer(), rng.choice((1, 5, 7, 25)))
+
+    for _ in range(150):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
+        for entry in (integer, fraction):
+            for entries in (
+                _random_low_rank(rng, nrows, ncols, entry),
+                tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows)),
+            ):
+                for field in FIELDS:
+                    mx = ExactMatrix(field, nrows, ncols, entries)
+                    assert mx.entries == entries
+                    assert mx.rank() == dense_rank(field, entries)
+
+
+def test_rank_rejects_denominators_divisible_by_the_characteristic():
+    mx = ExactMatrix(FieldSpec(3), 1, 2, ((Fraction(1, 3), 1),))
+    with pytest.raises(InvalidCharacteristic):
+        mx.rank()
+    assert ExactMatrix(RATIONALS, 1, 2, ((Fraction(1, 3), 1),)).rank() == 1
+
+
+def test_pruned_reisner_sweep_matches_full_sweep():
+    rng = random.Random(31)
+    complexes = []
+    for _ in range(60):
+        complexes.append(random_complex(rng, 6, 4))
+        complexes.append(random_complex(rng, 5, 3, cone=rng.randint(1, 2)))
+        complexes.append(random_complex(rng, 6, 2, cone=rng.randint(0, 1)))
+    for _ in range(20):
+        cx = random_pure_strongly_connected(rng, max_n=7, max_m=6)
+        complexes.append(SimplicialComplex(cx.n + 1, tuple(f + (cx.n + 1,) for f in cx.facets)))
+    complexes += [get_fixture(name).complex for name in fixture_names()]
+    verdicts = set()
+    for cx in complexes:
+        for field in FIELDS:
+            expected = unpruned_is_cm(cx, field)
+            assert is_cm_complex(cx, field) == expected
+            verdicts.add((cx.is_pure, cx.dim <= 1, expected))
+    # both verdicts occur on pure complexes of each kind of dimension
+    assert {(True, low, v) for low in (True, False) for v in (True, False)} <= verdicts
