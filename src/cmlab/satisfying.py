@@ -7,6 +7,7 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Collection, Iterable, Mapping
 
@@ -103,17 +104,43 @@ def check_cm_tree_case(
     return is_tree_satisfying(mult, field).satisfied
 
 
+@lru_cache(maxsize=32)
+def _tree_masks(
+    cx: SimplicialComplex,
+) -> tuple[tuple[FacetLevelGraph, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The relation trees in canonical order, every oriented facet-facet
+    edge (vertex i, parent, child) of their vertex restrictions, and per
+    tree the mask of its edges: bit b stands for edge b.  Walking every
+    restriction here also raises for a vertex in no facet."""
+    trees = relation_trees(cx)
+    omitting = {
+        i: {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+        for i in range(1, cx.n + 1)
+    }
+    bits: dict[tuple[int, int, int], int] = {}
+    masks = []
+    for tree in trees:
+        mask = 0
+        for i, kept in omitting.items():
+            for h, k in _rooted_edges(tree.adjacency, i, kept):
+                if h != ROOT:
+                    mask |= 1 << bits.setdefault((i, h, k), len(bits))
+        masks.append(mask)
+    return trees, tuple(bits), tuple(masks)
+
+
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     """Search for one relation tree whose every vertex restriction
     satisfies the non-increase condition; the first such tree in
-    canonical order is returned as witness."""
-    cx = mult.complex
-    trees = relation_trees(cx)
-    per_vertex = {
-        i: dict(mult.vertex_values(i)) for i in range(1, cx.n + 1)
-    }
-    for tree in trees:
-        if not any(_violations(tree.adjacency, i, values) for i, values in per_vertex.items()):
+    canonical order is returned as witness.  The table only decides
+    which oriented edges grow; the trees' edge masks are per complex."""
+    trees, edges, masks = _tree_masks(mult.complex)
+    grown = 0
+    for b, (i, h, k) in enumerate(edges):
+        if mult.value(h, i) < mult.value(k, i):
+            grown |= 1 << b
+    for tree, mask in zip(trees, masks):
+        if not mask & grown:
             return SatisfyingVerdict(True, (), tree)
     return SatisfyingVerdict(False, (), None)
 
@@ -213,7 +240,7 @@ def semigroup_generators(
     With vertex given, only that vertex's offsets are returned; the
     global list is deduplicated, which merges the zero offsets.
     """
-    require_tree_case(cx)
+    require_tree_case(cx, RATIONALS)
     if vertex is not None and not 1 <= vertex <= cx.n:
         raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
     wanted = [vertex] if vertex is not None else list(range(1, cx.n + 1))
@@ -243,7 +270,7 @@ def decompose_into_generators(
     some level set is not ancestor-closed, i.e. the table is not
     tree-satisfying."""
     cx = mult.complex
-    require_tree_case(cx)
+    require_tree_case(cx, RATIONALS)
     parts: list[ExponentOffset] = []
     for i in range(1, cx.n + 1):
         values = dict(mult.vertex_values(i))

@@ -63,12 +63,14 @@ def random_pure_strongly_connected(
 
 
 def random_quasi_tree(
-    rng: random.Random, max_m: int = 6
+    rng: random.Random, max_m: int = 6, *, d: int | None = None, m: int | None = None
 ) -> SimplicialComplex:
     """Attach each new facet along a (d-1)-face of an old one plus a brand
-    new vertex: strongly connected, quasi-tree, minimal multiplicity."""
-    d = rng.randint(2, 3)
-    target_m = rng.randint(2, max_m)
+    new vertex: strongly connected, quasi-tree, minimal multiplicity.
+    Facets have d vertices (2 or 3 when not given) and there are m of
+    them (2..max_m when not given)."""
+    d = rng.randint(2, 3) if d is None else d
+    target_m = rng.randint(2, max_m) if m is None else m
     facets = [tuple(range(1, d + 1))]
     next_vertex = d + 1
     for _ in range(target_m - 1):
@@ -80,15 +82,22 @@ def random_quasi_tree(
 
 
 def random_tree_satisfying(
-    rng: random.Random, cx: SimplicialComplex, max_exp: int
+    rng: random.Random, cx: SimplicialComplex, max_exp: int, orientations=None
 ) -> MultiplicityAssignment:
-    """Draw values non-increasing away from the root in every vertex graph."""
+    """Draw values non-increasing away from the root in every vertex
+    graph, or, when given, along orientations[i - 1]: the rooted edges
+    of another tree's restriction to vertex i (a relation tree's)."""
     from cmlab.graphs import ROOT, root_orientation, vertex_graph
 
     values: dict[tuple[int, int], int] = {}
     for i in sorted(cx.vertices):
         chosen: dict[int, int] = {}
-        for parent, child in root_orientation(vertex_graph(cx, i), ROOT):
+        edges = (
+            root_orientation(vertex_graph(cx, i), ROOT)
+            if orientations is None
+            else orientations[i - 1]
+        )
+        for parent, child in edges:
             cap = max_exp if parent == ROOT else chosen[parent]
             chosen[child] = rng.randint(1, cap)
         for j, v in chosen.items():

@@ -247,6 +247,21 @@ def test_semigroup_requires_tree_graph(square_fixture):
         semigroup_generators(square_fixture, 1)
 
 
+def test_semigroup_requires_cohen_macaulay():
+    # pure with a path facet graph, but the link of vertex 1 is two
+    # disjoint edges, and the restriction to vertex 1 is not a tree
+    necklace = SimplicialComplex.from_facets(
+        5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]]
+    )
+    for call in (
+        lambda: semigroup_generators(necklace),
+        lambda: semigroup_generators(necklace, 2),
+        lambda: decompose_into_generators(MultiplicityAssignment.constant(necklace)),
+    ):
+        with pytest.raises(NotCohenMacaulay):
+            call()
+
+
 def test_decompose_frozen_example(tree_fixture):
     am = MultiplicityAssignment.from_overrides(
         tree_fixture, {(3, 1): 3, (4, 1): 2, (5, 1): 2}
@@ -322,21 +337,40 @@ def test_tree_violations_match_oriented_vertex_graphs():
             assert verdict.satisfied == (not expected)
 
 
+def _star(m):
+    """m edges through the centre m+1: the facet graph is complete, so
+    there are m^(m-2) relation trees."""
+    return SimplicialComplex.from_facets(m + 1, [(k, m + 1) for k in range(1, m + 1)])
+
+
 def test_quasitree_witness_is_first_tree_with_monotone_restrictions():
     rng = random.Random(71)
-    for _ in range(12):
-        cx = random_quasi_tree(rng, max_m=5)
-        for _ in range(6):
-            am = random_assignment(rng, cx, 2)
+    complexes = [random_quasi_tree(rng, max_m=5) for _ in range(12)]
+    complexes += [_star(5), _star(6)]
+    complexes += [random_quasi_tree(rng, d=3, m=m) for m in (7, 7, 8, 8)]
+    verdicts = set()
+    for cx in complexes:
+        trees = relation_trees(cx)
+        orientations = [
+            [
+                root_orientation(restrict_relation_tree(cx, t, i), ROOT)
+                for i in range(1, cx.n + 1)
+            ]
+            for t in trees
+        ]
+        tables = [random_assignment(rng, cx, 2) for _ in range(6)]
+        tables += [
+            random_tree_satisfying(rng, cx, 3, rng.choice(orientations))
+            for _ in range(3)
+        ]
+        for am in tables:
             first = next(
                 (
                     t
-                    for t in relation_trees(cx)
+                    for t, per_vertex in zip(trees, orientations)
                     if not any(
-                        _grows_along(
-                            root_orientation(restrict_relation_tree(cx, t, i), ROOT), am, i
-                        )
-                        for i in range(1, cx.n + 1)
+                        _grows_along(edges, am, i)
+                        for i, edges in enumerate(per_vertex, start=1)
                     )
                 ),
                 None,
@@ -344,6 +378,23 @@ def test_quasitree_witness_is_first_tree_with_monotone_restrictions():
             verdict = is_quasitree_satisfying(am)
             assert verdict.witness_tree == first
             assert verdict.satisfied == (first is not None)
+            verdicts.add(verdict.satisfied)
+    assert verdicts == {True, False}
+
+
+def test_quasitree_orientation_depends_on_hanging_facets():
+    # Removing leaf 1 (branch 2) and then leaf 2 (branch 3) builds the
+    # only relation tree.  Facet 2 omits vertex 1 but facet 1 hanging
+    # from it does not, so at vertex 1 the edge is 2 -> 3, not 3 -> 2,
+    # and the value 2 at facet 3 grows along it.
+    cx = SimplicialComplex.from_facets(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5)])
+    am = MultiplicityAssignment.from_overrides(cx, {(3, 1): 2})
+    assert root_orientation(restrict_relation_tree(cx, relation_trees(cx)[0], 1), ROOT) == (
+        (ROOT, 2),
+        (2, 3),
+    )
+    assert check_cm_quasitree_sufficient(am) is None
+    assert is_cm_ideal_oracle(am).witness == (1, 0, 0, 0, 0)
 
 
 def test_tree_criterion_rejects_uncovered_vertex():
@@ -352,3 +403,12 @@ def test_tree_criterion_rejects_uncovered_vertex():
     cx = SimplicialComplex(3, ((1, 2),))
     with pytest.raises(RestrictionNotTree):
         is_tree_satisfying(MultiplicityAssignment.constant(cx))
+
+
+@pytest.mark.parametrize("overrides", [{}, {(3, 1): 2}])
+def test_quasitree_criterion_rejects_uncovered_vertex(overrides):
+    # vertex 6 lies in no facet; the verdict must not depend on whether
+    # some other vertex already rules out every relation tree
+    cx = SimplicialComplex(6, ((1, 2, 3), (2, 3, 4), (3, 4, 5)))
+    with pytest.raises(RestrictionNotTree):
+        is_quasitree_satisfying(MultiplicityAssignment.from_overrides(cx, overrides))
