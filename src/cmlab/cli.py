@@ -17,12 +17,11 @@ import json
 import random
 import sys
 
-from .cli_helpers import parse_problem_file, resolve_source  # noqa: F401
+from .cli_helpers import resolve_source
 from .complexes import MultiplicityAssignment
 from .errors import (
     CmLabError,
     HypothesesViolated,
-    MethodNotApplicable,
     NotPure,
     NotQuasiTree,
     NotShellable,
@@ -127,7 +126,7 @@ def _check_tree(mult, field) -> int:
     try:
         verdict = is_tree_satisfying(mult, field)
     except HypothesesViolated as exc:
-        raise MethodNotApplicable(f"method tree not applicable: {exc}") from None
+        raise CmLabError(f"method tree not applicable: {exc}") from None
     if verdict.satisfied:
         print("verdict: Cohen-Macaulay")
         return 0
@@ -141,7 +140,7 @@ def _check_quasitree(mult) -> int:
     try:
         verdict = is_quasitree_satisfying(mult)
     except NotQuasiTree as exc:
-        raise MethodNotApplicable(f"method quasitree not applicable: {exc}") from None
+        raise CmLabError(f"method quasitree not applicable: {exc}") from None
     if verdict.satisfied:
         print("verdict: Cohen-Macaulay")
         print(f"witness tree edges: {_render_edges(verdict.witness_tree.edges)}")
@@ -154,7 +153,7 @@ def _check_general(mult) -> int:
     try:
         held = is_general_satisfying(mult)
     except NotShellable as exc:
-        raise MethodNotApplicable(f"method general not applicable: {exc}") from None
+        raise CmLabError(f"method general not applicable: {exc}") from None
     print(f"shelling condition: {'holds' if held else 'fails'}")
     print("verdict: unknown (the condition decides nothing in either direction)")
     return 2

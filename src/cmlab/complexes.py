@@ -22,7 +22,6 @@ from .errors import (
     EmptyFacet,
     FaceNotInComplex,
     MultiplicityDomainMismatch,
-    NotPure,
     UncoveredVertex,
     VertexOutOfRange,
     VoidComplex,
@@ -168,27 +167,6 @@ class SimplicialComplex:
         if self.is_void:
             return False
         return self.multiplicity() == 1 + self.n - (self.dim + 1)
-
-    def is_strongly_connected(self) -> bool:
-        """Whether any two facets are joined by a chain of facets with
-        consecutive intersections of size dim."""
-        if not self.is_pure:
-            raise NotPure("strong connectivity requires a pure complex")
-        if self.is_void:
-            return False
-        if self.m == 1:
-            return True
-        d = self.dim
-        sets = [set(f) for f in self.facets]
-        seen = {0}
-        queue = [0]
-        while queue:
-            a = queue.pop()
-            for b in range(self.m):
-                if b not in seen and len(sets[a] & sets[b]) == d:
-                    seen.add(b)
-                    queue.append(b)
-        return len(seen) == self.m
 
 
 @lru_cache(maxsize=None)

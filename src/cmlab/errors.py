@@ -64,8 +64,8 @@ class NotShellable(CmLabError):
 
 
 class DimensionOutOfRange(CmLabError):
-    """Requested boundary dimension is outside -1..dim, or matrix entries
-    do not match the declared shape."""
+    """Requested boundary dimension is outside -1..dim, or a matrix row is
+    not int values at ascending columns inside the declared width."""
 
 
 class VoidComplex(CmLabError):
@@ -94,10 +94,6 @@ class ParseError(CmLabError):
 
 class UnknownFixture(CmLabError):
     """No built-in fixture with that name."""
-
-
-class MethodNotApplicable(CmLabError):
-    """Requested check method does not apply to this complex."""
 
 
 class InternalInvariantViolation(CmLabError):

@@ -9,6 +9,7 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -169,7 +170,7 @@ def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     Restricted to strongly connected quasi-trees so that each result is
     a spanning tree of the facet graph; anything else is rejected.
     """
-    if not cx.is_pure or not cx.is_strongly_connected():
+    if not cx.is_pure or not facet_graph(cx).is_connected():
         raise NotQuasiTree("relation trees need a pure, strongly connected complex")
     all_indices = frozenset(range(cx.m))
     memo: dict[frozenset[int], frozenset[frozenset[tuple[int, int]]]] = {}
@@ -215,7 +216,9 @@ def restrict_relation_tree(
     """Drop the relation tree to the facets omitting vertex i, attaching
     the formal root to each facet that was tree-adjacent to a facet
     containing the vertex.  The result is always a tree."""
-    if tree not in relation_trees(cx):
+    trees = relation_trees(cx)
+    k = bisect_left(trees, tree.edges, key=lambda g: g.edges)
+    if k == len(trees) or trees[k] != tree:
         raise NotRelationTree("not a relation tree of this complex")
     restricted = _restrict(cx, tree, i)
     if not is_tree(restricted):

@@ -11,9 +11,8 @@ so rank decisions are never approximate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
-from math import gcd, lcm
+from math import gcd
 from typing import NamedTuple
 
 from .complexes import MultiplicityAssignment, SimplicialComplex
@@ -59,23 +58,24 @@ RATIONALS = FieldSpec(0)
 GF2 = FieldSpec(2)
 
 
-def _rank(rows: list[dict[int, int]], p: int) -> int:
+def _rank(rows: tuple[tuple[tuple[int, int], ...], ...], p: int) -> int:
     """Rank over GF(p), or over the rationals when p is 0, of the integer
-    matrix with these sparse rows.  Each row is reduced against the pivot
-    rows kept so far, keyed by leading column, until it vanishes or leads
-    in a new column."""
+    matrix with these sparse rows of (column, value) pairs, columns
+    strictly ascending.  Each row is reduced against the pivot rows kept
+    so far, keyed by leading column, until it vanishes or leads in a new
+    column."""
     if p == 2:
         bit_pivots: dict[int, int] = {}
         for row in rows:
-            bits = sum(1 << c for c, x in row.items() if x & 1)
+            bits = sum(1 << c for c, x in row if x & 1)
             while bits and (lead := bits.bit_length()) in bit_pivots:
                 bits ^= bit_pivots[lead]
             if bits:
                 bit_pivots[lead] = bits
         return len(bit_pivots)
     pivots: dict[int, dict[int, int]] = {}
-    for row in rows:
-        row = _reduced(row, p)
+    for pairs in rows:
+        row = _reduced(dict(pairs), p)
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -101,45 +101,32 @@ def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
     return {c: x // content for c, x in row.items() if x}
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class ExactMatrix:
-    """Integer or rational matrix over a fixed field, kept as sparse rows
-    of (column, value) pairs.  ``rank`` clears each row's denominators,
-    which over GF(p) must be prime to p, and runs the sparse kernel."""
+    """Integer matrix over a fixed field, kept as sparse rows: each row is
+    a tuple of (column, value) pairs with int values and columns strictly
+    ascending in 0..ncols-1; omitted entries are zero."""
 
     field: FieldSpec
-    nrows: int
     ncols: int
-    _rows: tuple[tuple[tuple[int, int | Fraction], ...], ...]
+    rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __init__(
-        self, field: FieldSpec, nrows: int, ncols: int, entries: tuple[tuple, ...]
-    ) -> None:
-        if len(entries) != nrows or any(len(r) != ncols for r in entries):
-            raise DimensionOutOfRange(f"entries do not form a {nrows} x {ncols} matrix")
-        rows = tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in entries)
-        vars(self).update(field=field, nrows=nrows, ncols=ncols, _rows=rows)
-
-    @classmethod
-    def _from_rows(cls, field: FieldSpec, ncols: int, rows: tuple) -> ExactMatrix:
-        mx = object.__new__(cls)
-        vars(mx).update(field=field, nrows=len(rows), ncols=ncols, _rows=rows)
-        return mx
+    def __post_init__(self) -> None:
+        for r, row in enumerate(self.rows):
+            last = -1
+            for c, x in row:
+                if type(c) is not int or type(x) is not int or not last < c < self.ncols:
+                    raise DimensionOutOfRange(
+                        f"row {r} needs int values at ascending columns in 0..{self.ncols - 1}"
+                    )
+                last = c
 
     @property
-    def entries(self) -> tuple[tuple[int | Fraction, ...], ...]:
-        zeros = [0] * self.ncols
-        return tuple(tuple(map(dict(r).get, range(self.ncols), zeros)) for r in self._rows)
+    def nrows(self) -> int:
+        return len(self.rows)
 
     def rank(self) -> int:
-        p = self.field.characteristic
-        rows = []
-        for row in self._rows:
-            den = lcm(*(x.denominator for _, x in row))
-            if p and den % p == 0:
-                raise InvalidCharacteristic(f"a denominator is divisible by {p}")
-            rows.append({c: x.numerator * (den // x.denominator) for c, x in row})
-        return _rank(rows, p)
+        return _rank(self.rows, self.field.characteristic)
 
 
 def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS) -> ExactMatrix:
@@ -155,7 +142,7 @@ def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS)
     for c, face in enumerate(cols):
         for k in range(len(face)):
             rows[index[face[:k] + face[k + 1 :]]].append((c, (-1) ** k))
-    return ExactMatrix._from_rows(field, len(cols), tuple(map(tuple, rows)))
+    return ExactMatrix(field, len(cols), tuple(map(tuple, rows)))
 
 
 @lru_cache(maxsize=None)

@@ -209,7 +209,7 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     agree, and refuses to return a report that would break that.
     """
     pure = cx.is_pure
-    sc = cx.is_strongly_connected() if pure else False
+    sc = facet_graph(cx).is_connected() if pure else False
     shellable = (find_shelling(cx) is not None) if pure else False
     cm = is_cm_complex(cx, field)
     mm = cx.has_minimal_multiplicity()

@@ -108,23 +108,52 @@ def random_tree_satisfying(
     )
 
 
+def exact_matrix(field: FieldSpec, ncols: int, dense) -> ExactMatrix:
+    """The ExactMatrix with these dense integer rows of length ncols."""
+    assert all(len(r) == ncols for r in dense)
+    rows = tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in dense)
+    return ExactMatrix(field, ncols, rows)
+
+
+def dense_entries(mx: ExactMatrix) -> list[list[int]]:
+    """The rows of mx with every zero written out."""
+    dense = [[0] * mx.ncols for _ in mx.rows]
+    for r, row in enumerate(mx.rows):
+        for c, x in row:
+            dense[r][c] = x
+    return dense
+
+
 def matmul(a: ExactMatrix, b: ExactMatrix) -> ExactMatrix:
     assert a.field == b.field and a.ncols == b.nrows
-    product = tuple(
-        tuple(
-            sum(a.entries[r][k] * b.entries[k][c] for k in range(a.ncols))
-            for c in range(b.ncols)
-        )
+    da, db = dense_entries(a), dense_entries(b)
+    product = [
+        [sum(da[r][k] * db[k][c] for k in range(a.ncols)) for c in range(b.ncols)]
         for r in range(a.nrows)
-    )
-    return ExactMatrix(a.field, a.nrows, b.ncols, product)
+    ]
+    return exact_matrix(a.field, b.ncols, product)
 
 
 def is_zero(mx: ExactMatrix) -> bool:
     p = mx.field.characteristic
-    if p:
-        return all(x % p == 0 for row in mx.entries for x in row)
-    return all(x == 0 for row in mx.entries for x in row)
+    return all(x % p == 0 if p else x == 0 for row in mx.rows for _, x in row)
+
+
+def strongly_connected_by_bfs(cx: SimplicialComplex) -> bool:
+    """Reference strong connectivity of a pure complex: any two facets
+    are joined by a chain of facets with consecutive intersections of
+    size dim, found by a search over all facet pairs."""
+    d = cx.dim
+    sets = [set(f) for f in cx.facets]
+    seen = {0}
+    queue = [0]
+    while queue:
+        a = queue.pop()
+        for b in range(cx.m):
+            if b not in seen and len(sets[a] & sets[b]) == d:
+                seen.add(b)
+                queue.append(b)
+    return len(seen) == cx.m
 
 
 def random_complex(
@@ -142,14 +171,11 @@ def random_complex(
 
 
 def dense_rank(field: FieldSpec, entries) -> int:
-    """Reference rank by dense Gaussian elimination, over Fraction in
-    characteristic 0 and over residues mod p otherwise."""
+    """Reference rank of an integer matrix by dense Gaussian elimination,
+    over Fraction in characteristic 0 and over residues mod p otherwise."""
     p = field.characteristic
     if p:
-        rows = [
-            [Fraction(x).numerator * pow(Fraction(x).denominator, -1, p) % p for x in r]
-            for r in entries
-        ]
+        rows = [[x % p for x in r] for r in entries]
     else:
         rows = [[Fraction(x) for x in r] for r in entries]
     nrows = len(rows)

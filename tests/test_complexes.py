@@ -25,6 +25,7 @@ from cmlab.errors import (
     VertexOutOfRange,
     VoidComplex,
 )
+from cmlab.graphs import facet_graph
 
 MAIN_FACETS = ((1, 2, 4), (2, 3, 5), (2, 4, 5), (4, 5, 7), (4, 6, 7), (5, 7, 8))
 
@@ -132,13 +133,15 @@ def test_multiplicity(tree_fixture, square_fixture):
 
 
 def test_strongly_connected(tree_fixture):
-    assert tree_fixture.is_strongly_connected()
+    assert facet_graph(tree_fixture).is_connected()
     split = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])
-    assert not split.is_strongly_connected()
+    assert not facet_graph(split).is_connected()
     pinched = SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4, 5]])
-    assert not pinched.is_strongly_connected()
+    assert not facet_graph(pinched).is_connected()
+    assert facet_graph(SimplicialComplex.from_facets(3, [[1, 2, 3]])).is_connected()
+    assert not facet_graph(SimplicialComplex(0, ())).is_connected()
     with pytest.raises(NotPure):
-        SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]]).is_strongly_connected()
+        facet_graph(SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]]))
 
 
 def test_stanley_reisner_primes(square_fixture):

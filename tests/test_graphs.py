@@ -12,7 +12,11 @@ from itertools import combinations
 
 import pytest
 
-from conftest import random_pure_strongly_connected, random_quasi_tree
+from conftest import (
+    random_pure_strongly_connected,
+    random_quasi_tree,
+    strongly_connected_by_bfs,
+)
 
 from cmlab import get_fixture
 from cmlab.complexes import SimplicialComplex
@@ -76,9 +80,18 @@ def test_facet_graph_requires_pure():
 
 def test_strong_connectivity_matches_graph_connectivity():
     rng = random.Random(3)
-    for _ in range(30):
-        cx = random_pure_strongly_connected(rng, max_n=7, max_m=6)
-        assert facet_graph(cx).is_connected() == cx.is_strongly_connected()
+    complexes = [random_pure_strongly_connected(rng, max_n=7, max_m=6) for _ in range(30)]
+    # random facets of one size: pure, and often not strongly connected
+    for _ in range(60):
+        d = rng.randint(1, 3)
+        facets = [tuple(rng.sample(range(1, 8), d)) for _ in range(rng.randint(1, 6))]
+        complexes.append(SimplicialComplex(7, tuple(facets)))
+    verdicts = []
+    for cx in complexes:
+        connected = facet_graph(cx).is_connected()
+        assert connected == strongly_connected_by_bfs(cx)
+        verdicts.append(connected)
+    assert verdicts.count(False) >= 10 and verdicts.count(True) >= 40
 
 
 def test_rooted_walk_orders_edges_and_flags_trees():
@@ -218,6 +231,10 @@ def test_restrict_rejects_foreign_tree(tree_fixture):
     assert fake not in relation_trees(tree_fixture)
     with pytest.raises(NotRelationTree):
         restrict_relation_tree(tree_fixture, fake, 1)
+    # a forest whose edges sort after every relation tree's
+    late = FacetLevelGraph(frozenset(range(1, 7)), ((5, 6),))
+    with pytest.raises(NotRelationTree):
+        restrict_relation_tree(tree_fixture, late, 1)
 
 
 def test_restrictions_of_relation_trees_are_trees():
@@ -241,7 +258,7 @@ def test_quasi_tree_prefixes_stay_strongly_connected():
         for k in range(1, cx.m + 1):
             prefix = [cx.facets[j - 1] for j in lo.order[:k]]
             sub = SimplicialComplex(cx.n, tuple(prefix))
-            assert sub.is_strongly_connected()
+            assert facet_graph(sub).is_connected()
 
 
 def _annulus_with_pendants(pendants: int) -> SimplicialComplex:

@@ -9,8 +9,10 @@ import pytest
 
 from conftest import (
     dense_boundary,
+    dense_entries,
     dense_homology_ranks,
     dense_rank,
+    exact_matrix,
     is_zero,
     matmul,
     random_assignment,
@@ -41,35 +43,37 @@ def test_field_spec_accepts_zero_and_primes():
 
 
 def test_exact_matrix_rank_rationals():
-    m = ExactMatrix(
-        RATIONALS,
-        3,
-        3,
-        (
-            (Fraction(1), Fraction(2), Fraction(3)),
-            (Fraction(2), Fraction(4), Fraction(6)),
-            (Fraction(0), Fraction(1), Fraction(1)),
-        ),
-    )
+    rows = (((0, 1), (1, 2), (2, 3)), ((0, 2), (1, 4), (2, 6)), ((1, 1), (2, 1)))
+    m = ExactMatrix(RATIONALS, 3, rows)
+    assert m.nrows == 3
     assert m.rank() == 2
 
 
 def test_exact_matrix_rank_depends_on_characteristic():
-    # the 2x2 matrix [[1,1],[1,-1]] drops rank exactly in characteristic 2
-    rows = ((1, 1), (1, -1))
-    over_q = ExactMatrix(RATIONALS, 2, 2, tuple(
-        tuple(Fraction(x) for x in r) for r in rows
-    ))
-    over_f2 = ExactMatrix(GF2, 2, 2, tuple(tuple(x % 2 for x in r) for r in rows))
-    assert over_q.rank() == 2
-    assert over_f2.rank() == 1
+    # the 2x2 matrix [[1,1],[1,-1]] drops rank exactly in characteristic 2,
+    # and [[3,0],[0,1]] exactly in characteristic 3
+    rows = (((0, 1), (1, 1)), ((0, 1), (1, -1)))
+    assert ExactMatrix(RATIONALS, 2, rows).rank() == 2
+    assert ExactMatrix(GF2, 2, rows).rank() == 1
+    assert ExactMatrix(FieldSpec(3), 2, rows).rank() == 2
+    three = (((0, 3),), ((1, 1),))
+    assert ExactMatrix(FieldSpec(3), 2, three).rank() == 1
+    assert ExactMatrix(GF2, 2, three).rank() == 2
 
 
 def test_exact_matrix_rejects_entries_of_the_wrong_shape():
-    with pytest.raises(DimensionOutOfRange):
-        ExactMatrix(RATIONALS, 2, 2, ((1, 0),))
-    with pytest.raises(DimensionOutOfRange):
-        ExactMatrix(RATIONALS, 2, 2, ((1, 0), (0, 1, 0)))
+    malformed = (
+        ((2, 1),),  # column past ncols - 1
+        ((-1, 1),),  # negative column
+        ((1, 1), (0, 1)),  # columns out of order
+        ((0, 1), (0, 1)),  # repeated column
+        ((0, True),),  # bool value
+        ((0, 1.0),),  # float value
+        ((1.0, 1),),  # float column
+    )
+    for row in malformed:
+        with pytest.raises(DimensionOutOfRange):
+            ExactMatrix(RATIONALS, 2, (((0, 1),), row))
 
 
 def test_boundary_matrix_shapes(tree_fixture):
@@ -79,7 +83,7 @@ def test_boundary_matrix_shapes(tree_fixture):
     assert (dm1.nrows, dm1.ncols) == (0, 1)
     d0 = boundary_matrix(tree_fixture, 0, RATIONALS)
     assert (d0.nrows, d0.ncols) == (1, 8)
-    assert all(x == 1 for x in d0.entries[0])
+    assert dense_entries(d0) == [[1] * 8]
     with pytest.raises(DimensionOutOfRange):
         boundary_matrix(tree_fixture, 3, RATIONALS)
 
@@ -225,8 +229,8 @@ def test_sparse_kernel_matches_dense_reference_on_complexes():
             assert reduced_homology_ranks(cx, field) == dense_homology_ranks(cx, field)
             for q in range(-1, cx.dim + 1):
                 mx = boundary_matrix(cx, q, field)
-                assert [list(r) for r in mx.entries] == dense_boundary(cx, q)
-                assert mx.rank() == dense_rank(field, mx.entries)
+                assert dense_entries(mx) == dense_boundary(cx, q)
+                assert mx.rank() == dense_rank(field, dense_entries(mx))
 
 
 def _random_low_rank(rng, nrows, ncols, entry):
@@ -235,10 +239,10 @@ def _random_low_rank(rng, nrows, ncols, entry):
     k = rng.randint(1, max(1, min(nrows, ncols) - 1))
     a = [[entry() for _ in range(k)] for _ in range(nrows)]
     b = [[entry() for _ in range(ncols)] for _ in range(k)]
-    return tuple(
-        tuple(sum(a[r][t] * b[t][c] for t in range(k)) for c in range(ncols))
+    return [
+        [sum(a[r][t] * b[t][c] for t in range(k)) for c in range(ncols)]
         for r in range(nrows)
-    )
+    ]
 
 
 def test_sparse_kernel_matches_dense_reference_on_random_matrices():
@@ -247,27 +251,25 @@ def test_sparse_kernel_matches_dense_reference_on_random_matrices():
     def integer():
         return rng.choice((0, 0, 2, -2, 3, -3, 4, 6, -9, 1))
 
-    def fraction():
-        return Fraction(integer(), rng.choice((1, 5, 7, 25)))
-
     for _ in range(150):
         nrows, ncols = rng.randint(1, 7), rng.randint(1, 7)
-        for entry in (integer, fraction):
-            for entries in (
-                _random_low_rank(rng, nrows, ncols, entry),
-                tuple(tuple(entry() for _ in range(ncols)) for _ in range(nrows)),
-            ):
-                for field in FIELDS:
-                    mx = ExactMatrix(field, nrows, ncols, entries)
-                    assert mx.entries == entries
-                    assert mx.rank() == dense_rank(field, entries)
+        for entries in (
+            _random_low_rank(rng, nrows, ncols, integer),
+            [[integer() for _ in range(ncols)] for _ in range(nrows)],
+        ):
+            for field in FIELDS:
+                mx = exact_matrix(field, ncols, entries)
+                assert (mx.nrows, dense_entries(mx)) == (nrows, entries)
+                assert mx.rank() == dense_rank(field, entries)
 
 
-def test_rank_rejects_denominators_divisible_by_the_characteristic():
-    mx = ExactMatrix(FieldSpec(3), 1, 2, ((Fraction(1, 3), 1),))
-    with pytest.raises(InvalidCharacteristic):
-        mx.rank()
-    assert ExactMatrix(RATIONALS, 1, 2, ((Fraction(1, 3), 1),)).rank() == 1
+def test_exact_matrix_rejects_fraction_values():
+    # the matrices are integral: a rational entry is refused at
+    # construction in every field, whatever its denominator
+    for field in FIELDS:
+        for value in (Fraction(1, 3), Fraction(2, 1)):
+            with pytest.raises(DimensionOutOfRange):
+                ExactMatrix(field, 2, (((0, value), (1, 1)),))
 
 
 def test_pruned_reisner_sweep_matches_full_sweep():

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import cmlab
@@ -17,3 +20,54 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+INEXACT_MODULES = {"fractions", "decimal", "cmath"}
+
+
+def _inexact(node: ast.AST) -> str | None:
+    """What makes this node floating point or rational arithmetic, if
+    anything."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+        return f"constant {node.value!r}"
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+        return "true division"
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id in ("float", "complex"):
+            return f"call of {node.func.id}"
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return None
+    hits = [name for name in names if name.partition(".")[0] in INEXACT_MODULES]
+    return f"import of {hits[0]}" if hits else None
+
+
+def test_exact_core_has_no_inexact_arithmetic():
+    # every verdict rests on exact integer ranks, so the package holds no
+    # float, no true division and no rational or decimal number type
+    found = [
+        f"{path.name}:{node.lineno}: {why}"
+        for path in sorted(Path(cmlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (why := _inexact(node))
+    ]
+    assert found == []
+
+
+def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import cmlab.cli\n"
+        "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+    )
+    src = str(Path(cmlab.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "[]"

@@ -18,6 +18,7 @@ from cmlab.errors import (
     NotPure,
     NotShellable,
 )
+from cmlab.graphs import facet_graph
 from cmlab.structure import (
     LeafOrder,
     classify,
@@ -224,4 +225,4 @@ def test_shellable_strongly_connected_sequences(tree_fixture):
             continue
         for k in range(1, 7):
             prefix = tuple(tree_fixture.facets[j - 1] for j in perm[:k])
-            assert SimplicialComplex(tree_fixture.n, prefix).is_strongly_connected()
+            assert facet_graph(SimplicialComplex(tree_fixture.n, prefix)).is_connected()
