@@ -20,7 +20,6 @@ from .graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    restrict_relation_tree,
     root_orientation,
     vertex_graph,
 )
@@ -116,7 +115,6 @@ __all__ = [
     "render_ideal",
     "render_monomial",
     "render_splitting",
-    "restrict_relation_tree",
     "root_orientation",
     "semigroup_generators",
     "splitting_witness",

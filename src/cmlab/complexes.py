@@ -72,9 +72,10 @@ class SimplicialComplex:
                 if not isinstance(v, int) or isinstance(v, bool) or not 1 <= v <= n:
                     raise VertexOutOfRange(f"vertex {v!r} not in 1..{n}")
         covered = set(itertools.chain.from_iterable(facets))
-        missing = sorted(set(range(1, n + 1)) - covered)
-        if missing:
-            raise UncoveredVertex(f"vertices {missing} appear in no facet")
+        if len(covered) < n:
+            head = [v for v in range(1, min(n, len(covered) + 10) + 1) if v not in covered]
+            more = f" and {n - len(covered) - 10} more" if n - len(covered) > 10 else ""
+            raise UncoveredVertex(f"vertices {head[:10]}{more} appear in no facet")
         return cls(n, tuple(facets))
 
     # The facet count; the ambient vertex count is the field n.

@@ -45,10 +45,6 @@ class NotQuasiTree(CmLabError):
     """Complex is not a strongly connected quasi-tree."""
 
 
-class NotRelationTree(CmLabError):
-    """Given tree is not produced by any leaf order of the complex."""
-
-
 class RestrictionNotTree(NotATree):
     """Restriction of a tree on the facets to the facets omitting a vertex
     is not a tree: a bug for relation trees, or a complex outside the

@@ -1,7 +1,7 @@
 """Graphs whose nodes are facets: the adjacency graph of a pure
 complex, its per-vertex variants with a formal root, the rooted
-breadth-first walk behind every traversal, and relation trees of
-quasi-trees.
+breadth-first walk behind every traversal and vertex restriction, and
+relation trees of quasi-trees.
 
 Nodes are 1-based facet indices into the complex's canonical facet
 list; node 0 is reserved for the formal root of per-vertex graphs.
@@ -9,11 +9,10 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Collection, Mapping
+from typing import Collection, Iterable, Iterator, Mapping
 
 from .complexes import SimplicialComplex, leaf_branches
 from .errors import (
@@ -22,7 +21,6 @@ from .errors import (
     NotATree,
     NotPure,
     NotQuasiTree,
-    NotRelationTree,
     RestrictionNotTree,
     RootNotFound,
     VertexOutOfRange,
@@ -35,8 +33,8 @@ __all__ = [
     "is_tree",
     "root_orientation",
     "rooted_walk",
+    "restriction_edges",
     "relation_trees",
-    "restrict_relation_tree",
 ]
 
 ROOT = 0
@@ -137,18 +135,6 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), tuple(edges))
 
 
-def _restrict(cx: SimplicialComplex, base: FacetLevelGraph, i: int) -> FacetLevelGraph:
-    """The formal root plus the nodes of base (facets 1..m) omitting
-    vertex i: edges among those are kept, and the root is joined to each
-    one adjacent in base to a facet containing the vertex."""
-    omitting = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    edges = [(a, b) for a, b in base.edges if a in omitting and b in omitting]
-    for j in sorted(omitting):
-        if any(k not in omitting for k in base.neighbors(j)):
-            edges.append((ROOT, j))
-    return FacetLevelGraph((ROOT,) + tuple(sorted(omitting)), tuple(edges))
-
-
 @lru_cache(maxsize=None)
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """The formal root 0 plus every facet omitting vertex i; facet-facet
@@ -159,7 +145,33 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """
     if not 1 <= i <= cx.n:
         raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
-    return _restrict(cx, facet_graph(cx), i)
+    base = facet_graph(cx)
+    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+    edges = [(a, b) for a, b in base.edges if a in kept and b in kept]
+    edges += [(ROOT, j) for j in kept if any(k not in kept for k in base.neighbors(j))]
+    return FacetLevelGraph((ROOT, *kept), tuple(edges))
+
+
+def restriction_edges(
+    cx: SimplicialComplex, trees: Iterable[FacetLevelGraph]
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """For each tree on the facets, the directed edges (vertex i, parent,
+    child) of its restriction to the facets omitting i, vertex by vertex
+    in rooted_walk's order: the formal root is joined to each kept facet
+    that is tree-adjacent to a facet containing i, and root edges are
+    included.  Raises when some restriction is not a tree."""
+    omitting = [
+        (i, {j for j, f in enumerate(cx.facets, start=1) if i not in f})
+        for i in range(1, cx.n + 1)
+    ]
+    for tree in trees:
+        edges: list[tuple[int, int, int]] = []
+        for i, kept in omitting:
+            directed, ok = rooted_walk(tree.adjacency, kept, ROOT)
+            if not ok:
+                raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
+            edges += [(i, h, k) for h, k in directed]
+        yield tuple(edges)
 
 
 @lru_cache(maxsize=None)
@@ -209,20 +221,3 @@ def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     built = [FacetLevelGraph(nodes, tuple(t)) for t in trees]
     return tuple(sorted(built, key=lambda g: g.edges))
 
-
-def restrict_relation_tree(
-    cx: SimplicialComplex, tree: FacetLevelGraph, i: int
-) -> FacetLevelGraph:
-    """Drop the relation tree to the facets omitting vertex i, attaching
-    the formal root to each facet that was tree-adjacent to a facet
-    containing the vertex.  The result is always a tree."""
-    trees = relation_trees(cx)
-    k = bisect_left(trees, tree.edges, key=lambda g: g.edges)
-    if k == len(trees) or trees[k] != tree:
-        raise NotRelationTree("not a relation tree of this complex")
-    restricted = _restrict(cx, tree, i)
-    if not is_tree(restricted):
-        raise RestrictionNotTree(
-            f"restriction to vertex {i} is not a tree; this should be impossible"
-        )
-    return restricted

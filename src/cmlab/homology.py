@@ -31,14 +31,21 @@ __all__ = [
 ]
 
 
+# Strong probable primes to these bases are prime below _PRIME_LIMIT
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318_665_857_834_031_151_167_461
+
+
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    k = 2
-    while k * k <= p:
-        if p % k == 0:
+    """Deterministic Miller-Rabin, exact for p < _PRIME_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2**s exactly divides p - 1
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        if pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)):
             return False
-        k += 1
     return True
 
 
@@ -50,6 +57,8 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         c = self.characteristic
+        if isinstance(c, int) and c >= _PRIME_LIMIT:
+            raise InvalidCharacteristic(f"characteristic must be below {_PRIME_LIMIT}")
         if not isinstance(c, int) or isinstance(c, bool) or (c != 0 and not _is_prime(c)):
             raise InvalidCharacteristic(f"characteristic must be 0 or a prime, got {c!r}")
 

@@ -9,14 +9,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Collection, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotShellable,
-    RestrictionNotTree,
     VertexOutOfRange,
 )
 from .graphs import (
@@ -25,7 +24,7 @@ from .graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    rooted_walk,
+    restriction_edges,
     vertex_graph,
 )
 from .homology import RATIONALS, FieldSpec
@@ -58,29 +57,6 @@ class SatisfyingVerdict:
         return self.satisfied
 
 
-def _rooted_edges(
-    adjacency: Mapping[int, tuple[int, ...]], i: int, kept: Collection[int]
-) -> tuple[tuple[int, int], ...]:
-    """The root-directed edges of a tree on the facets restricted to the
-    facets omitting vertex i (kept), in the walk's breadth-first order."""
-    directed, tree = rooted_walk(adjacency, kept, ROOT)
-    if not tree:
-        raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
-    return directed
-
-
-def _violations(
-    adjacency: Mapping[int, tuple[int, ...]], i: int, values: Mapping[int, int]
-) -> list[Violation]:
-    """Every facet-facet edge of the restriction to the facets omitting
-    vertex i (the keys of values) along which the value grows."""
-    return [
-        (i, (h, k), (values[h], values[k]))
-        for h, k in _rooted_edges(adjacency, i, values)
-        if h != ROOT and values[h] < values[k]
-    ]
-
-
 def is_tree_satisfying(
     mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
 ) -> SatisfyingVerdict:
@@ -89,11 +65,10 @@ def is_tree_satisfying(
     when the facet graph is a tree and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
-    adjacency = facet_graph(cx).adjacency
     violations = [
-        v
-        for i in range(1, cx.n + 1)
-        for v in _violations(adjacency, i, dict(mult.vertex_values(i)))
+        (i, (h, k), (mult.value(h, i), mult.value(k, i)))
+        for i, h, k in next(restriction_edges(cx, [facet_graph(cx)]))
+        if h != ROOT and mult.value(h, i) < mult.value(k, i)
     ]
     return SatisfyingVerdict(not violations, tuple(violations))
 
@@ -113,18 +88,13 @@ def _tree_masks(
     tree the mask of its edges: bit b stands for edge b.  Walking every
     restriction here also raises for a vertex in no facet."""
     trees = relation_trees(cx)
-    omitting = {
-        i: {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-        for i in range(1, cx.n + 1)
-    }
     bits: dict[tuple[int, int, int], int] = {}
     masks = []
-    for tree in trees:
+    for edges in restriction_edges(cx, trees):
         mask = 0
-        for i, kept in omitting.items():
-            for h, k in _rooted_edges(tree.adjacency, i, kept):
-                if h != ROOT:
-                    mask |= 1 << bits.setdefault((i, h, k), len(bits))
+        for edge in edges:
+            if edge[1] != ROOT:
+                mask |= 1 << bits.setdefault(edge, len(bits))
         masks.append(mask)
     return trees, tuple(bits), tuple(masks)
 
@@ -222,12 +192,12 @@ def check_cm_uniform_block(
     return True
 
 
-def _parent_map(cx: SimplicialComplex, i: int) -> dict[int, int]:
-    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    return {
-        child: parent
-        for parent, child in _rooted_edges(facet_graph(cx).adjacency, i, kept)
-    }
+def _parent_maps(cx: SimplicialComplex) -> dict[int, dict[int, int]]:
+    """Per vertex, each facet's parent in the rooted vertex graph."""
+    parents: dict[int, dict[int, int]] = {i: {} for i in range(1, cx.n + 1)}
+    for i, parent, child in next(restriction_edges(cx, [facet_graph(cx)])):
+        parents[i][child] = parent
+    return parents
 
 
 def semigroup_generators(
@@ -244,10 +214,11 @@ def semigroup_generators(
     if vertex is not None and not 1 <= vertex <= cx.n:
         raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
     wanted = [vertex] if vertex is not None else list(range(1, cx.n + 1))
+    parents = _parent_maps(cx)
     out: list[ExponentOffset] = []
     seen: set[tuple[tuple[int, int, int], ...]] = set()
     for i in wanted:
-        parent = _parent_map(cx, i)
+        parent = parents[i]
         nodes = sorted(parent)
         for size in range(len(nodes) + 1):
             for subset in combinations(nodes, size):
@@ -271,12 +242,13 @@ def decompose_into_generators(
     tree-satisfying."""
     cx = mult.complex
     require_tree_case(cx, RATIONALS)
+    parents = _parent_maps(cx)
     parts: list[ExponentOffset] = []
     for i in range(1, cx.n + 1):
         values = dict(mult.vertex_values(i))
         if not values:
             continue
-        parent = _parent_map(cx, i)
+        parent = parents[i]
         for level in range(1, max(values.values())):
             chosen = {j for j, v in values.items() if v - 1 >= level}
             if not all(parent[j] in chosen or parent[j] == ROOT for j in chosen):

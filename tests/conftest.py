@@ -9,6 +9,7 @@ import pytest
 
 from cmlab import get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
+from cmlab.graphs import ROOT, FacetLevelGraph
 from cmlab.homology import ExactMatrix, FieldSpec, reduced_homology_ranks
 
 
@@ -87,7 +88,7 @@ def random_tree_satisfying(
     """Draw values non-increasing away from the root in every vertex
     graph, or, when given, along orientations[i - 1]: the rooted edges
     of another tree's restriction to vertex i (a relation tree's)."""
-    from cmlab.graphs import ROOT, root_orientation, vertex_graph
+    from cmlab.graphs import root_orientation, vertex_graph
 
     values: dict[tuple[int, int], int] = {}
     for i in sorted(cx.vertices):
@@ -106,6 +107,18 @@ def random_tree_satisfying(
     return MultiplicityAssignment(
         cx, tuple((j, i, values.get((j, i), 1)) for j, i in domain)
     )
+
+
+def restrict_relation_tree(
+    cx: SimplicialComplex, tree: FacetLevelGraph, i: int
+) -> FacetLevelGraph:
+    """Reference restriction of a tree on the facets to vertex i: the
+    formal root plus the facets omitting i, the tree's edges among them,
+    and a root edge to each one tree-adjacent to a facet containing i."""
+    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+    edges = [(a, b) for a, b in tree.edges if a in kept and b in kept]
+    edges += [(ROOT, j) for j in kept if any(k not in kept for k in tree.neighbors(j))]
+    return FacetLevelGraph((ROOT, *kept), tuple(edges))
 
 
 def exact_matrix(field: FieldSpec, ncols: int, dense) -> ExactMatrix:

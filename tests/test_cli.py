@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -170,6 +171,28 @@ def test_large_simplex_is_decided_by_auto(tmp_path, capsys):
     assert code == 0
     assert "verdict: Cohen-Macaulay" in out
     assert err == ""
+
+
+@pytest.mark.parametrize("n", [10**6, 10**12])
+def test_huge_vertex_count_exits_three_with_a_short_message(tmp_path, capsys, n):
+    # only vertex 1 is covered; the report names ten vertices and a count
+    doc = tmp_path / "huge.json"
+    doc.write_text(json.dumps({"n": n, "facets": [[1]]}))
+    code, out, err = run(capsys, "check", str(doc))
+    assert code == 3
+    assert out == ""
+    assert len(err) < 200
+    assert f"and {n - 11} more appear in no facet" in err
+
+
+def test_large_prime_characteristic_is_accepted_quickly(tmp_path, capsys):
+    doc = tmp_path / "path.json"
+    doc.write_text(json.dumps({"n": 3, "facets": [[1, 2], [2, 3]]}))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "check", str(doc), "--char", str(2**61 - 1))
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert "verdict: Cohen-Macaulay" in out
 
 
 def test_help_exits_zero(capsys):

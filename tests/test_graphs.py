@@ -15,6 +15,7 @@ import pytest
 from conftest import (
     random_pure_strongly_connected,
     random_quasi_tree,
+    restrict_relation_tree,
     strongly_connected_by_bfs,
 )
 
@@ -26,7 +27,7 @@ from cmlab.errors import (
     NotATree,
     NotPure,
     NotQuasiTree,
-    NotRelationTree,
+    RestrictionNotTree,
     RootNotFound,
     VertexOutOfRange,
 )
@@ -36,7 +37,7 @@ from cmlab.graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    restrict_relation_tree,
+    restriction_edges,
     root_orientation,
     rooted_walk,
     vertex_graph,
@@ -205,46 +206,50 @@ def test_relation_trees_reject_non_quasi_tree(square_fixture):
         relation_trees(split)
 
 
+def _per_vertex(cx, edges):
+    """Split restriction_edges output into one (parent, child) tuple per
+    vertex 1..n, checking that the vertices come in ascending order."""
+    assert [i for i, _, _ in edges] == sorted(i for i, _, _ in edges)
+    return [tuple((h, k) for v, h, k in edges if v == i) for i in range(1, cx.n + 1)]
+
+
 def test_restrict_relation_tree_star_path(star_fixture):
     path = next(
         t
         for t in relation_trees(star_fixture)
         if set(t.edges) == {(1, 2), (2, 3), (3, 4), (4, 5)}
     )
-    restricted = restrict_relation_tree(star_fixture, path, 1)
-    assert restricted.edges == ((0, 2), (2, 3), (3, 4), (4, 5))
+    (edges,) = restriction_edges(star_fixture, [path])
+    assert _per_vertex(star_fixture, edges)[0] == ((ROOT, 2), (2, 3), (3, 4), (4, 5))
 
 
 def test_restrict_relation_tree_on_tree_graph_matches_vertex_graph(tree_fixture):
     (only,) = relation_trees(tree_fixture)
-    for i in range(1, 9):
-        assert restrict_relation_tree(tree_fixture, only, i).edges == vertex_graph(
-            tree_fixture, i
-        ).edges
+    (edges,) = restriction_edges(tree_fixture, [only])
+    assert _per_vertex(tree_fixture, edges) == [
+        root_orientation(vertex_graph(tree_fixture, i), ROOT) for i in range(1, 9)
+    ]
 
 
-def test_restrict_rejects_foreign_tree(tree_fixture):
-    # a spanning tree using the non-edge 1-2 is not a relation tree
-    fake = FacetLevelGraph(
-        frozenset(range(1, 7)), ((1, 2), (2, 3), (3, 4), (4, 5), (4, 6))
-    )
-    assert fake not in relation_trees(tree_fixture)
-    with pytest.raises(NotRelationTree):
-        restrict_relation_tree(tree_fixture, fake, 1)
-    # a forest whose edges sort after every relation tree's
-    late = FacetLevelGraph(frozenset(range(1, 7)), ((5, 6),))
-    with pytest.raises(NotRelationTree):
-        restrict_relation_tree(tree_fixture, late, 1)
-
-
-def test_restrictions_of_relation_trees_are_trees():
-    # junction property: every vertex restriction of a relation tree is a tree
+def test_restrictions_of_relation_trees_are_trees(star_fixture):
+    # junction property: every vertex restriction of a relation tree is a
+    # tree, oriented as the reference restriction is
     rng = random.Random(23)
-    for _ in range(15):
-        cx = random_quasi_tree(rng, max_m=5)
-        for t in relation_trees(cx):
-            for i in sorted(cx.vertices):
-                assert is_tree(restrict_relation_tree(cx, t, i))
+    complexes = [random_quasi_tree(rng, max_m=5) for _ in range(12)] + [star_fixture]
+    for cx in complexes:
+        trees = relation_trees(cx)
+        for t, edges in zip(trees, restriction_edges(cx, trees), strict=True):
+            assert _per_vertex(cx, edges) == [
+                root_orientation(restrict_relation_tree(cx, t, i), ROOT)
+                for i in range(1, cx.n + 1)
+            ]
+
+
+def test_restriction_edges_reject_uncovered_vertex():
+    # vertex 3 lies in no facet, so its restriction has no root edge
+    cx = SimplicialComplex(3, ((1, 2),))
+    with pytest.raises(RestrictionNotTree, match="restriction to vertex 3 is not a tree"):
+        next(restriction_edges(cx, [facet_graph(cx)]))
 
 
 def test_quasi_tree_prefixes_stay_strongly_connected():

@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -25,8 +27,10 @@ from cmlab import GF2, RATIONALS, fixture_names, get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 from cmlab.homology import (
+    _PRIME_LIMIT,
     ExactMatrix,
     FieldSpec,
+    _is_prime,
     boundary_matrix,
     is_cm_complex,
     is_cm_ideal_oracle,
@@ -40,6 +44,34 @@ def test_field_spec_accepts_zero_and_primes():
     for bad in (1, 4, 6, 9, -2):
         with pytest.raises(InvalidCharacteristic):
             FieldSpec(bad)
+
+
+def _trial_division(c):
+    return c >= 2 and all(c % k for k in range(2, isqrt(c) + 1))
+
+
+def test_miller_rabin_matches_trial_division():
+    assert [c for c in range(-3, 10**5) if _is_prime(c)] == [
+        c for c in range(-3, 10**5) if _trial_division(c)
+    ]
+
+
+def test_miller_rabin_rejects_pseudoprimes_and_decides_large_numbers_quickly():
+    # 561 is a Carmichael number; 3,215,031,751 is a strong pseudoprime
+    # to the bases 2, 3, 5 and 7
+    assert not _is_prime(561)
+    assert not _is_prime(3_215_031_751)
+    for c, prime in ((2**61 + 1, False), (2**61 - 1, True), (2**89 - 1, True)):
+        start = time.perf_counter()
+        assert _is_prime(c) == prime
+        assert time.perf_counter() - start < 0.1
+    assert FieldSpec(2**61 - 1).characteristic == 2**61 - 1
+
+
+def test_field_spec_refuses_characteristics_beyond_the_exact_prime_test():
+    for c in (_PRIME_LIMIT, _PRIME_LIMIT + 2, 2**127 - 1):
+        with pytest.raises(InvalidCharacteristic, match="must be below"):
+            FieldSpec(c)
 
 
 def test_exact_matrix_rank_rationals():

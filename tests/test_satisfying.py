@@ -10,6 +10,7 @@ from conftest import (
     random_assignment,
     random_quasi_tree,
     random_tree_satisfying,
+    restrict_relation_tree,
 )
 
 from cmlab import GF2, RATIONALS, get_fixture
@@ -29,7 +30,6 @@ from cmlab.graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    restrict_relation_tree,
     root_orientation,
     vertex_graph,
 )
