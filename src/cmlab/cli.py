@@ -352,25 +352,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Error lines quote user input (an argument, a path), so they are cut here.
+_ERROR_WIDTH = 200
+
+
+def _fail(message: str) -> int:
+    """Print a one-line error to stderr, at most _ERROR_WIDTH characters
+    ending in an ellipsis when cut, and return the usage exit code 3."""
+    if len(message) > _ERROR_WIDTH:
+        message = message[: _ERROR_WIDTH - 1] + "…"
+    print(message, file=sys.stderr)
+    return 3
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"usage error: {exc}")
     except SystemExit as exc:  # --help
         code = exc.code
         return int(code) if code else 0
     try:
         return args.func(args)
     except (CmLabError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return _fail(f"error: {exc}")
     except (RecursionError, MemoryError) as exc:
         what = "recursion depth" if isinstance(exc, RecursionError) else "memory"
-        print(f"error: input too large: {what} exhausted", file=sys.stderr)
-        return 3
+        return _fail(f"error: input too large: {what} exhausted")
 
 
 if __name__ == "__main__":

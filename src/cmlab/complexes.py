@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb
 from typing import Iterable, Mapping
@@ -44,8 +43,47 @@ def _canonical_facets(raw: Iterable[Iterable[int]]) -> tuple[Face, ...]:
     return tuple(sorted(facets))
 
 
-@dataclass(frozen=True)
-class SimplicialComplex:
+_set = object.__setattr__
+
+
+class Frozen:
+    """Immutable base of the slotted value classes.  A subclass names its
+    compared fields in _fields, and its __init__ stores their values
+    through _freeze, which also keeps them as the tuple _key and hashes
+    that tuple once.  Equality is same class and equal _key."""
+
+    __slots__ = ("_key", "_hash")
+    _fields: tuple[str, ...] = ()
+
+    def _freeze(self, *values: object) -> None:
+        for name, value in zip(self._fields, values):
+            _set(self, name, value)
+        _set(self, "_key", values)
+        _set(self, "_hash", hash(values))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key == other._key
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))
+        return f"{type(self).__name__}({body})"
+
+    def __reduce__(self):
+        return type(self), self._key
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class SimplicialComplex(Frozen):
     """A simplicial complex on vertex set {1..n}, given by its facets.
 
     The constructor canonicalizes: facets are sorted vertex tuples,
@@ -55,11 +93,20 @@ class SimplicialComplex:
     values (links, subcomplexes) that may leave vertices uncovered.
     """
 
+    __slots__ = _fields = ("n", "facets")
     n: int
     facets: tuple[Face, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "facets", _canonical_facets(self.facets))
+    def __init__(self, n: int, facets: Iterable[Iterable[int]]) -> None:
+        self._freeze(n, _canonical_facets(facets))
+
+    @classmethod
+    def _of_canonical(cls, n: int, facets: tuple[Face, ...]) -> SimplicialComplex:
+        """The complex on facets that are already maximal, distinct and
+        sorted, as those of a link or subcomplex of a canonical complex."""
+        cx = cls.__new__(cls)
+        cx._freeze(n, facets)
+        return cx
 
     @classmethod
     def from_facets(cls, n: int, raw_facets: Iterable[Iterable[int]]) -> SimplicialComplex:
@@ -129,7 +176,7 @@ class SimplicialComplex:
         stripped = tuple(
             tuple(v for v in g if v not in ks) for g in self.facets if ks <= set(g)
         )
-        return SimplicialComplex(self.n, stripped)
+        return SimplicialComplex._of_canonical(self.n, stripped)
 
     def stanley_reisner_primes(self) -> tuple[tuple[int, ...], ...]:
         """Per facet, the complementary vertex set (one prime component each)."""
@@ -221,8 +268,7 @@ def _validated_entries(
     return tuple(sorted(entries))
 
 
-@dataclass(frozen=True)
-class MultiplicityAssignment:
+class MultiplicityAssignment(Frozen):
     """A positive exponent for every (facet, missing vertex) pair.
 
     Entry (j, i, v) assigns exponent v to vertex i at the j-th facet
@@ -231,14 +277,22 @@ class MultiplicityAssignment:
     generically complete intersection monomial ideal.
     """
 
+    __slots__ = ("complex", "entries", "_values")
+    _fields = ("complex", "entries")
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
-    _values: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __init__(
+        self, complex: SimplicialComplex, entries: Iterable[tuple[int, int, int]]
+    ) -> None:
+        _set(self, "complex", complex)
+        _set(self, "entries", entries)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = _validated_entries(self.complex, tuple(self.entries), 1, "exponent table")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_values", {(j, i): v for j, i, v in entries})
+        self._freeze(self.complex, entries)
+        _set(self, "_values", {(j, i): v for j, i, v in entries})
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
@@ -304,22 +358,24 @@ class MultiplicityAssignment:
         surviving = tuple(
             f for j, f in enumerate(self.complex.facets) if alive[j]
         )
-        return SimplicialComplex(self.complex.n, surviving)
+        return SimplicialComplex._of_canonical(self.complex.n, surviving)
 
 
-@dataclass(frozen=True)
-class ExponentOffset:
+class ExponentOffset(Frozen):
     """Nonnegative exponent table; the additive counterpart of
     MultiplicityAssignment, used for semigroup arithmetic."""
 
+    __slots__ = ("complex", "entries", "_values")
+    _fields = ("complex", "entries")
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
-    _values: dict[tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = _validated_entries(self.complex, tuple(self.entries), 0, "offset table")
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_values", {(j, i): v for j, i, v in entries})
+    def __init__(
+        self, complex: SimplicialComplex, entries: Iterable[tuple[int, int, int]]
+    ) -> None:
+        entries = _validated_entries(complex, tuple(entries), 0, "offset table")
+        self._freeze(complex, entries)
+        _set(self, "_values", {(j, i): v for j, i, v in entries})
 
     @classmethod
     def zero(cls, cx: SimplicialComplex) -> ExponentOffset:

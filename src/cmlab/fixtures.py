@@ -4,7 +4,7 @@ table, and a default field characteristic."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .complexes import MultiplicityAssignment, SimplicialComplex
 from .errors import UnknownFixture
@@ -12,8 +12,7 @@ from .errors import UnknownFixture
 __all__ = ["Fixture", "fixture_names", "get_fixture", "problem_json"]
 
 
-@dataclass(frozen=True)
-class Fixture:
+class Fixture(NamedTuple):
     name: str
     description: str
     complex: SimplicialComplex

@@ -10,11 +10,10 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Collection, Iterable, Iterator, Mapping
 
-from .complexes import SimplicialComplex, leaf_branches
+from .complexes import Frozen, SimplicialComplex, leaf_branches
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -44,18 +43,18 @@ def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
     return tuple(sorted({(min(a, b), max(a, b)) for a, b in edges}))
 
 
-@dataclass(frozen=True)
-class FacetLevelGraph:
+class FacetLevelGraph(Frozen):
     """Undirected graph on facet indices, optionally with the formal
     root node 0.  adjacency maps each node to its sorted neighbours."""
 
+    __slots__ = ("nodes", "edges", "adjacency")
+    _fields = ("nodes", "edges")
     nodes: tuple[int, ...]
     edges: tuple[tuple[int, int], ...]
-    adjacency: dict[int, tuple[int, ...]] = field(init=False, repr=False, compare=False)
+    adjacency: dict[int, tuple[int, ...]]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", tuple(sorted(set(self.nodes))))
-        object.__setattr__(self, "edges", _canonical_edges(self.edges))
+    def __init__(self, nodes: Iterable[int], edges: Iterable[tuple[int, int]]) -> None:
+        self._freeze(tuple(sorted(set(nodes))), _canonical_edges(edges))
         adjacency: dict[int, list[int]] = {node: [] for node in self.nodes}
         for a, b in self.edges:
             if a == b:

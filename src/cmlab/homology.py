@@ -10,12 +10,11 @@ so rank decisions are never approximate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import NamedTuple
 
-from .complexes import MultiplicityAssignment, SimplicialComplex
+from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 
 __all__ = [
@@ -49,18 +48,19 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class FieldSpec(Frozen):
     """Coefficient field, identified by its characteristic (0 or a prime)."""
 
-    characteristic: int = 0
+    __slots__ = _fields = ("characteristic",)
+    characteristic: int
 
-    def __post_init__(self) -> None:
-        c = self.characteristic
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
         if isinstance(c, int) and c >= _PRIME_LIMIT:
             raise InvalidCharacteristic(f"characteristic must be below {_PRIME_LIMIT}")
         if not isinstance(c, int) or isinstance(c, bool) or (c != 0 and not _is_prime(c)):
             raise InvalidCharacteristic(f"characteristic must be 0 or a prime, got {c!r}")
+        self._freeze(c)
 
 
 RATIONALS = FieldSpec(0)
@@ -110,25 +110,28 @@ def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
     return {c: x // content for c, x in row.items() if x}
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Frozen):
     """Integer matrix over a fixed field, kept as sparse rows: each row is
     a tuple of (column, value) pairs with int values and columns strictly
     ascending in 0..ncols-1; omitted entries are zero."""
 
+    __slots__ = _fields = ("field", "ncols", "rows")
     field: FieldSpec
     ncols: int
     rows: tuple[tuple[tuple[int, int], ...], ...]
 
-    def __post_init__(self) -> None:
-        for r, row in enumerate(self.rows):
+    def __init__(
+        self, field: FieldSpec, ncols: int, rows: tuple[tuple[tuple[int, int], ...], ...]
+    ) -> None:
+        for r, row in enumerate(rows):
             last = -1
             for c, x in row:
-                if type(c) is not int or type(x) is not int or not last < c < self.ncols:
+                if type(c) is not int or type(x) is not int or not last < c < ncols:
                     raise DimensionOutOfRange(
-                        f"row {r} needs int values at ascending columns in 0..{self.ncols - 1}"
+                        f"row {r} needs int values at ascending columns in 0..{ncols - 1}"
                     )
                 last = c
+        self._freeze(field, ncols, rows)
 
     @property
     def nrows(self) -> int:
@@ -234,7 +237,7 @@ def is_cm_ideal_oracle(
             surviving = tuple(
                 f for j, f in enumerate(cx.facets) if alive >> j & 1
             )
-            sub = SimplicialComplex(cx.n, surviving)
+            sub = SimplicialComplex._of_canonical(cx.n, surviving)
             result: tuple[int, ...] | None = (
                 None if is_cm_complex(sub, field) else ()
             )

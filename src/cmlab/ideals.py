@@ -8,10 +8,9 @@ and containment of finitely generated monomial ideals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .complexes import MultiplicityAssignment, SimplicialComplex
+from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
 from .errors import (
     AmbientMismatch,
     FacetIndexOutOfRange,
@@ -59,25 +58,25 @@ def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
     return tuple(sorted(kept, key=_display_key))
 
 
-@dataclass(frozen=True)
-class MonomialIdeal:
+class MonomialIdeal(Frozen):
     """Finitely generated monomial ideal in n variables; the stored
     generating set is minimal and canonically sorted, so equal ideals
     compare equal.  No generators means the zero ideal; the constant
     monomial alone means the unit ideal."""
 
+    __slots__ = _fields = ("n", "generators")
     n: int
     generators: tuple[Monomial, ...]
 
-    def __post_init__(self) -> None:
-        for g in self.generators:
-            if len(g) != self.n:
-                raise AmbientMismatch(f"generator {g} does not have {self.n} exponents")
+    def __init__(self, n: int, generators: tuple[Monomial, ...]) -> None:
+        for g in generators:
+            if len(g) != n:
+                raise AmbientMismatch(f"generator {g} does not have {n} exponents")
             if not all(isinstance(e, int) and e >= 0 for e in g):
                 raise MultiplicityDomainMismatch(
                     f"generator {g} must have integer exponents >= 0"
                 )
-        object.__setattr__(self, "generators", _minimalize(self.generators))
+        self._freeze(n, _minimalize(generators))
 
     @classmethod
     def zero(cls, n: int) -> MonomialIdeal:

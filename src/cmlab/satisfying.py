@@ -6,10 +6,9 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
 from .errors import (
@@ -47,8 +46,7 @@ __all__ = [
 Violation = tuple[int, tuple[int, int], tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class SatisfyingVerdict:
+class SatisfyingVerdict(NamedTuple):
     satisfied: bool
     violations: tuple[Violation, ...] = ()
     witness_tree: FacetLevelGraph | None = None

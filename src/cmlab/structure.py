@@ -4,8 +4,7 @@ checks, and the minimal-multiplicity classification report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, leaf_branches
 from .errors import (
@@ -149,8 +148,7 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
     return False, None
 
 
-@dataclass(frozen=True)
-class LeafOrder:
+class LeafOrder(NamedTuple):
     """Facet order where each facet is a leaf of the preceding ones,
     with the chosen branch recorded per position (None for the first)."""
 
@@ -181,8 +179,7 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
     return LeafOrder(order, branches)
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     field: FieldSpec
     pure: bool
     strongly_connected: bool
@@ -195,9 +192,7 @@ class ClassificationReport:
     strongly_connected_quasi_tree: bool
 
     def flags(self) -> tuple[tuple[str, bool], ...]:
-        return tuple(
-            (f.name, getattr(self, f.name)) for f in fields(self) if f.name != "field"
-        )
+        return tuple((name, flag) for name, flag in zip(self._fields, self) if name != "field")
 
 
 def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> ClassificationReport:

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from cmlab.cli import main
+from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
 
@@ -183,6 +183,22 @@ def test_huge_vertex_count_exits_three_with_a_short_message(tmp_path, capsys, n)
     assert out == ""
     assert len(err) < 200
     assert f"and {n - 11} more appear in no facet" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("check", "triangle-tree", "--char", "7" * 5000), ("check", "p" * 3000)],
+    ids=["5000-digit-char", "3000-character-path"],
+)
+def test_long_error_lines_are_cut_to_a_fixed_width(capsys, argv):
+    # both messages quote the input in full before the cut
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert out == ""
+    [line] = err.splitlines()
+    assert len(line) == _ERROR_WIDTH
+    assert line.endswith("…")
+    assert line.startswith("usage error: " if "--char" in argv else "error: ")
 
 
 def test_large_prime_characteristic_is_accepted_quickly(tmp_path, capsys):

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_assignment, random_pure_strongly_connected
+from conftest import random_assignment, random_complex, random_pure_strongly_connected
 
 from cmlab import RATIONALS, fixture_names, get_fixture, is_cm_complex
 from cmlab.complexes import (
@@ -25,7 +27,9 @@ from cmlab.errors import (
     VertexOutOfRange,
     VoidComplex,
 )
-from cmlab.graphs import facet_graph
+from cmlab.graphs import FacetLevelGraph, facet_graph
+from cmlab.homology import ExactMatrix, FieldSpec
+from cmlab.ideals import MonomialIdeal
 
 MAIN_FACETS = ((1, 2, 4), (2, 3, 5), (2, 4, 5), (4, 5, 7), (4, 6, 7), (5, 7, 8))
 
@@ -303,3 +307,84 @@ def test_cm_random_complexes_interpolate_low_overlaps(tree_fixture):
             continue
         checked += 1
         _check_codim_one_interpolation(cx)
+
+
+def test_links_and_threshold_subcomplexes_need_no_canonicalization():
+    # link and threshold_subcomplex skip _canonical_facets; on canonical
+    # complexes they must build what the canonicalizing constructor builds
+    rng = random.Random(8)
+    links = subcomplexes = 0
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        cx = random_complex(rng, n, n)
+        for face in cx.all_faces():
+            star = [set(g) - set(face) for g in cx.facets if set(face) <= set(g)]
+            assert cx.link(face).facets == SimplicialComplex(n, star).facets
+            links += 1
+        mult = random_assignment(rng, cx, 3)
+        for _ in range(10):
+            a = [rng.randint(0, 3) for _ in range(n)]
+            alive = [
+                f for j, f in enumerate(cx.facets, start=1)
+                if all(a[i - 1] < mult.value(j, i) for i in range(1, n + 1) if i not in f)
+            ]
+            assert mult.threshold_subcomplex(a).facets == SimplicialComplex(n, alive).facets
+            subcomplexes += 1
+    assert links > 3000 and subcomplexes == 3000
+
+
+_SQUARE = SimplicialComplex(4, ((1, 2), (2, 3), (3, 4), (1, 4)))
+# two equal but separately built values of each slotted value class
+_VALUES = {
+    "SimplicialComplex": lambda: SimplicialComplex(3, ((2, 3), (1, 2), (1,))),
+    "MultiplicityAssignment": lambda: MultiplicityAssignment.constant(_SQUARE, 2),
+    "ExponentOffset": lambda: ExponentOffset.indicator(_SQUARE, 1, [2]),
+    "FacetLevelGraph": lambda: FacetLevelGraph((2, 1, 3), ((2, 1), (2, 3))),
+    "FieldSpec": lambda: FieldSpec(3),
+    "ExactMatrix": lambda: ExactMatrix(RATIONALS, 2, (((0, 1), (1, -1)),)),
+    "MonomialIdeal": lambda: MonomialIdeal(2, ((1, 0), (2, 0), (0, 1))),
+}
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_classes_compare_and_hash_by_their_fields(name):
+    a, b = _VALUES[name](), _VALUES[name]()
+    assert type(a).__name__ == name
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert copy.deepcopy(a) == a and pickle.loads(pickle.dumps(a)) == a
+    # another class never compares equal, not even a tuple of the fields
+    assert a != tuple(getattr(a, field) for field in a._fields)
+    for other in _VALUES:
+        if other != name:
+            assert a != _VALUES[other]()
+
+
+def test_value_classes_with_equal_fields_differ_by_class():
+    assert SimplicialComplex(2, ((1, 2),)) != MonomialIdeal(2, ((1, 2),))
+    ones = MultiplicityAssignment.constant(_SQUARE, 1)
+    offset = ExponentOffset(_SQUARE, ones.entries)
+    assert offset.entries == ones.entries and offset != ones
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_classes_are_immutable(name):
+    a = _VALUES[name]()
+    for field in a._fields + ("other",):
+        with pytest.raises(AttributeError):
+            setattr(a, field, None)
+        with pytest.raises(AttributeError):
+            delattr(a, field)
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_class_repr_names_the_class_and_compared_fields(name):
+    a = _VALUES[name]()
+    fields = ", ".join(f"{field}={getattr(a, field)!r}" for field in a._fields)
+    assert repr(a) == f"{name}({fields})"
+
+
+def test_equal_complex_built_anew_hits_the_reisner_cache():
+    is_cm_complex(SimplicialComplex(5, ((1, 2, 5), (2, 3, 5), (3, 4, 5))), RATIONALS)
+    hits = is_cm_complex.cache_info().hits
+    assert is_cm_complex(SimplicialComplex(5, ((3, 4, 5), (1, 2, 5), (2, 3, 5))), RATIONALS)
+    assert is_cm_complex.cache_info().hits == hits + 1

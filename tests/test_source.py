@@ -58,11 +58,14 @@ def test_exact_core_has_no_inexact_arithmetic():
 
 
 def test_cli_import_leaves_fractions_and_decimal_unloaded():
+    # each CLI request is a fresh process, so these imports would be paid
+    # per request: dataclasses and inspect cost more than cmlab itself
     code = (
         "import sys\n"
         "before = set(sys.modules)\n"
         "import cmlab.cli\n"
-        "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+        "unwanted = {'fractions', 'decimal', 'dataclasses', 'inspect'}\n"
+        "print(sorted(unwanted & (set(sys.modules) - before)))\n"
     )
     src = str(Path(cmlab.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
