@@ -118,7 +118,7 @@ def root_orientation(g: FacetLevelGraph, root: int) -> tuple[tuple[int, int], ..
     return directed
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     """Nodes 1..m; an edge joins two facets meeting in size dim."""
     if not cx.is_pure:
@@ -134,7 +134,7 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), tuple(edges))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """The formal root 0 plus every facet omitting vertex i; facet-facet
     edges are inherited, and a root edge marks adjacency to some facet
@@ -173,7 +173,7 @@ def restriction_edges(
         yield tuple(edges)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     """All trees obtainable by recursive leaf removal with branch
     choice, deduplicated by edge set and canonically sorted.

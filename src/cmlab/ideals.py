@@ -68,7 +68,8 @@ class MonomialIdeal(Frozen):
     n: int
     generators: tuple[Monomial, ...]
 
-    def __init__(self, n: int, generators: tuple[Monomial, ...]) -> None:
+    def __init__(self, n: int, generators: Iterable[Monomial]) -> None:
+        generators = tuple(generators)
         for g in generators:
             if len(g) != n:
                 raise AmbientMismatch(f"generator {g} does not have {n} exponents")

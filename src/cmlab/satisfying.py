@@ -15,6 +15,7 @@ from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotShellable,
+    RestrictionNotTree,
     VertexOutOfRange,
 )
 from .graphs import (
@@ -65,10 +66,19 @@ def is_tree_satisfying(
     require_tree_case(cx, field)
     violations = [
         (i, (h, k), (mult.value(h, i), mult.value(k, i)))
-        for i, h, k in next(restriction_edges(cx, [facet_graph(cx)]))
-        if h != ROOT and mult.value(h, i) < mult.value(k, i)
+        for i, h, k in _facet_graph_edges(cx)
+        if mult.value(h, i) < mult.value(k, i)
     ]
     return SatisfyingVerdict(not violations, tuple(violations))
+
+
+@lru_cache(maxsize=32)
+def _facet_graph_edges(cx: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
+    """The facet-facet edges (vertex i, parent, child) of the facet
+    graph's vertex restrictions, in restriction_edges' order."""
+    return tuple(
+        edge for edge in next(restriction_edges(cx, [facet_graph(cx)])) if edge[1] != ROOT
+    )
 
 
 def check_cm_tree_case(
@@ -83,18 +93,70 @@ def _tree_masks(
 ) -> tuple[tuple[FacetLevelGraph, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
     """The relation trees in canonical order, every oriented facet-facet
     edge (vertex i, parent, child) of their vertex restrictions, and per
-    tree the mask of its edges: bit b stands for edge b.  Walking every
-    restriction here also raises for a vertex in no facet."""
+    tree the mask of its edges: bit b stands for edge b."""
     trees = relation_trees(cx)
+    return (trees, *_edge_masks(cx, trees))
+
+
+def _edge_masks(
+    cx: SimplicialComplex, trees: Iterable[FacetLevelGraph]
+) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
+    """The oriented facet-facet edges of restriction_edges(cx, trees), as
+    a list of distinct edges and one bitmask per tree over it, raising
+    what restriction_edges raises.
+
+    A tree edge p-c between two facets omitting i splits the facets in
+    two sides.  With C_i the facets containing i, the restriction to i
+    orients it p -> c when no facet of C_i lies on c's side, c -> p when
+    none lies on p's side, and is no tree when both sides hold one, or
+    when C_i is empty.  Each tree is rooted once at facet 1, so c's side
+    is the subtree mask of c, and the edge bits are worked out once per
+    distinct split (p, c, c's side) rather than once per tree."""
+    containing = [0] * (cx.n + 1)
+    for j, f in enumerate(cx.facets, start=1):
+        for i in f:
+            containing[i] |= 1 << j
+    uncovered = sum(1 << i for i in range(1, cx.n + 1) if not containing[i])
     bits: dict[tuple[int, int, int], int] = {}
+    splits: dict[tuple[int, int, int], tuple[int, int]] = {}
     masks = []
-    for edges in restriction_edges(cx, trees):
-        mask = 0
-        for edge in edges:
-            if edge[1] != ROOT:
-                mask |= 1 << bits.setdefault(edge, len(bits))
+    for tree in trees:
+        parent = {1: ROOT}
+        order = [1]
+        for h in order:
+            for k in tree.adjacency[h]:
+                if k not in parent:
+                    parent[k] = h
+                    order.append(k)
+        side = {j: 1 << j for j in order}
+        mask, failing = 0, uncovered
+        for c in reversed(order[1:]):
+            p, below = parent[c], side[c]
+            side[p] |= below
+            split = splits.get((p, c, below))
+            if split is None:
+                edge_mask = broken = 0
+                ends = 1 << p | 1 << c
+                for i in range(1, cx.n + 1):
+                    held = containing[i]
+                    if not held or held & ends:
+                        continue
+                    if not held & below:
+                        edge = (i, p, c)
+                    elif not held & ~below:
+                        edge = (i, c, p)
+                    else:
+                        broken |= 1 << i
+                        continue
+                    edge_mask |= 1 << bits.setdefault(edge, len(bits))
+                split = splits[p, c, below] = (edge_mask, broken)
+            mask |= split[0]
+            failing |= split[1]
+        if failing:
+            i = (failing & -failing).bit_length() - 1
+            raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
         masks.append(mask)
-    return trees, tuple(bits), tuple(masks)
+    return tuple(bits), tuple(masks)
 
 
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
@@ -124,15 +186,20 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     vertex first and the remaining facets with non-increasing values.
     Neither sufficient nor known to be necessary."""
     cx = mult.complex
-    if find_shelling(cx) is None:
-        raise NotShellable("complex is not shellable")
+    held, shelled = True, False
     for i in range(1, cx.n + 1):
         weights = dict(mult.vertex_values(i))
         if not weights:
             continue
         if find_shelling(cx, prefix_vertex=i, weights=weights) is None:
-            return False
-    return True
+            held = False
+            break
+        shelled = True
+    # Any prefix shelling found proves the complex shellable; otherwise
+    # the unweighted search tells "fails" from "not shellable".
+    if not shelled and find_shelling(cx) is None:
+        raise NotShellable("complex is not shellable")
+    return held
 
 
 def uniform_block_assignment(

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -119,6 +120,71 @@ def restrict_relation_tree(
     edges = [(a, b) for a, b in tree.edges if a in kept and b in kept]
     edges += [(ROOT, j) for j in kept if any(k not in kept for k in tree.neighbors(j))]
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
+
+
+def random_attach_quasitree(rng: random.Random, profile) -> SimplicialComplex:
+    """Triangles glued along edges: for each k in profile, an edge that
+    only one earlier triangle holds receives k-1 new triangles, each with
+    one new vertex.  The facet graph is a tree of cliques of sizes k, so
+    there are prod(k^(k-2)) relation trees."""
+    facets = [(1, 2, 3)]
+    n = 3
+    for k in profile:
+        free = [
+            r
+            for f in facets
+            for r in combinations(f, 2)
+            if sum(1 for g in facets if set(r) <= set(g)) == 1
+        ]
+        ridge = rng.choice(free)
+        for _ in range(k - 1):
+            n += 1
+            facets.append(ridge + (n,))
+    labels = rng.sample(range(1, n + 1), n)
+    return SimplicialComplex.from_facets(n, [[labels[v - 1] for v in f] for f in facets])
+
+
+def random_spanning_tree(rng: random.Random, g: FacetLevelGraph) -> FacetLevelGraph:
+    """A spanning tree of the connected graph g, grown from a random node
+    along randomly chosen frontier edges."""
+    start = rng.choice(g.nodes)
+    seen = {start}
+    edges = []
+    frontier = [(start, k) for k in g.neighbors(start)]
+    while frontier:
+        a, b = frontier.pop(rng.randrange(len(frontier)))
+        if b not in seen:
+            seen.add(b)
+            edges.append((a, b))
+            frontier += [(b, k) for k in g.neighbors(b)]
+    return FacetLevelGraph(g.nodes, edges)
+
+
+def restriction_edge_sets(
+    cx: SimplicialComplex, trees
+) -> list[frozenset[tuple[int, int, int]]]:
+    """Per tree, the oriented facet-facet edges (vertex, parent, child)
+    of its vertex restrictions, read off graphs.restriction_edges."""
+    from cmlab.graphs import restriction_edges
+
+    return [frozenset(e for e in edges if e[1] != ROOT) for edges in restriction_edges(cx, trees)]
+
+
+def general_satisfying_reference(mult: MultiplicityAssignment) -> bool:
+    """The shelling condition as defined: the complex must be shellable,
+    and per vertex with values some shelling lists the facets containing
+    it first and the rest with non-increasing values."""
+    from cmlab.errors import NotShellable
+    from cmlab.structure import find_shelling
+
+    cx = mult.complex
+    if find_shelling(cx) is None:
+        raise NotShellable("complex is not shellable")
+    for i in range(1, cx.n + 1):
+        weights = dict(mult.vertex_values(i))
+        if weights and find_shelling(cx, prefix_vertex=i, weights=weights) is None:
+            return False
+    return True
 
 
 def exact_matrix(field: FieldSpec, ncols: int, dense) -> ExactMatrix:

@@ -299,3 +299,12 @@ def test_relation_trees_exist_exactly_when_a_leaf_order_does():
         except NotQuasiTree:
             found = False
         assert found == (find_leaf_order(cx) is not None)
+
+
+def test_graph_caches_are_bounded(tree_fixture):
+    for cached in (facet_graph, vertex_graph, relation_trees):
+        assert cached.cache_info().maxsize is not None
+    # a bounded cache still answers from memory
+    before = facet_graph.cache_info().hits
+    assert facet_graph(tree_fixture) is facet_graph(tree_fixture)
+    assert facet_graph.cache_info().hits > before

@@ -56,6 +56,13 @@ def test_minimalization_matches_definition():
         assert ideal(3, *gens).generators == tuple(expected)
 
 
+def test_generators_may_be_any_iterable():
+    # validation must not use up a one-shot iterator before minimalization
+    gens = [(1, 0), (0, 1), (1, 1)]
+    assert MonomialIdeal(2, (g for g in gens)) == MonomialIdeal(2, tuple(gens))
+    assert MonomialIdeal(2, iter(gens)).generators == ((1, 0), (0, 1))
+
+
 def test_zero_and_unit():
     z = MonomialIdeal.zero(3)
     u = MonomialIdeal.unit(3)

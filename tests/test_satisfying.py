@@ -7,15 +7,24 @@ import random
 import pytest
 
 from conftest import (
+    general_satisfying_reference,
     random_assignment,
+    random_attach_quasitree,
+    random_complex,
+    random_pure_strongly_connected,
     random_quasi_tree,
+    random_spanning_tree,
     random_tree_satisfying,
     restrict_relation_tree,
+    restriction_edge_sets,
 )
+
+from cmlab import satisfying
 
 from cmlab import GF2, RATIONALS, get_fixture
 from cmlab.complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import (
+    CmLabError,
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotCohenMacaulay,
@@ -30,10 +39,12 @@ from cmlab.graphs import (
     facet_graph,
     is_tree,
     relation_trees,
+    restriction_edges,
     root_orientation,
     vertex_graph,
 )
 from cmlab.homology import is_cm_ideal_oracle
+from cmlab.structure import find_shelling
 from cmlab.satisfying import (
     check_cm_quasitree_sufficient,
     check_cm_tree_case,
@@ -412,3 +423,154 @@ def test_quasitree_criterion_rejects_uncovered_vertex(overrides):
     cx = SimplicialComplex(6, ((1, 2, 3), (2, 3, 4), (3, 4, 5)))
     with pytest.raises(RestrictionNotTree):
         is_quasitree_satisfying(MultiplicityAssignment.from_overrides(cx, overrides))
+
+
+# -- per-complex work behind the per-table criteria ---------------------------
+
+
+def _outcome(compute):
+    """The value of compute(), or the type and message of what it raised."""
+    try:
+        return compute()
+    except CmLabError as exc:
+        return type(exc), str(exc)
+
+
+def _mask_edge_sets(edges, masks):
+    return [frozenset(e for b, e in enumerate(edges) if mask >> b & 1) for mask in masks]
+
+
+def _with_uncovered(cx, extra):
+    return SimplicialComplex(cx.n + extra, cx.facets)
+
+
+def _mask_corpus(name):
+    rng = random.Random(sum(map(ord, name)))
+    if name == "stars":
+        return [_star(m) for m in (4, 5, 6)]
+    if name == "attach":
+        return [random_attach_quasitree(rng, rng.choice([(3, 3), (4, 3), (2, 4, 3), (3, 3, 3)]))
+                for _ in range(10)]
+    if name == "random-quasi-tree":
+        return [random_quasi_tree(rng, max_m=7) for _ in range(60)]
+    if name == "pure-strongly-connected":
+        return [random_pure_strongly_connected(rng, max_n=7, max_m=7) for _ in range(150)]
+    return [_with_uncovered(random_quasi_tree(rng, max_m=5), rng.randint(1, 2)) for _ in range(30)]
+
+
+@pytest.mark.parametrize(
+    "corpus", ["stars", "attach", "random-quasi-tree", "pure-strongly-connected", "uncovered"]
+)
+def test_tree_masks_match_restriction_edges(corpus):
+    # the masks built from tree splits hold, per relation tree, exactly
+    # the oriented edges the restriction walk finds, and raise as it does
+    seen = set()
+    for cx in _mask_corpus(corpus):
+        satisfying._tree_masks.cache_clear()
+        expected = _outcome(lambda: restriction_edge_sets(cx, relation_trees(cx)))
+        got = _outcome(lambda: _mask_edge_sets(*satisfying._tree_masks(cx)[1:]))
+        assert got == expected
+        seen.add(expected[0] if isinstance(expected, tuple) else "masks")
+    if corpus == "uncovered":
+        assert seen == {RestrictionNotTree}
+    else:
+        assert "masks" in seen
+
+
+def test_edge_masks_match_restriction_edges_on_any_spanning_tree():
+    # on trees that are not relation trees, a restriction can fail with
+    # the vertex in facets on both sides of an edge
+    rng = random.Random(97)
+    raised = set()
+    for _ in range(400):
+        cx = random_pure_strongly_connected(rng, max_n=8, max_m=9)
+        if rng.random() < 0.2:
+            cx = _with_uncovered(cx, 1)
+        trees = [random_spanning_tree(rng, facet_graph(cx)) for _ in range(rng.randint(1, 4))]
+        expected = _outcome(lambda: restriction_edge_sets(cx, trees))
+        assert _outcome(lambda: _mask_edge_sets(*satisfying._edge_masks(cx, trees))) == expected
+        if isinstance(expected, tuple):
+            raised.add(len(cx.vertices) == cx.n)
+    assert raised == {True, False}
+
+
+def _general_corpus(rng):
+    complexes = [get_fixture(name).complex for name in ("triangle-tree", "square", "star")]
+    complexes.append(SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]))
+    complexes += [random_pure_strongly_connected(rng, max_n=6, max_m=6) for _ in range(40)]
+    complexes += [random_complex(rng, 5, 3) for _ in range(20)]
+    return complexes
+
+
+def test_general_criterion_matches_its_definition():
+    rng = random.Random(101)
+    outcomes = set()
+    for cx in _general_corpus(rng):
+        tables = [MultiplicityAssignment.constant(cx)]
+        tables += [random_assignment(rng, cx, 2) for _ in range(4)]
+        for am in tables:
+            expected = _outcome(lambda: general_satisfying_reference(am))
+            assert _outcome(lambda: is_general_satisfying(am)) == expected
+            outcomes.add(expected if isinstance(expected, bool) else expected[0])
+    assert {True, False, NotShellable} <= outcomes
+
+
+def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shells(
+    monkeypatch,
+):
+    # the calls' prefix vertices, None for the unweighted search
+    calls = []
+
+    def counted(cx, **kwargs):
+        calls.append(kwargs.get("prefix_vertex"))
+        return find_shelling(cx, **kwargs)
+
+    monkeypatch.setattr(satisfying, "find_shelling", counted)
+    cx = get_fixture("triangle-tree").complex
+    weighted = [i for i in range(1, cx.n + 1) if len(cx.facets) > sum(i in f for f in cx.facets)]
+    for overrides, held, searched in (
+        ({(3, 1): 2}, True, weighted),
+        ({(1, 8): 2}, False, weighted),  # fails at vertex 8, after others shelled
+        ({(2, 1): 2}, False, [1, None]),  # fails at the first vertex searched
+    ):
+        calls.clear()
+        assert is_general_satisfying(MultiplicityAssignment.from_overrides(cx, overrides)) == held
+        assert calls == searched
+    calls.clear()
+    with pytest.raises(NotShellable):
+        is_general_satisfying(
+            MultiplicityAssignment.constant(SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]))
+        )
+    assert calls == [1, None]
+
+
+def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree_fixture):
+    walks = []
+
+    def counted(cx, trees):
+        walks.append(cx)
+        return restriction_edges(cx, trees)
+
+    satisfying._facet_graph_edges.cache_clear()
+    monkeypatch.setattr(satisfying, "restriction_edges", counted)
+    (walk,) = restriction_edges(tree_fixture, [facet_graph(tree_fixture)])
+    edges = [e for e in walk if e[1] != ROOT]
+    rng = random.Random(103)
+    for _ in range(20):
+        am = random_assignment(rng, tree_fixture, 3)
+        expected = tuple(
+            (i, (h, k), (am.value(h, i), am.value(k, i)))
+            for i, h, k in edges
+            if am.value(h, i) < am.value(k, i)
+        )
+        assert is_tree_satisfying(am).violations == expected
+    assert walks == [tree_fixture]
+
+
+def test_tree_criterion_reports_non_cm_before_uncovered_vertex():
+    # a strip of four triangles whose facet graph is a path; the link of
+    # vertex 1 is two disjoint edges, and vertex 6 is in no facet
+    cx = SimplicialComplex(6, ((1, 2, 3), (1, 4, 5), (2, 3, 4), (3, 4, 5)))
+    assert is_tree(facet_graph(cx))
+    with pytest.raises(NotCohenMacaulay):
+        is_tree_satisfying(MultiplicityAssignment.constant(cx))
