@@ -39,23 +39,70 @@ __all__ = [
 Monomial = tuple[int, ...]
 
 
-def _divides(a: Monomial, b: Monomial) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+# Divisibility works on packed exponent words.  Each exponent gets a
+# field of w bits: the bits of the largest exponent in play plus a guard
+# bit on top, which every packed word leaves clear.  A field of
+# (b | guards) - a then stays within itself and keeps its guard bit
+# exactly when a's exponent is at most b's, so a divides b exactly when
+# every guard bit survives.  A proper divisor packs to a smaller word,
+# since the fields do not overlap.
 
 
-def _display_key(g: Monomial) -> tuple[int, ...]:
-    # descending lex: pure powers list in ascending variable order
-    return tuple(-e for e in g)
+def _layout(n: int, *groups: Iterable[Monomial]) -> tuple[int, int]:
+    """The field width covering every monomial in the groups, and the
+    mask of the n guard bits."""
+    top = max((max(g, default=0) for group in groups for g in group), default=0)
+    w = top.bit_length() + 1
+    return w, ((1 << n * w) - 1) // ((1 << w) - 1) << (w - 1)
 
 
-def _minimalize(gens: Iterable[Monomial]) -> tuple[Monomial, ...]:
-    # A proper divisor has smaller total degree, so in ascending degree
-    # each candidate only needs checking against generators already kept.
-    kept: list[Monomial] = []
-    for g in sorted(set(gens), key=sum):
-        if not any(_divides(d, g) for d in kept):
-            kept.append(g)
-    return tuple(sorted(kept, key=_display_key))
+def _pack(g: Monomial, w: int) -> int:
+    word = 0
+    for e in reversed(g):
+        word = word << w | e
+    return word
+
+
+def _has_divisor(word: int, divisors: Iterable[int], guards: int) -> bool:
+    top = word | guards
+    for d in divisors:
+        if (top - d) & guards == guards:
+            return True
+    return False
+
+
+def _lcm(a: int, b: int, w: int, guards: int) -> int:
+    ge = ((a | guards) - b) & guards  # guard bits of the fields where a >= b
+    mask = ge - (ge >> (w - 1))  # the exponent bits of those fields
+    return a & mask | b & ~mask
+
+
+def _generators(words: Iterable[int], n: int, w: int) -> tuple[Monomial, ...]:
+    # unpacked, in descending lex order: pure powers list in ascending
+    # variable order
+    low = (1 << w) - 1
+    gens = (tuple(p >> s & low for s in range(0, n * w, w)) for p in words)
+    return tuple(sorted(gens, reverse=True))
+
+
+def _minimalize(n: int, gens: tuple[Monomial, ...]) -> tuple[Monomial, ...]:
+    # In ascending word order each candidate only needs checking against
+    # generators already kept: a proper divisor comes earlier.
+    w, guards = _layout(n, gens)
+    kept: list[int] = []
+    for p in sorted({_pack(g, w) for g in gens}):
+        if not _has_divisor(p, kept, guards):
+            kept.append(p)
+    return _generators(kept, n, w)
+
+
+def _check_monomial(g: Monomial, n: int, noun: str) -> None:
+    if len(g) != n:
+        raise AmbientMismatch(f"{noun} {g} does not have {n} exponents")
+    if not all(isinstance(e, int) and not isinstance(e, bool) and e >= 0 for e in g):
+        raise MultiplicityDomainMismatch(
+            f"{noun} {g} must have integer exponents >= 0"
+        )
 
 
 class MonomialIdeal(Frozen):
@@ -69,15 +116,19 @@ class MonomialIdeal(Frozen):
     generators: tuple[Monomial, ...]
 
     def __init__(self, n: int, generators: Iterable[Monomial]) -> None:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise AmbientMismatch(f"variable count {n!r} must be an integer >= 0")
         generators = tuple(generators)
         for g in generators:
-            if len(g) != n:
-                raise AmbientMismatch(f"generator {g} does not have {n} exponents")
-            if not all(isinstance(e, int) and e >= 0 for e in g):
-                raise MultiplicityDomainMismatch(
-                    f"generator {g} must have integer exponents >= 0"
-                )
-        self._freeze(n, _minimalize(generators))
+            _check_monomial(g, n, "generator")
+        self._freeze(n, _minimalize(n, generators))
+
+    @classmethod
+    def _of_minimal(cls, n: int, generators: tuple[Monomial, ...]) -> MonomialIdeal:
+        """The ideal on generators that are already minimal and sorted."""
+        ideal = cls.__new__(cls)
+        ideal._freeze(n, generators)
+        return ideal
 
     @classmethod
     def zero(cls, n: int) -> MonomialIdeal:
@@ -102,33 +153,55 @@ class MonomialIdeal(Frozen):
             )
 
     def intersect(self, other: MonomialIdeal) -> MonomialIdeal:
+        """I ∩ J, generated by the lcms of a generator of I and one of J.
+
+        A generator of I that lies in J is a minimal generator of I ∩ J
+        (a proper divisor in I ∩ J would contradict its minimality in I),
+        and so is a generator of J that lies in I; both are kept
+        unchecked.  Lcms are formed only for the pairs with neither
+        generator in the other ideal, and each is screened, in ascending
+        word order, against what has been kept."""
         self._check_ambient(other)
-        lcms = (
-            tuple(max(x, y) for x, y in zip(a, b))
-            for a in self.generators
-            for b in other.generators
-        )
-        return MonomialIdeal(self.n, tuple(lcms))
+        n = self.n
+        w, guards = _layout(n, self.generators, other.generators)
+        mine = [_pack(g, w) for g in self.generators]
+        theirs = [_pack(g, w) for g in other.generators]
+        mine_in = {p for p in mine if _has_divisor(p, theirs, guards)}
+        theirs_in = {p for p in theirs if _has_divisor(p, mine, guards)}
+        kept = list(mine_in | theirs_in)
+        lcms = {
+            _lcm(a, b, w, guards)
+            for a in mine if a not in mine_in
+            for b in theirs if b not in theirs_in
+        }
+        for c in sorted(lcms):
+            if not _has_divisor(c, kept, guards):
+                kept.append(c)
+        return MonomialIdeal._of_minimal(n, _generators(kept, n, w))
 
     def __add__(self, other: MonomialIdeal) -> MonomialIdeal:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
         self._check_ambient(other)
-        return MonomialIdeal(self.n, self.generators + other.generators)
+        gens = self.generators + other.generators
+        return MonomialIdeal._of_minimal(self.n, _minimalize(self.n, gens))
 
     def radical(self) -> MonomialIdeal:
-        return MonomialIdeal(
-            self.n, tuple(tuple(min(e, 1) for e in g) for g in self.generators)
-        )
+        gens = tuple(tuple(min(e, 1) for e in g) for g in self.generators)
+        return MonomialIdeal._of_minimal(self.n, _minimalize(self.n, gens))
 
     def contains_monomial(self, mono: Monomial) -> bool:
-        if len(mono) != self.n:
-            raise AmbientMismatch(f"monomial {mono} does not have {self.n} exponents")
-        return any(_divides(g, mono) for g in self.generators)
+        _check_monomial(mono, self.n, "monomial")
+        w, guards = _layout(self.n, self.generators, (mono,))
+        return _has_divisor(
+            _pack(mono, w), (_pack(g, w) for g in self.generators), guards
+        )
 
     def contains_ideal(self, other: MonomialIdeal) -> bool:
         self._check_ambient(other)
-        return all(self.contains_monomial(g) for g in other.generators)
+        w, guards = _layout(self.n, self.generators, other.generators)
+        mine = [_pack(g, w) for g in self.generators]
+        return all(_has_divisor(_pack(g, w), mine, guards) for g in other.generators)
 
 
 def variable_ideal(n: int, variables: Iterable[int]) -> MonomialIdeal:
@@ -147,16 +220,22 @@ def irreducible_component(mult: MultiplicityAssignment, j: int) -> MonomialIdeal
     cx = mult.complex
     if not 1 <= j <= cx.m:
         raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
+    # the table's entries are sorted and positive, so these distinct pure
+    # powers come minimal and in display order
     gens = tuple(
         tuple(v if k == i else 0 for k in range(1, cx.n + 1))
         for j2, i, v in mult.entries
         if j2 == j
     )
-    return MonomialIdeal(cx.n, gens)
+    return MonomialIdeal._of_minimal(cx.n, gens)
 
 
 def expand_ideal(mult: MultiplicityAssignment) -> MonomialIdeal:
-    """Intersection of all components, minimalized after each step."""
+    """Intersection of all components, folded through
+    :meth:`MonomialIdeal.intersect`.  A component is generated by pure
+    powers, so each step keeps the generators already inside it and
+    forms, for every other generator, one lcm per pure power, raising a
+    single exponent."""
     result = MonomialIdeal.unit(mult.complex.n)
     for j in range(1, mult.complex.m + 1):
         result = result.intersect(irreducible_component(mult, j))

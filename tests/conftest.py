@@ -309,3 +309,25 @@ def unpruned_is_cm(cx: SimplicialComplex, field: FieldSpec) -> bool:
     return not any(
         any(reduced_homology_ranks(cx.link(face), field)[:-1]) for face in cx.all_faces()
     )
+
+
+def reference_divides(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def reference_minimalize(gens) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators by pairwise divisibility, in display order
+    (descending lex)."""
+    kept: list[tuple[int, ...]] = []
+    for g in sorted(set(gens), key=sum):
+        if not any(reference_divides(d, g) for d in kept):
+            kept.append(g)
+    return tuple(sorted(kept, key=lambda g: tuple(-e for e in g)))
+
+
+def reference_intersect(a, b) -> tuple[tuple[int, ...], ...]:
+    """Minimal generators of the intersection of the ideals generated by
+    a and b: every pairwise lcm, then minimalized."""
+    return reference_minimalize(
+        tuple(max(x, y) for x, y in zip(g, h)) for g in a for h in b
+    )

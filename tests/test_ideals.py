@@ -8,14 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_tree_satisfying
+from conftest import (
+    random_assignment,
+    random_tree_satisfying,
+    reference_divides,
+    reference_intersect,
+    reference_minimalize,
+)
 
-from cmlab import get_fixture
+from cmlab import fixture_names, get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import (
     AmbientMismatch,
     FacetIndexOutOfRange,
     HypothesesViolated,
+    MultiplicityDomainMismatch,
     VertexOutOfRange,
 )
 from cmlab.ideals import (
@@ -61,6 +68,20 @@ def test_generators_may_be_any_iterable():
     gens = [(1, 0), (0, 1), (1, 1)]
     assert MonomialIdeal(2, (g for g in gens)) == MonomialIdeal(2, tuple(gens))
     assert MonomialIdeal(2, iter(gens)).generators == ((1, 0), (0, 1))
+
+
+def test_constructor_rejects_bool_exponents_and_bad_variable_counts():
+    with pytest.raises(MultiplicityDomainMismatch):
+        MonomialIdeal(2, [(True, 0)])
+    with pytest.raises(MultiplicityDomainMismatch):
+        MonomialIdeal(2, [(1, -1)])
+    for n in (-1, 2.0, True, "2", None):
+        with pytest.raises(AmbientMismatch):
+            MonomialIdeal(n, ())
+    i = ideal(2, (1, 0))
+    for bad in ((True, 0), (-1, 0), (0.5, 1)):
+        with pytest.raises(MultiplicityDomainMismatch):
+            i.contains_monomial(bad)
 
 
 def test_zero_and_unit():
@@ -251,9 +272,6 @@ def test_radical_contains_original(a):
 
 def test_radical_of_expansion_on_every_fixture():
     # the radical of the expanded ideal forgets the exponents entirely
-    from cmlab import fixture_names
-    from conftest import random_assignment
-
     rng = random.Random(71)
     for name in fixture_names():
         fx = get_fixture(name)
@@ -295,3 +313,74 @@ def test_codim1_neighbor_identity_at_ones():
                 cx.n, [v for v in range(1, cx.n + 1) if v not in fi]
             )
             assert lhs == rhs
+
+
+# -- differential test against the lcm-all reference -------------------------
+
+def edge_exponent(rng):
+    # values at the edges of the packing width, among small ones
+    if rng.random() < 0.6:
+        return rng.randint(0, 3)
+    k = rng.randint(1, 70)
+    return rng.choice((2**k - 1, 2**k, 2**k + 1, 10**30))
+
+
+def random_gens(rng, n, exponent):
+    return tuple(
+        tuple(exponent(rng) for _ in range(n)) for _ in range(rng.randint(0, 6))
+    )
+
+
+def check_against_reference(a, b, probes):
+    assert a.intersect(b).generators == reference_intersect(a.generators, b.generators)
+    assert (a + b).generators == reference_minimalize(a.generators + b.generators)
+    assert a.contains_ideal(b) == all(
+        any(reference_divides(g, h) for g in a.generators) for h in b.generators
+    )
+    for m in probes + a.generators + b.generators:
+        assert a.contains_monomial(m) == any(reference_divides(g, m) for g in a.generators)
+
+
+def reference_fold(n, ideals):
+    gens = ((0,) * n,)
+    for i in ideals:
+        gens = reference_intersect(gens, i.generators)
+    return gens
+
+
+def test_ideal_arithmetic_matches_reference_on_random_ideals():
+    rng = random.Random(83)
+    small = lambda r: r.randint(0, 3)
+    for trial in range(600):
+        n = trial % 5
+        exponent = edge_exponent if trial % 2 else small
+        gens_a, gens_b = random_gens(rng, n, exponent), random_gens(rng, n, exponent)
+        a, b = MonomialIdeal(n, gens_a), MonomialIdeal(n, gens_b)
+        assert a.generators == reference_minimalize(gens_a)
+        probes = random_gens(rng, n, exponent)
+        for x, y in ((a, b), (b, a), (a, MonomialIdeal.zero(n)),
+                     (MonomialIdeal.unit(n), a), (a, a)):
+            check_against_reference(x, y, probes)
+
+
+def test_ideal_arithmetic_matches_reference_on_components():
+    # folds over fixtures and small stacked paths, as expand_ideal and
+    # stanley_reisner_ideal build them, with pure powers up to 2**k
+    rng = random.Random(89)
+    paths = [
+        SimplicialComplex.from_facets(m + d - 1, [range(k, k + d) for k in range(1, m + 1)])
+        for d, m in ((2, 3), (3, 4), (3, 5), (4, 4))
+    ]
+    complexes = [get_fixture(name).complex for name in fixture_names()] + paths
+    for cx in complexes:
+        tables = [random_assignment(rng, cx, 3) for _ in range(2)]
+        tables.append(random_assignment(rng, cx, 2 ** rng.randint(1, 40)))
+        for am in tables:
+            comps = [irreducible_component(am, j) for j in range(1, cx.m + 1)]
+            assert all(q == MonomialIdeal(cx.n, q.generators) for q in comps)
+            expected = reference_fold(cx.n, comps)
+            assert expand_ideal(am).generators == expected
+            check_against_reference(comps[0], comps[-1], expected)
+            check_against_reference(expand_ideal(am), comps[0], ())
+        primes = [variable_ideal(cx.n, s) for s in cx.stanley_reisner_primes()]
+        assert stanley_reisner_ideal(cx).generators == reference_fold(cx.n, primes)
