@@ -277,7 +277,7 @@ class MultiplicityAssignment(Frozen):
     generically complete intersection monomial ideal.
     """
 
-    __slots__ = ("complex", "entries", "_values")
+    __slots__ = ("complex", "entries", "_by_vertex")
     _fields = ("complex", "entries")
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
@@ -291,8 +291,26 @@ class MultiplicityAssignment(Frozen):
 
     def __post_init__(self) -> None:
         entries = _validated_entries(self.complex, tuple(self.entries), 1, "exponent table")
-        self._freeze(self.complex, entries)
-        _set(self, "_values", {(j, i): v for j, i, v in entries})
+        self._store(self.complex, entries)
+
+    @classmethod
+    def _of_canonical(
+        cls, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]
+    ) -> MultiplicityAssignment:
+        """The table with these entries, already known to be valid and
+        sorted: positive ints over the exponent domain of cx, in its
+        order."""
+        mult = cls.__new__(cls)
+        mult._store(cx, entries)
+        return mult
+
+    def _store(self, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]) -> None:
+        self._freeze(cx, entries)
+        # vertex i -> {facet j: value}, facets ascending
+        by_vertex: dict[int, dict[int, int]] = {}
+        for j, i, v in entries:
+            by_vertex.setdefault(i, {})[j] = v
+        _set(self, "_by_vertex", by_vertex)
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
@@ -317,7 +335,7 @@ class MultiplicityAssignment(Frozen):
 
     def value(self, j: int, i: int) -> int:
         try:
-            return self._values[(j, i)]
+            return self._by_vertex[i][j]
         except KeyError:
             raise MultiplicityDomainMismatch(
                 f"no exponent slot at facet {j}, vertex {i}"
@@ -325,7 +343,8 @@ class MultiplicityAssignment(Frozen):
 
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:
         """(facet index, value) pairs for one vertex, facet order."""
-        return tuple((j, v) for j, i2, v in self.entries if i2 == i)
+        values = self._by_vertex.get(i)
+        return tuple(values.items()) if values else ()
 
     def max_value(self) -> int:
         return max((v for _, _, v in self.entries), default=1)

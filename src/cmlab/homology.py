@@ -205,6 +205,32 @@ class OracleVerdict(NamedTuple):
         return self.is_cm
 
 
+@lru_cache(maxsize=32)
+def _subcomplex_verdicts(cx: SimplicialComplex, field: FieldSpec) -> dict[int, bool]:
+    """The Cohen-Macaulay verdicts the oracle has reached on threshold
+    subcomplexes of cx, keyed by the mask of their facets (facet j as
+    bit j - 1), shared by every table on cx."""
+    return {}
+
+
+def _cuts(mult: MultiplicityAssignment) -> list[tuple[tuple[int, int], ...]]:
+    """Per coordinate, the grid {0} union {table values} ascending, each
+    value a paired with the mask of the facets that threshold a removes:
+    those whose value at that vertex is at most a."""
+    cuts = []
+    for i in range(1, mult.complex.n + 1):
+        by_value: dict[int, int] = {}
+        for j, v in mult.vertex_values(i):
+            by_value[v] = by_value.get(v, 0) | 1 << (j - 1)
+        kill = 0
+        cut = [(0, 0)]
+        for v in sorted(by_value):
+            kill |= by_value[v]
+            cut.append((v, kill))
+        cuts.append(tuple(cut))
+    return cuts
+
+
 def is_cm_ideal_oracle(
     mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
 ) -> OracleVerdict:
@@ -215,45 +241,48 @@ def is_cm_ideal_oracle(
     change which facets survive, so the search runs over that grid; the
     returned witness is the lexicographically smallest failing threshold
     vector over the full box, or None when the ideal is Cohen-Macaulay.
+
+    The walk is depth-first on an explicit stack over (coordinate,
+    alive-facet mask) states, so n coordinates need no recursion; a
+    state from which every completion stays Cohen-Macaulay is
+    remembered for the call, and each surviving facet mask is decided
+    once per complex and field.
     """
     cx = mult.complex
-    grids: list[tuple[int, ...]] = []
-    cut: list[list[tuple[int, int]]] = []
-    for i in range(1, cx.n + 1):
-        values = mult.vertex_values(i)
-        grids.append(tuple(sorted({0} | {v for _, v in values})))
-        cut.append([(j - 1, v) for j, v in values])
+    n = cx.n
+    cuts = _cuts(mult)
+    verdicts = _subcomplex_verdicts(cx, field)
+
+    def cm(alive: int) -> bool:
+        verdict = verdicts.get(alive)
+        if verdict is None:
+            surviving = tuple(f for j, f in enumerate(cx.facets) if alive >> j & 1)
+            sub = SimplicialComplex._of_canonical(n, surviving)
+            verdict = verdicts[alive] = is_cm_complex(sub, field)
+        return verdict
 
     full_mask = (1 << cx.m) - 1
-    memo: dict[tuple[int, int], tuple[int, ...] | None] = {}
-
-    def suffix(t: int, alive: int) -> tuple[int, ...] | None:
-        # Lex-least failing suffix for coordinates t.. given the still
-        # alive facets, or None if every completion stays CM.
-        key = (t, alive)
-        if key in memo:
-            return memo[key]
-        if t == cx.n:
-            surviving = tuple(
-                f for j, f in enumerate(cx.facets) if alive >> j & 1
-            )
-            sub = SimplicialComplex._of_canonical(cx.n, surviving)
-            result: tuple[int, ...] | None = (
-                None if is_cm_complex(sub, field) else ()
-            )
-            memo[key] = result
-            return result
-        for a in grids[t]:
-            narrowed = alive
-            for j0, v in cut[t]:
-                if a >= v:
-                    narrowed &= ~(1 << j0)
-            rest = suffix(t + 1, narrowed)
-            if rest is not None:
-                memo[key] = (a,) + rest
-                return memo[key]
-        memo[key] = None
-        return None
-
-    witness = suffix(0, full_mask)
-    return OracleVerdict(witness is None, witness)
+    if n == 0:
+        return OracleVerdict(True, None) if cm(full_mask) else OracleVerdict(False, ())
+    dead: set[tuple[int, int]] = set()
+    # Per open coordinate t: the alive mask before it and the next grid
+    # position to try.
+    alive = [full_mask]
+    nxt = [0]
+    while nxt:
+        t = len(nxt) - 1
+        k = nxt[t]
+        if k == len(cuts[t]):
+            dead.add((t, alive.pop()))
+            nxt.pop()
+            continue
+        nxt[t] = k + 1
+        narrowed = alive[t] & ~cuts[t][k][1]
+        if t + 1 == n:
+            if not cm(narrowed):
+                witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))
+                return OracleVerdict(False, witness)
+        elif (t + 1, narrowed) not in dead:
+            alive.append(narrowed)
+            nxt.append(0)
+    return OracleVerdict(True, None)

@@ -4,6 +4,7 @@ checks, and the minimal-multiplicity classification report.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, NamedTuple
 
 from .complexes import SimplicialComplex, leaf_branches
@@ -51,28 +52,86 @@ def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int
     return seq
 
 
-def _step_ok(new: set[int], previous: list[set[int]]) -> bool:
-    # Inclusion-maximal intersections with earlier facets must all be
-    # maximal proper faces of the new facet.
-    caps = [p & new for p in previous]
-    return all(
-        len(c) == len(new) - 1
-        for c in caps
-        if not any(c < other for other in caps)
-    )
+@lru_cache(maxsize=32)
+def _ridge_masks(
+    cx: SimplicialComplex,
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+    """The bitmasks of the shelling step test, the facet at position j
+    of cx.facets (0-based) being bit j.
+
+    Per facet j: the mask of the facets that share a ridge with it, and
+    for each such facet t the pair (t, holders), where holders is the
+    mask of the facets containing the one vertex of j outside t.  Last,
+    per vertex the mask of the facets containing it."""
+    containing = [0] * (cx.n + 1)
+    by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+    for j, f in enumerate(cx.facets):
+        for k, v in enumerate(f):
+            containing[v] |= 1 << j
+            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append((j, v))
+    neighbours = [0] * cx.m
+    pairs: list[list[tuple[int, int]]] = [[] for _ in cx.facets]
+    for sharing in by_ridge.values():
+        for j, v in sharing:
+            for t, _ in sharing:
+                if t != j:
+                    neighbours[j] |= 1 << t
+                    pairs[j].append((t, containing[v]))
+    return tuple(neighbours), tuple(map(tuple, pairs)), tuple(containing)
+
+
+def _extends(pairs: tuple[tuple[int, int], ...], used: int) -> bool:
+    """Whether a facet F, given by its ridge pairs, extends the nonempty
+    shelling prefix whose facets are the bits of used.
+
+    Let R be the vertices v of F such that F minus v lies in a placed
+    facet.  The step is valid exactly when R is nonempty and no placed
+    facet P contains R (R & ~P != 0 for every P): then every maximal
+    intersection of F with a placed facet is a ridge of F.  The placed
+    facets containing R are used ANDed with the holders of each vertex
+    of R, and that AND is used itself when R is empty."""
+    common = used
+    for t, holders in pairs:
+        if used >> t & 1:
+            common &= holders
+    return not common
 
 
 def is_shelling(cx: SimplicialComplex, order: Iterable[int]) -> bool:
     if not cx.is_pure:
         raise NotPure("shellings are defined for pure complexes here")
     seq = _check_permutation(cx, order)
-    placed: list[set[int]] = []
+    _, ridges, _ = _ridge_masks(cx)
+    used = 0
     for j in seq:
-        new = set(cx.facets[j - 1])
-        if placed and not _step_ok(new, placed):
+        if used and not _extends(ridges[j - 1], used):
             return False
-        placed.append(new)
+        used |= 1 << (j - 1)
     return True
+
+
+def _tiers(
+    cx: SimplicialComplex,
+    containing: tuple[int, ...],
+    prefix_vertex: int | None,
+    weights: dict[int, int] | None,
+) -> list[int]:
+    """The facet masks a shelling must exhaust in turn: all facets, or,
+    with a prefix vertex, the facets containing it and then the rest,
+    split by descending weight when weights are given."""
+    full = (1 << cx.m) - 1
+    if prefix_vertex is None:
+        return [full]
+    first = containing[prefix_vertex] if 0 < prefix_vertex <= cx.n else 0
+    rest = full & ~first
+    if not weights:
+        return [first, rest]
+    by_weight: dict[int, int] = {}
+    for j in range(cx.m):
+        if rest >> j & 1:
+            w = weights[j + 1]
+            by_weight[w] = by_weight.get(w, 0) | 1 << j
+    return [first] + [by_weight[w] for w in sorted(by_weight, reverse=True)]
 
 
 def find_shelling(
@@ -87,50 +146,57 @@ def find_shelling(
     that vertex precedes every facet omitting it are considered; with
     weights set as well, the omitting facets must additionally appear
     with non-increasing weight.  Returns the first witness, or None.
+
+    The search is depth-first on an explicit stack, so a long shelling
+    needs no recursion.  Prefixes are facet bitmasks; only facets that
+    share a ridge with a placed one can extend a nonempty prefix, and
+    prefixes that extend to no shelling are remembered.
     """
     if not cx.is_pure:
         raise NotPure("shellings are defined for pure complexes here")
     m = cx.m
     if m == 0:
         return ()
-    sets = [set(f) for f in cx.facets]
-    if prefix_vertex is not None:
-        containing = frozenset(
-            j for j in range(1, m + 1) if prefix_vertex in sets[j - 1]
-        )
-    else:
-        containing = frozenset()
+    neighbours, ridges, containing = _ridge_masks(cx)
+    tiers = _tiers(cx, containing, prefix_vertex, weights)
+    full = (1 << m) - 1
 
-    def allowed(used: frozenset[int]) -> list[int]:
-        unused = [j for j in range(1, m + 1) if j not in used]
-        if prefix_vertex is None:
-            return unused
-        first = [j for j in unused if j in containing]
-        if first:
-            return first
-        if weights:
-            top = max(weights[j] for j in unused)
-            return [j for j in unused if weights[j] == top]
-        return unused
+    def allowed(used: int) -> int:
+        for tier in tiers:
+            if tier & ~used:
+                return tier & ~used
+        return 0
 
     order: list[int] = []
-    dead: set[frozenset[int]] = set()
-
-    def search(used: frozenset[int]) -> bool:
-        if len(used) == m:
-            return True
-        if used in dead:
-            return False
-        for j in allowed(used):
-            if not used or _step_ok(sets[j - 1], [sets[t - 1] for t in used]):
-                order.append(j)
-                if search(used | {j}):
-                    return True
+    dead: set[int] = set()
+    # Open prefixes as [placed facets, their ridge neighbours, untried].
+    stack = [[0, 0, allowed(0)]]
+    while stack:
+        node = stack[-1]
+        used, reach, untried = node
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            j = low.bit_length() - 1
+            if not used or _extends(ridges[j], used):
+                break
+        else:
+            dead.add(used)
+            stack.pop()
+            if order:
                 order.pop()
-        dead.add(used)
-        return False
-
-    return tuple(order) if search(frozenset()) else None
+            continue
+        node[2] = untried
+        order.append(j + 1)
+        grown = used | low
+        if grown == full:
+            return tuple(order)
+        if grown in dead:
+            order.pop()
+            continue
+        reach |= neighbours[j]
+        stack.append([grown, reach, allowed(grown) & reach])
+    return None
 
 
 def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
@@ -205,8 +271,9 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     """
     pure = cx.is_pure
     sc = facet_graph(cx).is_connected() if pure else False
-    shellable = (find_shelling(cx) is not None) if pure else False
     cm = is_cm_complex(cx, field)
+    # A shellable complex is Cohen-Macaulay over every field.
+    shellable = cm and find_shelling(cx) is not None
     mm = cx.has_minimal_multiplicity()
     qt = find_leaf_order(cx) is not None
     try:

@@ -187,6 +187,127 @@ def general_satisfying_reference(mult: MultiplicityAssignment) -> bool:
     return True
 
 
+def random_pure_complex(rng: random.Random, max_n: int = 7, max_m: int = 7) -> SimplicialComplex:
+    """At least two distinct random facets of one size d in 1..3 on
+    1..n, often not strongly connected or shellable; vertices in no
+    facet are left uncovered."""
+    d = rng.choice((1, 2, 3, 3))
+    n = rng.randint(d + 1, max_n)
+    pool = [tuple(f) for f in combinations(range(1, n + 1), d)]
+    return SimplicialComplex(n, rng.sample(pool, rng.randint(2, min(max_m, len(pool)))))
+
+
+def step_ok_reference(new: set[int], previous: list[set[int]]) -> bool:
+    """Reference shelling step: the inclusion-maximal intersections of
+    the new facet with earlier ones must all be its maximal proper faces."""
+    caps = [p & new for p in previous]
+    return all(
+        len(c) == len(new) - 1
+        for c in caps
+        if not any(c < other for other in caps)
+    )
+
+
+def is_shelling_reference(cx: SimplicialComplex, order) -> bool:
+    placed: list[set[int]] = []
+    for j in order:
+        new = set(cx.facets[j - 1])
+        if placed and not step_ok_reference(new, placed):
+            return False
+        placed.append(new)
+    return True
+
+
+def find_shelling_reference(
+    cx: SimplicialComplex, *, prefix_vertex=None, weights=None
+) -> tuple[int, ...] | None:
+    """Reference backtracking shelling search on vertex sets, facets
+    tried in ascending index, with the prefix and weight rules of
+    structure.find_shelling; recursive, so for small complexes only."""
+    m = cx.m
+    if m == 0:
+        return ()
+    sets = [set(f) for f in cx.facets]
+    if prefix_vertex is not None:
+        containing = frozenset(
+            j for j in range(1, m + 1) if prefix_vertex in sets[j - 1]
+        )
+    else:
+        containing = frozenset()
+
+    def allowed(used: frozenset[int]) -> list[int]:
+        unused = [j for j in range(1, m + 1) if j not in used]
+        if prefix_vertex is None:
+            return unused
+        first = [j for j in unused if j in containing]
+        if first:
+            return first
+        if weights:
+            top = max(weights[j] for j in unused)
+            return [j for j in unused if weights[j] == top]
+        return unused
+
+    order: list[int] = []
+    dead: set[frozenset[int]] = set()
+
+    def search(used: frozenset[int]) -> bool:
+        if len(used) == m:
+            return True
+        if used in dead:
+            return False
+        for j in allowed(used):
+            if not used or step_ok_reference(sets[j - 1], [sets[t - 1] for t in used]):
+                order.append(j)
+                if search(used | {j}):
+                    return True
+                order.pop()
+        dead.add(used)
+        return False
+
+    return tuple(order) if search(frozenset()) else None
+
+
+def oracle_reference(mult: MultiplicityAssignment, field: FieldSpec) -> tuple[bool, tuple[int, ...] | None]:
+    """Reference threshold-grid walk: per coordinate the grid {0} union
+    {table values} ascending, each value narrowing the alive facets by a
+    loop over the cuts, memoized on (coordinate, alive mask), every leaf
+    decided by is_cm_complex.  Returns (is Cohen-Macaulay, lex-least
+    failing threshold vector or None); recursive, so for small n only."""
+    from cmlab.homology import is_cm_complex
+
+    cx = mult.complex
+    grids: list[tuple[int, ...]] = []
+    cut: list[list[tuple[int, int]]] = []
+    for i in range(1, cx.n + 1):
+        values = [(j, v) for j, i2, v in mult.entries if i2 == i]
+        grids.append(tuple(sorted({0} | {v for _, v in values})))
+        cut.append([(j - 1, v) for j, v in values])
+    memo: dict[tuple[int, int], tuple[int, ...] | None] = {}
+
+    def suffix(t: int, alive: int) -> tuple[int, ...] | None:
+        key = (t, alive)
+        if key in memo:
+            return memo[key]
+        if t == cx.n:
+            surviving = tuple(f for j, f in enumerate(cx.facets) if alive >> j & 1)
+            memo[key] = None if is_cm_complex(SimplicialComplex(cx.n, surviving), field) else ()
+            return memo[key]
+        for a in grids[t]:
+            narrowed = alive
+            for j0, v in cut[t]:
+                if a >= v:
+                    narrowed &= ~(1 << j0)
+            rest = suffix(t + 1, narrowed)
+            if rest is not None:
+                memo[key] = (a,) + rest
+                return memo[key]
+        memo[key] = None
+        return None
+
+    witness = suffix(0, (1 << cx.m) - 1)
+    return witness is None, witness
+
+
 def exact_matrix(field: FieldSpec, ncols: int, dense) -> ExactMatrix:
     """The ExactMatrix with these dense integer rows of length ncols."""
     assert all(len(r) == ncols for r in dense)

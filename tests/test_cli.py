@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import sys
 import time
 
 import pytest
 
+from cmlab import cli
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
@@ -153,14 +155,38 @@ def test_usage_errors_exit_three(capsys):
     assert "characteristic" in err
 
 
-def test_recursion_exhaustion_exits_three(tmp_path, capsys):
-    # the oracle recurses once per vertex, past the default limit here
-    doc = tmp_path / "simplex.json"
-    doc.write_text(json.dumps({"n": 1100, "facets": [list(range(1, 1101))]}))
-    code, _, err = run(capsys, "check", str(doc), "--method", "oracle")
+def test_recursion_exhaustion_exits_three(monkeypatch, capsys):
+    def exhausted(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "is_cm_ideal_oracle", exhausted)
+    code, _, err = run(capsys, "check", "square-alpha", "--method", "oracle")
     assert code == 3
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
+    assert err == "error: input too large: recursion depth exhausted\n"
+
+
+def test_oracle_and_shelling_searches_need_no_recursion(tmp_path, capsys):
+    # one grid coordinate per vertex and one shelling step per facet,
+    # far past a recursion limit lowered just above the current depth
+    doc = tmp_path / "path.json"
+    doc.write_text(json.dumps({"n": 301, "facets": [[k, k + 1] for k in range(1, 301)]}))
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        oracle = run(capsys, "check", str(doc), "--method", "oracle")
+        general = run(capsys, "check", str(doc), "--method", "general")
+        simplex = tmp_path / "simplex.json"
+        simplex.write_text(json.dumps({"n": 1100, "facets": [list(range(1, 1101))]}))
+        large = run(capsys, "check", str(simplex), "--method", "oracle")
+    finally:
+        sys.setrecursionlimit(limit)
+    assert oracle[:2] == (0, "method: oracle (characteristic 0)\nverdict: Cohen-Macaulay\n")
+    assert general[0] == 2
+    assert "shelling condition: holds" in general[1]
+    assert large[0] == 0 and "verdict: Cohen-Macaulay" in large[1]
 
 
 def test_large_simplex_is_decided_by_auto(tmp_path, capsys):

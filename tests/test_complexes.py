@@ -175,6 +175,22 @@ def test_from_overrides_roundtrip(tree_fixture):
     assert am.vertex_values(1) == ((2, 1), (3, 2), (4, 1), (5, 1), (6, 1))
 
 
+def test_trusted_table_equals_the_validated_one():
+    # the per-vertex index answers as a scan of the entries would
+    rng = random.Random(47)
+    for _ in range(30):
+        cx = random_pure_strongly_connected(rng)
+        am = random_assignment(rng, cx, 4)
+        trusted = MultiplicityAssignment._of_canonical(cx, am.entries)
+        assert trusted == am and hash(trusted) == hash(am)
+        for i in range(cx.n + 2):
+            expected = tuple((j, v) for j, i2, v in am.entries if i2 == i)
+            assert trusted.vertex_values(i) == am.vertex_values(i) == expected
+        assert all(trusted.value(j, i) == v for j, i, v in am.entries)
+        with pytest.raises(MultiplicityDomainMismatch):
+            trusted.value(1, cx.facets[0][0])
+
+
 def test_from_overrides_rejects_bad_keys(tree_fixture):
     with pytest.raises(MultiplicityDomainMismatch):
         MultiplicityAssignment.from_overrides(tree_fixture, {(1, 1): 2})

@@ -17,8 +17,10 @@ from conftest import (
     exact_matrix,
     is_zero,
     matmul,
+    oracle_reference,
     random_assignment,
     random_complex,
+    random_pure_complex,
     random_pure_strongly_connected,
     unpruned_is_cm,
 )
@@ -201,6 +203,24 @@ def test_oracle_witness_is_lex_minimal_failure():
     assert verdict.witness == (0, 2, 2, 0)
     sub = am.threshold_subcomplex(verdict.witness)
     assert not is_cm_complex(sub, RATIONALS)
+
+
+def test_oracle_matches_the_cut_loop_reference():
+    # same verdict and lex-least witness as the recursive walk that
+    # narrows by a loop over the cuts, in chars 0, 2 and 3
+    rng = random.Random(43)
+    complexes = [get_fixture(name).complex for name in fixture_names()]
+    complexes += [random_pure_strongly_connected(rng, max_n=6, max_m=5) for _ in range(15)]
+    complexes += [random_pure_complex(rng, max_n=6, max_m=5) for _ in range(15)]
+    outcomes = set()
+    for cx in complexes:
+        for field in FIELDS:
+            for max_exp in (1, 2, 3):
+                mult = random_assignment(rng, cx, max_exp)
+                verdict = is_cm_ideal_oracle(mult, field)
+                assert tuple(verdict) == oracle_reference(mult, field)
+                outcomes.add((cx == get_fixture("projective-plane").complex, verdict.is_cm))
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 def test_oracle_verdict_is_truthy():

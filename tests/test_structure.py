@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 
 import pytest
 
-from conftest import random_pure_strongly_connected, random_quasi_tree
+from conftest import (
+    find_shelling_reference,
+    is_shelling_reference,
+    random_pure_complex,
+    random_pure_strongly_connected,
+    random_quasi_tree,
+)
 
-from cmlab import RATIONALS, get_fixture
+from cmlab import GF2, RATIONALS, get_fixture, structure
 from cmlab.complexes import SimplicialComplex, leaf_branches
 from cmlab.errors import (
     FacetIndexOutOfRange,
@@ -79,6 +86,40 @@ def test_find_shelling_weight_constraint(tree_fixture):
     assert find_shelling(tree_fixture, prefix_vertex=8, weights=weights) is None
     flat = {j: 1 for j in range(1, 7)}
     assert find_shelling(tree_fixture, prefix_vertex=8, weights=flat) is not None
+
+
+def test_find_shelling_matches_the_set_based_reference():
+    # same first witness as the search on vertex sets, with and without
+    # a prefix vertex and weights, on shellable and non-shellable input
+    rng = random.Random(41)
+    shellable = 0
+    for k in range(2000):
+        if k % 2:
+            cx = random_pure_complex(rng)
+        else:
+            cx = random_pure_strongly_connected(rng, max_n=7, max_m=7)
+        order = find_shelling(cx)
+        assert order == find_shelling_reference(cx)
+        shellable += order is not None
+        v = rng.randint(1, cx.n)
+        weights = {j: rng.randint(1, 3) for j in range(1, cx.m + 1)}
+        for kwargs in ({"prefix_vertex": v}, {"prefix_vertex": v, "weights": weights}):
+            assert find_shelling(cx, **kwargs) == find_shelling_reference(cx, **kwargs)
+        perm = rng.sample(range(1, cx.m + 1), cx.m)
+        assert is_shelling(cx, perm) == is_shelling_reference(cx, perm)
+    assert shellable > 1000 and 2000 - shellable > 250
+
+
+def test_shelling_search_remembers_dead_prefixes():
+    # two 4-cross-polytope boundaries wedged at a vertex: the search must
+    # exhaust one sphere's shellable prefixes once, not once per order
+    cross = list(itertools.product((1, 2), (3, 4), (5, 6), (7, 8)))
+    wedge = SimplicialComplex.from_facets(
+        15, cross + [tuple(1 if v == 1 else v + 7 for v in f) for f in cross]
+    )
+    start = time.perf_counter()
+    assert find_shelling(wedge) is None
+    assert time.perf_counter() - start < 10
 
 
 def test_is_leaf_frozen_cases(tree_fixture):
@@ -188,6 +229,27 @@ def test_classify_nonpure():
     assert not flags["strongly_connected"]
     assert not flags["shellable"]
     assert not flags["cohen_macaulay"]
+
+
+def test_classify_skips_the_shelling_search_on_complexes_that_are_not_cm(monkeypatch):
+    # shellable implies Cohen-Macaulay over every field, so the report
+    # equals one from the unfiltered search, which never runs here
+    octahedron = list(itertools.product((1, 2), (3, 4), (5, 6)))
+    wedge = SimplicialComplex.from_facets(
+        11, octahedron + [tuple(1 if v == 1 else v + 5 for v in f) for f in octahedron]
+    )
+    cases = [
+        (wedge, RATIONALS),
+        (SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]), RATIONALS),
+        (get_fixture("projective-plane").complex, GF2),
+    ]
+    searched = []
+    monkeypatch.setattr(structure, "find_shelling", lambda cx, **kw: searched.append(cx))
+    for cx, field in cases:
+        report = classify(cx, field)
+        assert not report.cohen_macaulay
+        assert report == report._replace(shellable=find_shelling_reference(cx) is not None)
+    assert searched == []
 
 
 def test_classify_equivalence_on_random_corpus():
