@@ -15,6 +15,7 @@ import itertools
 from bisect import bisect_left
 from functools import lru_cache
 from math import comb
+from operator import itemgetter, ne
 from typing import Iterable, Mapping
 
 from .errors import (
@@ -239,13 +240,9 @@ def leaf_branches(facets: tuple[Face, ...], idx: int) -> tuple[int, ...]:
     )
 
 
-def _exponent_domain(cx: SimplicialComplex) -> tuple[tuple[int, int], ...]:
-    return tuple(
-        (j, i)
-        for j, facet in enumerate(cx.facets, start=1)
-        for i in range(1, cx.n + 1)
-        if i not in facet
-    )
+def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
+    vertices = range(1, cx.n + 1)
+    return [(j, i) for j, f in enumerate(cx.facets, start=1) for i in vertices if i not in f]
 
 
 def _validated_entries(
@@ -255,17 +252,22 @@ def _validated_entries(
     kind: str,
 ) -> tuple[tuple[int, int, int], ...]:
     domain = _exponent_domain(cx)
-    given = [(j, i) for j, i, _ in entries]
-    if sorted(given) != sorted(domain):
-        raise MultiplicityDomainMismatch(
-            f"{kind} must cover each (facet, missing vertex) pair exactly once"
-        )
+    pair = itemgetter(0, 1)
+    ordered = entries
+    if len(entries) != len(domain) or any(map(ne, map(pair, entries), domain)):
+        # Sorted by the pair alone, so a repeated pair whose values do not
+        # compare is still reported as a domain mismatch.
+        ordered = tuple(sorted(entries, key=pair))
+        if list(map(pair, ordered)) != domain:
+            raise MultiplicityDomainMismatch(
+                f"{kind} must cover each (facet, missing vertex) pair exactly once"
+            )
     for j, i, v in entries:
         if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
             raise MultiplicityDomainMismatch(
                 f"{kind} value at facet {j}, vertex {i} must be an integer >= {minimum}, got {v!r}"
             )
-    return tuple(sorted(entries))
+    return ordered
 
 
 class MultiplicityAssignment(Frozen):
@@ -314,7 +316,7 @@ class MultiplicityAssignment(Frozen):
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
-        return cls(cx, tuple((j, i, value) for j, i in _exponent_domain(cx)))
+        return cls(cx, [(j, i, value) for j, i in _exponent_domain(cx)])
 
     @classmethod
     def from_overrides(

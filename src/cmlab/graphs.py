@@ -1,7 +1,7 @@
 """Graphs whose nodes are facets: the adjacency graph of a pure
 complex, its per-vertex variants with a formal root, the rooted
-breadth-first walk behind every traversal and vertex restriction, and
-relation trees of quasi-trees.
+breadth-first walk behind every traversal and vertex restriction, leaf
+orders of quasi-forests, and relation trees of quasi-trees.
 
 Nodes are 1-based facet indices into the complex's canonical facet
 list; node 0 is reserved for the formal root of per-vertex graphs.
@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import Collection, Iterable, Iterator, Mapping
+from itertools import chain, combinations, product
+from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
 from .complexes import Frozen, SimplicialComplex, leaf_branches
 from .errors import (
@@ -33,6 +34,8 @@ __all__ = [
     "root_orientation",
     "rooted_walk",
     "restriction_edges",
+    "LeafOrder",
+    "find_leaf_order",
     "relation_trees",
 ]
 
@@ -118,20 +121,24 @@ def root_orientation(g: FacetLevelGraph, root: int) -> tuple[tuple[int, int], ..
     return directed
 
 
+def _ridge_cliques(cx: SimplicialComplex) -> list[list[int]]:
+    """Per ridge that two or more facets of the pure complex share, those
+    facets, ascending: the cliques whose union is the facet graph."""
+    by_ridge: dict[tuple[int, ...], list[int]] = {}
+    for j, f in enumerate(cx.facets, start=1):
+        for k in range(len(f)):
+            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append(j)
+    return [js for js in by_ridge.values() if len(js) > 1]
+
+
 @lru_cache(maxsize=256)
 def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
-    """Nodes 1..m; an edge joins two facets meeting in size dim."""
+    """Nodes 1..m; an edge joins two facets meeting in size dim, that
+    is, sharing a ridge."""
     if not cx.is_pure:
         raise NotPure("the facet graph requires a pure complex")
-    d = cx.dim
-    sets = [set(f) for f in cx.facets]
-    edges = [
-        (a + 1, b + 1)
-        for a in range(cx.m)
-        for b in range(a + 1, cx.m)
-        if len(sets[a] & sets[b]) == d
-    ]
-    return FacetLevelGraph(tuple(range(1, cx.m + 1)), tuple(edges))
+    edges = [e for js in _ridge_cliques(cx) for e in combinations(js, 2)]
+    return FacetLevelGraph(tuple(range(1, cx.m + 1)), edges)
 
 
 @lru_cache(maxsize=1024)
@@ -173,50 +180,65 @@ def restriction_edges(
         yield tuple(edges)
 
 
+class LeafOrder(NamedTuple):
+    """Facet order where each facet is a leaf of the preceding ones,
+    with the chosen branch recorded per position (None for the first)."""
+
+    order: tuple[int, ...]
+    branches: tuple[int | None, ...]
+
+
+def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
+    """Greedy reverse construction: repeatedly remove the lowest-index
+    leaf of what remains.  Cross-checked against the exhaustive search
+    in the test suite."""
+    remaining = list(range(1, cx.m + 1))
+    removed: list[tuple[int, int]] = []
+    while len(remaining) > 1:
+        step = None
+        sub = tuple(cx.facets[t - 1] for t in remaining)
+        for pos, j in enumerate(remaining):
+            branches = leaf_branches(sub, pos)
+            if branches:
+                step = (j, remaining[branches[0]])
+                break
+        if step is None:
+            return None
+        removed.append(step)
+        remaining.remove(step[0])
+    order = tuple(remaining) + tuple(j for j, _ in reversed(removed))
+    branches = (None,) * len(remaining) + tuple(g for _, g in reversed(removed))
+    return LeafOrder(order, branches)
+
+
+def _clique_trees(nodes: list[int]) -> list[list[tuple[int, int]]]:
+    """Every spanning tree of the complete graph on the ascending nodes,
+    decoded from its Pruefer sequence; the last node is never removed."""
+    trees = []
+    for code in product(nodes, repeat=len(nodes) - 2):
+        degree = {v: code.count(v) + 1 for v in nodes}
+        edges = []
+        for x in code + (nodes[-1],):
+            leaf = next(v for v in nodes if degree[v] == 1)
+            edges.append((leaf, x))
+            degree[leaf] = 0
+            degree[x] -= 1
+        trees.append(edges)
+    return trees
+
+
 @lru_cache(maxsize=32)
 def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
-    """All trees obtainable by recursive leaf removal with branch
-    choice, deduplicated by edge set and canonically sorted.
-
-    Restricted to strongly connected quasi-trees so that each result is
-    a spanning tree of the facet graph; anything else is rejected.
-    """
+    """The relation trees of a strongly connected quasi-tree, sorted by
+    edges; anything else is rejected.  They are the spanning trees of the
+    facet graph, a block graph whose blocks are the cliques of facets
+    sharing a ridge (along a leaf order each new facet meets its earlier
+    ridge neighbours in one ridge), so each is one tree per clique."""
     if not cx.is_pure or not facet_graph(cx).is_connected():
         raise NotQuasiTree("relation trees need a pure, strongly connected complex")
-    all_indices = frozenset(range(cx.m))
-    memo: dict[frozenset[int], frozenset[frozenset[tuple[int, int]]]] = {}
-
-    def grow(present: frozenset[int]) -> frozenset[frozenset[tuple[int, int]]]:
-        if present in memo:
-            return memo[present]
-        if len(present) == 1:
-            result = frozenset({frozenset()})
-            memo[present] = result
-            return result
-        sub = tuple(cx.facets[j] for j in sorted(present))
-        back = sorted(present)
-        out: set[frozenset[tuple[int, int]]] = set()
-        for pos, j in enumerate(back):
-            branches = leaf_branches(sub, pos)
-            if not branches:
-                continue
-            rest = grow(present - {j})
-            if not rest:
-                # Removing a leaf leaves a quasi-forest, so no leaf
-                # order can start here if none starts after removing j.
-                out.clear()
-                break
-            for g in branches:
-                edge = (min(j, back[g]) + 1, max(j, back[g]) + 1)
-                out.update(t | {edge} for t in rest)
-        result = frozenset(out)
-        memo[present] = result
-        return result
-
-    trees = grow(all_indices)
-    if not trees:
+    if find_leaf_order(cx) is None:
         raise NotQuasiTree("no leaf order exists")
+    cliques = [_clique_trees(js) for js in _ridge_cliques(cx)]
     nodes = tuple(range(1, cx.m + 1))
-    built = [FacetLevelGraph(nodes, tuple(t)) for t in trees]
+    built = (FacetLevelGraph(nodes, chain.from_iterable(p)) for p in product(*cliques))
     return tuple(sorted(built, key=lambda g: g.edges))
-

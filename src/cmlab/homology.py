@@ -245,8 +245,9 @@ def is_cm_ideal_oracle(
     The walk is depth-first on an explicit stack over (coordinate,
     alive-facet mask) states, so n coordinates need no recursion; a
     state from which every completion stays Cohen-Macaulay is
-    remembered for the call, and each surviving facet mask is decided
-    once per complex and field.
+    remembered for the call, a state with at most one facet (every
+    narrowing a simplex or void) is never entered, and each surviving
+    facet mask is decided once per complex and field.
     """
     cx = mult.complex
     n = cx.n
@@ -278,6 +279,8 @@ def is_cm_ideal_oracle(
             continue
         nxt[t] = k + 1
         narrowed = alive[t] & ~cuts[t][k][1]
+        if not narrowed & (narrowed - 1):
+            continue
         if t + 1 == n:
             if not cm(narrowed):
                 witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))

@@ -1,4 +1,4 @@
-"""Shellability search, leaf orders of quasi-forests, free-vertex
+"""Shellability search, the leaf test of quasi-forests, free-vertex
 checks, and the minimal-multiplicity classification report.
 """
 
@@ -17,7 +17,7 @@ from .errors import (
     NotShellable,
     NotTreeFacetGraph,
 )
-from .graphs import facet_graph, is_tree
+from .graphs import LeafOrder, facet_graph, find_leaf_order, is_tree
 from .homology import RATIONALS, FieldSpec, is_cm_complex
 
 __all__ = [
@@ -212,37 +212,6 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
     if branches:
         return True, branches[0] + 1
     return False, None
-
-
-class LeafOrder(NamedTuple):
-    """Facet order where each facet is a leaf of the preceding ones,
-    with the chosen branch recorded per position (None for the first)."""
-
-    order: tuple[int, ...]
-    branches: tuple[int | None, ...]
-
-
-def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
-    """Greedy reverse construction: repeatedly remove the lowest-index
-    leaf of what remains.  Cross-checked against the exhaustive search
-    in the test suite."""
-    remaining = list(range(1, cx.m + 1))
-    removed: list[tuple[int, int]] = []
-    while len(remaining) > 1:
-        step = None
-        sub = tuple(cx.facets[t - 1] for t in remaining)
-        for pos, j in enumerate(remaining):
-            branches = leaf_branches(sub, pos)
-            if branches:
-                step = (j, remaining[branches[0]])
-                break
-        if step is None:
-            return None
-        removed.append(step)
-        remaining.remove(step[0])
-    order = tuple(remaining) + tuple(j for j, _ in reversed(removed))
-    branches = (None,) * len(remaining) + tuple(g for _, g in reversed(removed))
-    return LeafOrder(order, branches)
 
 
 class ClassificationReport(NamedTuple):

@@ -122,6 +122,53 @@ def restrict_relation_tree(
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
 
 
+def relation_trees_reference(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
+    """Reference relation trees: every tree obtainable by recursive leaf
+    removal with branch choice, deduplicated by edge set and sorted by
+    edges, with the gate and messages of graphs.relation_trees.
+    Memoized on the remaining facets; recursive, so for small complexes
+    only."""
+    from cmlab.complexes import leaf_branches
+    from cmlab.errors import NotQuasiTree
+    from cmlab.graphs import facet_graph
+
+    if not cx.is_pure or not facet_graph(cx).is_connected():
+        raise NotQuasiTree("relation trees need a pure, strongly connected complex")
+    memo: dict[frozenset[int], frozenset[frozenset[tuple[int, int]]]] = {}
+
+    def grow(present: frozenset[int]) -> frozenset[frozenset[tuple[int, int]]]:
+        if present in memo:
+            return memo[present]
+        if len(present) == 1:
+            memo[present] = frozenset({frozenset()})
+            return memo[present]
+        back = sorted(present)
+        sub = tuple(cx.facets[j] for j in back)
+        out: set[frozenset[tuple[int, int]]] = set()
+        for pos, j in enumerate(back):
+            branches = leaf_branches(sub, pos)
+            if not branches:
+                continue
+            rest = grow(present - {j})
+            if not rest:
+                # Removing a leaf leaves a quasi-forest, so no leaf
+                # order can start here if none starts after removing j.
+                out.clear()
+                break
+            for g in branches:
+                edge = (min(j, back[g]) + 1, max(j, back[g]) + 1)
+                out.update(t | {edge} for t in rest)
+        memo[present] = frozenset(out)
+        return memo[present]
+
+    trees = grow(frozenset(range(cx.m)))
+    if not trees:
+        raise NotQuasiTree("no leaf order exists")
+    nodes = tuple(range(1, cx.m + 1))
+    built = [FacetLevelGraph(nodes, tuple(t)) for t in trees]
+    return tuple(sorted(built, key=lambda g: g.edges))
+
+
 def random_attach_quasitree(rng: random.Random, profile) -> SimplicialComplex:
     """Triangles glued along edges: for each k in profile, an edge that
     only one earlier triangle holds receives k-1 new triangles, each with

@@ -166,8 +166,9 @@ def test_recursion_exhaustion_exits_three(monkeypatch, capsys):
 
 
 def test_oracle_and_shelling_searches_need_no_recursion(tmp_path, capsys):
-    # one grid coordinate per vertex and one shelling step per facet,
-    # far past a recursion limit lowered just above the current depth
+    # one grid coordinate per vertex, one shelling step and one leaf
+    # removal per facet, far past a recursion limit lowered just above
+    # the current depth
     doc = tmp_path / "path.json"
     doc.write_text(json.dumps({"n": 301, "facets": [[k, k + 1] for k in range(1, 301)]}))
     depth, frame = 0, sys._getframe()
@@ -178,6 +179,7 @@ def test_oracle_and_shelling_searches_need_no_recursion(tmp_path, capsys):
     try:
         oracle = run(capsys, "check", str(doc), "--method", "oracle")
         general = run(capsys, "check", str(doc), "--method", "general")
+        quasitree = run(capsys, "check", str(doc), "--method", "quasitree")
         simplex = tmp_path / "simplex.json"
         simplex.write_text(json.dumps({"n": 1100, "facets": [list(range(1, 1101))]}))
         large = run(capsys, "check", str(simplex), "--method", "oracle")
@@ -186,6 +188,11 @@ def test_oracle_and_shelling_searches_need_no_recursion(tmp_path, capsys):
     assert oracle[:2] == (0, "method: oracle (characteristic 0)\nverdict: Cohen-Macaulay\n")
     assert general[0] == 2
     assert "shelling condition: holds" in general[1]
+    path_edges = " ".join(f"{k}-{k + 1}" for k in range(1, 300))
+    assert quasitree[:2] == (
+        0,
+        f"method: quasitree\nverdict: Cohen-Macaulay\nwitness tree edges: {path_edges}\n",
+    )
     assert large[0] == 0 and "verdict: Cohen-Macaulay" in large[1]
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import pickle
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -189,6 +190,26 @@ def test_trusted_table_equals_the_validated_one():
         assert all(trusted.value(j, i) == v for j, i, v in am.entries)
         with pytest.raises(MultiplicityDomainMismatch):
             trusted.value(1, cx.facets[0][0])
+
+
+def test_table_validation_sorts_by_pair_and_names_the_first_bad_value(tree_fixture):
+    ones = MultiplicityAssignment.constant(tree_fixture)
+    shuffled = list(ones.entries)
+    random.Random(3).shuffle(shuffled)
+    assert MultiplicityAssignment(tree_fixture, shuffled) == ones
+    cover = "exponent table must cover each (facet, missing vertex) pair exactly once"
+    (j, i, _), rest = ones.entries[0], ones.entries[1:]
+    # a repeated pair whose values do not compare is a domain mismatch
+    for entries in (rest, rest + ((j + 1, i, 1),), ((j, i, "x"), (j, i, None)) + rest):
+        with pytest.raises(MultiplicityDomainMismatch, match=re.escape(cover)):
+            MultiplicityAssignment(tree_fixture, entries)
+    bad = shuffled[:5] + [(a, b, 0) for a, b, _ in shuffled[5:7]] + shuffled[7:]
+    a, b, _ = shuffled[5]
+    with pytest.raises(
+        MultiplicityDomainMismatch,
+        match=re.escape(f"value at facet {a}, vertex {b} must be an integer >= 1, got 0"),
+    ):
+        MultiplicityAssignment(tree_fixture, bad)
 
 
 def test_from_overrides_rejects_bad_keys(tree_fixture):

@@ -13,8 +13,11 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    random_attach_quasitree,
+    random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
+    relation_trees_reference,
     restrict_relation_tree,
     strongly_connected_by_bfs,
 )
@@ -77,6 +80,21 @@ def test_facet_graph_requires_pure():
     mixed = SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]])
     with pytest.raises(NotPure):
         facet_graph(mixed)
+
+
+def test_facet_graph_joins_facets_meeting_in_dim_vertices():
+    # built from shared ridges; checked against pairwise intersections
+    rng = random.Random(5)
+    complexes = [random_pure_complex(rng) for _ in range(150)]
+    complexes += [SimplicialComplex(3, ((),)), SimplicialComplex(3, ())]
+    for cx in complexes:
+        sets = [set(f) for f in cx.facets]
+        expected = tuple(
+            (a, b)
+            for a, b in combinations(range(1, cx.m + 1), 2)
+            if len(sets[a - 1] & sets[b - 1]) == cx.dim
+        )
+        assert facet_graph(cx).edges == expected
 
 
 def test_strong_connectivity_matches_graph_connectivity():
@@ -290,15 +308,47 @@ def test_relation_trees_give_up_at_the_first_dead_end():
 
 
 def test_relation_trees_exist_exactly_when_a_leaf_order_does():
+    # relation_trees gates on find_leaf_order, so the leaf-removal
+    # reference is what checks the equivalence
     rng = random.Random(41)
     for _ in range(400):
         cx = random_pure_strongly_connected(rng, max_n=7, max_m=6)
         try:
-            relation_trees(cx)
+            relation_trees_reference(cx)
             found = True
         except NotQuasiTree:
             found = False
         assert found == (find_leaf_order(cx) is not None)
+
+
+def _outcome(fn, cx):
+    try:
+        return fn(cx)
+    except NotQuasiTree as exc:
+        return type(exc), str(exc)
+
+
+def test_relation_trees_match_the_leaf_removal_reference():
+    # same trees in the same order, or the same exception and message
+    rng = random.Random(47)
+    complexes = [random_pure_strongly_connected(rng, max_n=7, max_m=6) for _ in range(1200)]
+    complexes += [random_quasi_tree(rng, max_m=6) for _ in range(400)]
+    complexes += [
+        random_attach_quasitree(rng, [rng.randint(2, 4) for _ in range(rng.randint(1, 3))])
+        for _ in range(100)
+    ]
+    complexes += [random_pure_complex(rng, max_m=6) for _ in range(300)]
+    complexes += [
+        SimplicialComplex.from_facets(m + 1, [(k, m + 1) for k in range(1, m + 1)])
+        for m in range(1, 7)
+    ]
+    complexes += [_annulus_with_pendants(p) for p in (0, 1, 3)]
+    several = 0
+    for cx in complexes:
+        expected = _outcome(relation_trees_reference, cx)
+        assert _outcome(relation_trees, cx) == expected
+        several += isinstance(expected[0], FacetLevelGraph) and len(expected) > 1
+    assert len(complexes) >= 2000 and several >= 500
 
 
 def test_graph_caches_are_bounded(tree_fixture):

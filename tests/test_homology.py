@@ -22,12 +22,14 @@ from conftest import (
     random_complex,
     random_pure_complex,
     random_pure_strongly_connected,
+    random_tree_satisfying,
     unpruned_is_cm,
 )
 
 from cmlab import GF2, RATIONALS, fixture_names, get_fixture
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
+from cmlab.graphs import ROOT, root_orientation, vertex_graph
 from cmlab.homology import (
     _PRIME_LIMIT,
     ExactMatrix,
@@ -221,6 +223,33 @@ def test_oracle_matches_the_cut_loop_reference():
                 assert tuple(verdict) == oracle_reference(mult, field)
                 outcomes.add((cx == get_fixture("projective-plane").complex, verdict.is_cm))
     assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    # stacked paths are Cohen-Macaulay balls with a path facet graph, so
+    # by the tree criterion a tree-satisfying table gives a Cohen-Macaulay
+    # ideal and raising one child above its parent gives one that is not
+    for d in (2, 3):
+        path = SimplicialComplex.from_facets(11 + d, [range(k, k + d) for k in range(1, 13)])
+        for _ in range(2):
+            held = random_tree_satisfying(rng, path, 3)
+            for mult, is_cm in ((held, True), (_raise_one_child(rng, held), False)):
+                for field in FIELDS:
+                    verdict = is_cm_ideal_oracle(mult, field)
+                    assert tuple(verdict) == oracle_reference(mult, field)
+                    assert verdict.is_cm == is_cm
+
+
+def _raise_one_child(rng: random.Random, mult: MultiplicityAssignment) -> MultiplicityAssignment:
+    """The table with one facet's value above its parent's in a rooted
+    vertex graph of the tree complex."""
+    cx = mult.complex
+    i, parent, child = rng.choice([
+        (i, h, k)
+        for i in range(1, cx.n + 1)
+        for h, k in root_orientation(vertex_graph(cx, i), ROOT)
+        if h != ROOT
+    ])
+    table = {(j, v): x for j, v, x in mult.entries}
+    table[(child, i)] = table[(parent, i)] + 1
+    return MultiplicityAssignment(cx, tuple((j, v, x) for (j, v), x in table.items()))
 
 
 def test_oracle_verdict_is_truthy():

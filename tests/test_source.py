@@ -22,6 +22,28 @@ def test_no_assert_statements():
     assert found == []
 
 
+def test_no_function_calls_itself():
+    # long inputs must not run into the recursion limit, so every search
+    # keeps its own stack
+    found = [
+        f"{path.name}:{call.lineno}: {fn.name}"
+        for path in sorted(Path(cmlab.__file__).parent.glob("*.py"))
+        for fn in ast.walk(ast.parse(path.read_text()))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and (
+            isinstance(call.func, ast.Name)
+            and call.func.id == fn.name
+            or isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Name)
+            and call.func.value.id in ("self", "cls")
+            and call.func.attr == fn.name
+        )
+    ]
+    assert found == []
+
+
 INEXACT_MODULES = {"fractions", "decimal", "cmath"}
 
 
