@@ -28,7 +28,7 @@ from .errors import (
     ParseError,
 )
 from .fixtures import fixture_names, get_fixture, problem_json
-from .graphs import ROOT, facet_graph, relation_trees, vertex_graph
+from .graphs import ROOT, clique_trees, facet_graph, vertex_graph
 from .homology import FieldSpec, is_cm_ideal_oracle
 from .ideals import expand_ideal, irreducible_component, render_ideal
 from .satisfying import (
@@ -179,7 +179,7 @@ def _applies(method: str, cx, field) -> bool:
         if method == "tree":
             require_tree_case(cx, field)
         elif method == "quasitree":
-            relation_trees(cx)
+            clique_trees(cx)
         else:
             return find_shelling(cx) is not None
     except (HypothesesViolated, NotQuasiTree, NotPure):

@@ -36,10 +36,13 @@ __all__ = [
     "restriction_edges",
     "LeafOrder",
     "find_leaf_order",
+    "clique_trees",
     "relation_trees",
 ]
 
 ROOT = 0
+# a spanning tree of one ridge clique, as bottom-up (child, parent) pairs
+CliqueTree = tuple[tuple[int, int], ...]
 
 
 def _canonical_edges(edges) -> tuple[tuple[int, int], ...]:
@@ -211,20 +214,30 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
     return LeafOrder(order, branches)
 
 
-def _clique_trees(nodes: list[int]) -> list[list[tuple[int, int]]]:
-    """Every spanning tree of the complete graph on the ascending nodes,
-    decoded from its Pruefer sequence; the last node is never removed."""
-    trees = []
-    for code in product(nodes, repeat=len(nodes) - 2):
-        degree = {v: code.count(v) + 1 for v in nodes}
-        edges = []
-        for x in code + (nodes[-1],):
-            leaf = next(v for v in nodes if degree[v] == 1)
-            edges.append((leaf, x))
-            degree[leaf] = 0
-            degree[x] -= 1
-        trees.append(edges)
-    return trees
+@lru_cache(maxsize=32)
+def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
+    """Per ridge clique of a strongly connected quasi-tree, every spanning
+    tree of the clique sorted by edges; anything else is rejected.  Each
+    tree is its Pruefer decoding, (leaf, neighbour) pairs that list the
+    edges bottom-up as (child, parent) under the clique's last facet."""
+    if not cx.is_pure or not facet_graph(cx).is_connected():
+        raise NotQuasiTree("relation trees need a pure, strongly connected complex")
+    if find_leaf_order(cx) is None:
+        raise NotQuasiTree("no leaf order exists")
+    cliques = []
+    for nodes in _ridge_cliques(cx):
+        trees = []
+        for code in product(nodes, repeat=len(nodes) - 2):
+            degree = {v: code.count(v) + 1 for v in nodes}
+            edges = []
+            for x in code + (nodes[-1],):
+                leaf = next(v for v in nodes if degree[v] == 1)
+                edges.append((leaf, x))
+                degree[leaf] = 0
+                degree[x] -= 1
+            trees.append(tuple(edges))
+        cliques.append(tuple(sorted(trees, key=_canonical_edges)))
+    return tuple(cliques)
 
 
 @lru_cache(maxsize=32)
@@ -234,11 +247,6 @@ def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     facet graph, a block graph whose blocks are the cliques of facets
     sharing a ridge (along a leaf order each new facet meets its earlier
     ridge neighbours in one ridge), so each is one tree per clique."""
-    if not cx.is_pure or not facet_graph(cx).is_connected():
-        raise NotQuasiTree("relation trees need a pure, strongly connected complex")
-    if find_leaf_order(cx) is None:
-        raise NotQuasiTree("no leaf order exists")
-    cliques = [_clique_trees(js) for js in _ridge_cliques(cx)]
     nodes = tuple(range(1, cx.m + 1))
-    built = (FacetLevelGraph(nodes, chain.from_iterable(p)) for p in product(*cliques))
+    built = (FacetLevelGraph(nodes, chain.from_iterable(p)) for p in product(*clique_trees(cx)))
     return tuple(sorted(built, key=lambda g: g.edges))

@@ -20,11 +20,13 @@ from .errors import (
 )
 from .graphs import (
     ROOT,
+    CliqueTree,
     FacetLevelGraph,
+    clique_trees,
     facet_graph,
     is_tree,
-    relation_trees,
     restriction_edges,
+    rooted_walk,
     vertex_graph,
 )
 from .homology import RATIONALS, FieldSpec
@@ -88,91 +90,81 @@ def check_cm_tree_case(
 
 
 @lru_cache(maxsize=32)
-def _tree_masks(
+def _clique_masks(
     cx: SimplicialComplex,
-) -> tuple[tuple[FacetLevelGraph, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """The relation trees in canonical order, every oriented facet-facet
-    edge (vertex i, parent, child) of their vertex restrictions, and per
-    tree the mask of its edges: bit b stands for edge b."""
-    trees = relation_trees(cx)
-    return (trees, *_edge_masks(cx, trees))
+) -> tuple[tuple[tuple[CliqueTree, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]], ...]:
+    """Per ridge clique: its trees in clique_trees' order, the oriented
+    facet-facet edges (vertex i, parent, child) they put into the vertex
+    restrictions of a relation tree, and per tree the mask of its edges:
+    bit b stands for the clique's edge b.
 
-
-def _edge_masks(
-    cx: SimplicialComplex, trees: Iterable[FacetLevelGraph]
-) -> tuple[tuple[tuple[int, int, int], ...], tuple[int, ...]]:
-    """The oriented facet-facet edges of restriction_edges(cx, trees), as
-    a list of distinct edges and one bitmask per tree over it, raising
-    what restriction_edges raises.
-
-    A tree edge p-c between two facets omitting i splits the facets in
-    two sides.  With C_i the facets containing i, the restriction to i
-    orients it p -> c when no facet of C_i lies on c's side, c -> p when
-    none lies on p's side, and is no tree when both sides hold one, or
-    when C_i is empty.  Each tree is rooted once at facet 1, so c's side
-    is the subtree mask of c, and the edge bits are worked out once per
-    distinct split (p, c, c's side) rather than once per tree."""
+    A clique-tree edge p-c has on c's side the facets hanging from c's
+    subtree.  The facets containing i form a subtree of every relation
+    tree, so the restriction to i orients p -> c when none of them lies
+    on c's side and c -> p otherwise; with none at all it is no tree.
+    The bits are worked out once per distinct split (c, p, c's side)."""
+    cliques = clique_trees(cx)
     containing = [0] * (cx.n + 1)
     for j, f in enumerate(cx.facets, start=1):
         for i in f:
             containing[i] |= 1 << j
-    uncovered = sum(1 << i for i in range(1, cx.n + 1) if not containing[i])
-    bits: dict[tuple[int, int, int], int] = {}
-    splits: dict[tuple[int, int, int], tuple[int, int]] = {}
-    masks = []
-    for tree in trees:
-        parent = {1: ROOT}
-        order = [1]
-        for h in order:
-            for k in tree.adjacency[h]:
-                if k not in parent:
-                    parent[k] = h
-                    order.append(k)
-        side = {j: 1 << j for j in order}
-        mask, failing = 0, uncovered
-        for c in reversed(order[1:]):
-            p, below = parent[c], side[c]
-            side[p] |= below
-            split = splits.get((p, c, below))
-            if split is None:
-                edge_mask = broken = 0
-                ends = 1 << p | 1 << c
-                for i in range(1, cx.n + 1):
-                    held = containing[i]
-                    if not held or held & ends:
-                        continue
-                    if not held & below:
-                        edge = (i, p, c)
-                    elif not held & ~below:
-                        edge = (i, c, p)
-                    else:
-                        broken |= 1 << i
-                        continue
-                    edge_mask |= 1 << bits.setdefault(edge, len(bits))
-                split = splits[p, c, below] = (edge_mask, broken)
-            mask |= split[0]
-            failing |= split[1]
-        if failing:
-            i = (failing & -failing).bit_length() - 1
-            raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
-        masks.append(mask)
-    return tuple(bits), tuple(masks)
+    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
+    if uncovered:
+        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
+    walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
+    parent = {c: p for p, c in walk}
+    below = {j: 1 << j for j in range(1, cx.m + 1)}
+    for p, c in reversed(walk):
+        below[p] |= below[c]
+    out = []
+    for trees in cliques:
+        # hang[j]: the facets left with j when a relation tree drops the clique's
+        # edges, j's walk subtree (all facets at the clique's top) minus its clique children's
+        nodes = {j for edge in trees[0] for j in edge}
+        hang = {j: below[j] if parent.get(j) in nodes else below[1] for j in nodes}
+        for k in nodes:
+            if parent.get(k) in nodes:
+                hang[parent[k]] &= ~below[k]
+        bits: dict[tuple[int, int, int], int] = {}
+        splits: dict[tuple[int, int, int], int] = {}
+        masks = []
+        for tree in trees:
+            side, mask = dict(hang), 0
+            for c, p in tree:
+                split = splits.get((c, p, side[c]))
+                if split is None:
+                    split, ends = 0, 1 << p | 1 << c
+                    for i in range(1, cx.n + 1):
+                        held = containing[i]
+                        if not held & ends:
+                            edge = (i, c, p) if held & side[c] else (i, p, c)
+                            split |= 1 << bits.setdefault(edge, len(bits))
+                    splits[c, p, side[c]] = split
+                mask |= split
+                side[p] |= side[c]
+            masks.append(mask)
+        out.append((trees, tuple(bits), tuple(masks)))
+    return tuple(out)
 
 
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     """Search for one relation tree whose every vertex restriction
     satisfies the non-increase condition; the first such tree in
-    canonical order is returned as witness.  The table only decides
-    which oriented edges grow; the trees' edge masks are per complex."""
-    trees, edges, masks = _tree_masks(mult.complex)
-    grown = 0
-    for b, (i, h, k) in enumerate(edges):
-        if mult.value(h, i) < mult.value(k, i):
-            grown |= 1 << b
-    for tree, mask in zip(trees, masks):
-        if not mask & grown:
-            return SatisfyingVerdict(True, (), tree)
-    return SatisfyingVerdict(False, (), None)
+    canonical order is returned as witness.  A relation tree passes
+    exactly when its tree in every ridge clique does, so each clique
+    takes its first tree whose mask misses the edges along which the
+    table grows, and the witness is the union of those trees."""
+    chosen: list[tuple[int, int]] = []
+    for trees, edges, masks in _clique_masks(mult.complex):
+        grown = 0
+        for b, (i, h, k) in enumerate(edges):
+            if mult.value(h, i) < mult.value(k, i):
+                grown |= 1 << b
+        tree = next((t for t, mask in zip(trees, masks) if not mask & grown), None)
+        if tree is None:
+            return SatisfyingVerdict(False, (), None)
+        chosen += tree
+    return SatisfyingVerdict(True, (), FacetLevelGraph(range(1, mult.complex.m + 1), chosen))
 
 
 def check_cm_quasitree_sufficient(mult: MultiplicityAssignment) -> bool | None:

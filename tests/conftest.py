@@ -191,6 +191,19 @@ def random_attach_quasitree(rng: random.Random, profile) -> SimplicialComplex:
     return SimplicialComplex.from_facets(n, [[labels[v - 1] for v in f] for f in facets])
 
 
+def book_chain(t: int, extra: int) -> SimplicialComplex:
+    """Triangles {s, s+1, s+2} for s = 1..t, plus extra triangles on each
+    ridge two of them share: a quasi-tree whose t-1 ridge cliques hold
+    extra+2 facets each."""
+    facets = [(s, s + 1, s + 2) for s in range(1, t + 1)]
+    n = t + 2
+    for s in range(2, t + 1):
+        for _ in range(extra):
+            n += 1
+            facets.append((s, s + 1, n))
+    return SimplicialComplex.from_facets(n, facets)
+
+
 def random_spanning_tree(rng: random.Random, g: FacetLevelGraph) -> FacetLevelGraph:
     """A spanning tree of the connected graph g, grown from a random node
     along randomly chosen frontier edges."""

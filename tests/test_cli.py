@@ -5,10 +5,11 @@ from __future__ import annotations
 import json
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
-from cmlab import cli
+from cmlab import cli, graphs, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
@@ -356,3 +357,38 @@ def test_cross_validate_reports_applicability(capsys):
     assert code == 0
     assert "tree: not applicable" in out
     assert "quasitree:" in out
+
+
+GOLDEN = {
+    tuple(case["argv"]): case
+    for case in json.loads(Path(__file__).with_name("cli_golden.json").read_text())
+}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        argv
+        for fixture in ("star", "star-alpha")
+        for argv in (
+            ("analyze", fixture, "--char", "0"),
+            ("analyze", fixture, "--char", "2"),
+            ("check", fixture, "--method", "auto"),
+            ("check", fixture, "--method", "quasitree"),
+            ("cross-validate", fixture, "--samples", "20", "--seed", "3"),
+        )
+    ],
+    ids=" ".join,
+)
+def test_no_table_decision_multiplies_relation_trees_out(monkeypatch, capsys, argv):
+    # the quasi-tree criterion and auto's applicability gate decide one
+    # ridge clique at a time, so no command needs the relation trees
+    def refuse(cx):
+        raise RuntimeError("relation_trees multiplies the clique trees out")
+
+    for module in (graphs, satisfying, cli):
+        monkeypatch.setattr(module, "relation_trees", refuse, raising=False)
+    graphs.clique_trees.cache_clear()
+    satisfying._clique_masks.cache_clear()
+    case = GOLDEN[argv]
+    assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])

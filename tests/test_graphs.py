@@ -13,16 +13,18 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    book_chain,
     random_attach_quasitree,
     random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
+    random_spanning_tree,
     relation_trees_reference,
     restrict_relation_tree,
     strongly_connected_by_bfs,
 )
 
-from cmlab import get_fixture
+from cmlab import get_fixture, satisfying
 from cmlab.complexes import SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
@@ -37,6 +39,7 @@ from cmlab.errors import (
 from cmlab.graphs import (
     ROOT,
     FacetLevelGraph,
+    clique_trees,
     facet_graph,
     is_tree,
     relation_trees,
@@ -270,6 +273,31 @@ def test_restriction_edges_reject_uncovered_vertex():
         next(restriction_edges(cx, [facet_graph(cx)]))
 
 
+def test_restriction_edges_reject_a_vertex_split_by_a_spanning_tree():
+    # on a spanning tree that is no relation tree, the facets holding a
+    # covered vertex can lie on both sides of an edge: the square's path
+    # of facets (2,4) (1,2) (1,3) (3,4) splits the two holding vertex 4
+    square = get_fixture("square").complex
+    path = FacetLevelGraph(range(1, 5), [(3, 1), (1, 2), (2, 4)])
+    with pytest.raises(RestrictionNotTree, match="restriction to vertex 4 is not a tree"):
+        next(restriction_edges(square, [path]))
+    # and on random spanning trees the walk raises, at the lowest such
+    # vertex, exactly when some reference restriction is no tree
+    rng = random.Random(97)
+    raised = 0
+    for _ in range(300):
+        cx = random_pure_strongly_connected(rng, max_n=8, max_m=9)
+        tree = random_spanning_tree(rng, facet_graph(cx))
+        bad = [i for i in range(1, cx.n + 1) if not is_tree(restrict_relation_tree(cx, tree, i))]
+        if bad:
+            raised += 1
+            with pytest.raises(RestrictionNotTree, match=f"vertex {bad[0]} is not a tree"):
+                next(restriction_edges(cx, [tree]))
+        else:
+            next(restriction_edges(cx, [tree]))
+    assert 0 < raised < 300
+
+
 def test_quasi_tree_prefixes_stay_strongly_connected():
     # dropping the facets after any prefix of a leaf order keeps the rest
     # strongly connected
@@ -351,8 +379,27 @@ def test_relation_trees_match_the_leaf_removal_reference():
     assert len(complexes) >= 2000 and several >= 500
 
 
+def test_clique_trees_list_each_tree_bottom_up_under_the_last_facet():
+    # per ridge clique of k facets, its k^(k-2) trees sorted by edges, each
+    # as (child, parent) pairs in which a facet's children come first
+    rng = random.Random(29)
+    complexes = [random_attach_quasitree(rng, (3, 4, 2)) for _ in range(4)]
+    complexes += [book_chain(4, 2), get_fixture("star").complex]
+    for cx in complexes:
+        for trees in clique_trees(cx):
+            nodes = sorted({j for edge in trees[0] for j in edge})
+            assert len(set(trees)) == len(trees) == len(nodes) ** (len(nodes) - 2)
+            assert list(trees) == sorted(trees, key=lambda t: sorted(map(sorted, t)))
+            for tree in trees:
+                assert sorted(c for c, _ in tree) == nodes[:-1]
+                for pos, (c, _) in enumerate(tree):
+                    assert all(k in [a for a, _ in tree[:pos]] for k, p in tree if p == c)
+
+
 def test_graph_caches_are_bounded(tree_fixture):
-    for cached in (facet_graph, vertex_graph, relation_trees):
+    for cached in (
+        facet_graph, vertex_graph, clique_trees, relation_trees, satisfying._clique_masks
+    ):
         assert cached.cache_info().maxsize is not None
     # a bounded cache still answers from memory
     before = facet_graph.cache_info().hits
