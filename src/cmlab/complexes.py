@@ -218,7 +218,7 @@ class SimplicialComplex(Frozen):
         return self.multiplicity() == 1 + self.n - (self.dim + 1)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _all_faces(cx: SimplicialComplex) -> tuple[Face, ...]:
     faces: set[Face] = set()
     for f in cx.facets:

@@ -6,13 +6,22 @@ kernel: XOR on integer bitsets in characteristic 2, residues mod p in an
 odd characteristic p, and fraction-free integer elimination with content
 division in characteristic 0.  No floating point is involved anywhere,
 so rank decisions are never approximate.
+
+Reisner's test works on facet bitmasks.  Only closed faces, the
+intersections of facets, are tested: any other face's link is a cone
+and so acyclic.  A link has no reduced homology in degree 0 exactly
+when it is connected, which bitmasks decide, so a link of dimension L
+needs boundary ranks in degrees 2..L only, and over Q those are first
+tried mod 2, which can only confirm vanishing.  Each complex finds its
+closed faces once, and every threshold subcomplex of it shares the link
+verdicts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
@@ -157,7 +166,7 @@ def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS)
     return ExactMatrix(field, len(cols), tuple(map(tuple, rows)))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def reduced_homology_ranks(
     cx: SimplicialComplex, field: FieldSpec = RATIONALS
 ) -> tuple[int, ...]:
@@ -169,32 +178,175 @@ def reduced_homology_ranks(
     return tuple(d.ncols - ranks[k] - ranks[k + 1] for k, d in enumerate(maps))
 
 
-@lru_cache(maxsize=None)
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _Sweep:
+    """Reisner's test on facet masks (facet j as bit j - 1) for one
+    complex over one field, shared by is_cm_complex and every oracle
+    table on the complex.  Vertex v is bit v of a vertex mask.
+
+    Only closed faces, the intersections of facets, need a test: if
+    every facet containing a face F also contains a vertex v outside F,
+    the link of F is a cone over v and so acyclic.  A closed face of the
+    subcomplex on the facets A is a closed face of the whole complex,
+    and with S the facets containing such a face, the facets of A that
+    contain the closed face meet(S & A) are exactly S & A.  So each
+    subcomplex takes the keys S & A, and the verdict on a key K, the
+    test of meet(K) in the complex on the facets K, serves every
+    subcomplex.  Keys whose links are equal share one verdict.
+    """
+
+    __slots__ = ("cx", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
+
+    def __init__(self, cx: SimplicialComplex, field: FieldSpec) -> None:
+        self.cx, self.field = cx, field
+        self.facet_bits = fb = [sum(1 << v for v in f) for f in cx.facets]
+        # vertex v -> the facets containing it
+        incidence = [0] * (cx.n + 1)
+        for j, f in enumerate(cx.facets):
+            for v in f:
+                incidence[v] |= 1 << j
+        # Every nonempty meet of facets is reached by meeting a closed
+        # face with a facet that shares a vertex with it; the meet of
+        # all facets is the one that may be empty.
+        faces = set(fb)
+        frontier = list(faces)
+        while frontier:
+            grown = []
+            for x in frontier:
+                near = 0
+                for v in _bits(x):
+                    near |= incidence[v]
+                for j in _bits(near):
+                    y = x & fb[j]
+                    if y not in faces:
+                        faces.add(y)
+                        grown.append(y)
+            frontier = grown
+        bottom = fb[0] if fb else 0
+        for x in fb:
+            bottom &= x
+        faces.add(bottom)
+        # Per closed face, the facets containing it.  Faces of top - 1 or
+        # more vertices have links of dimension <= 0 in every subcomplex.
+        top = max(map(len, cx.facets), default=0)
+        self.closed = []
+        for x in faces:
+            if x.bit_count() <= top - 2:
+                containing = (1 << cx.m) - 1
+                for v in _bits(x):
+                    containing &= incidence[v]
+                self.closed.append(containing)
+        self._keys: dict[int, bool] = {}
+        self._links: dict[tuple[int, ...], bool] = {}
+        self._verdicts: dict[int, bool] = {}
+
+    def is_cm(self, alive: int) -> bool:
+        """The verdict on the subcomplex generated by the facets in alive."""
+        verdict = self._verdicts.get(alive)
+        if verdict is None:
+            verdict = self._verdicts[alive] = self._decide(alive)
+        return verdict
+
+    def _decide(self, alive: int) -> bool:
+        if not alive & (alive - 1):
+            return True  # void, or a single simplex
+        facets = self.cx.facets
+        d = len(facets[(alive & -alive).bit_length() - 1])
+        if any(len(facets[j]) != d for j in _bits(alive)):
+            return False  # Cohen-Macaulay implies pure
+        keys = self._keys
+        for key in {s & alive for s in self.closed}:
+            if key & (key - 1):
+                ok = keys.get(key)
+                if ok is None:
+                    ok = keys[key] = self._key_is_cm(key, d)
+                if not ok:
+                    return False
+        return True
+
+    def _key_is_cm(self, key: int, d: int) -> bool:
+        """Reisner's condition at meet(key) in the complex on the facets
+        in key, each of d vertices."""
+        fb = self.facet_bits
+        face = -1
+        for j in _bits(key):
+            face &= fb[j]
+        top = d - face.bit_count() - 1
+        if top <= 0:
+            return True
+        link = tuple(fb[j] & ~face for j in _bits(key))
+        ok = self._links.get(link)
+        if ok is None:
+            ok = self._links[link] = self._link_is_cm(link, top)
+        return ok
+
+    def _link_is_cm(self, link: tuple[int, ...], top: int) -> bool:
+        """Whether the pure complex of dimension top >= 1 with these facet
+        vertex masks, in canonical order, has no reduced homology below
+        dimension top.  Being nonempty, it has none in degree -1; it has
+        none in degree 0 exactly when it is connected, and then d_1 has
+        rank (vertices - 1), so only d_2 .. d_top need a matrix."""
+        reach, rest = link[0], link[1:]
+        while rest:
+            left = []
+            for x in rest:
+                if x & reach:
+                    reach |= x
+                else:
+                    left.append(x)
+            if len(left) == len(rest):
+                return False
+            rest = left
+        if top == 1:
+            return True
+        lk = SimplicialComplex._of_canonical(self.cx.n, tuple(tuple(_bits(x)) for x in link))
+        # An integer matrix has rank over Q at least its rank mod 2, so
+        # homology that vanishes over GF(2) vanishes over Q, and the XOR
+        # kernel is tried first.
+        if self.field == RATIONALS and _connected_vanishes(lk, top, GF2):
+            return True
+        return _connected_vanishes(lk, top, self.field)
+
+
+def _connected_vanishes(lk: SimplicialComplex, top: int, field: FieldSpec) -> bool:
+    """Whether the connected complex lk of dimension top has no reduced
+    homology in degrees 1..top - 1 over the field."""
+    rank = len(lk.faces_of_dim(0)) - 1  # of d_1, lk being connected
+    for q in range(1, top):
+        after = boundary_matrix(lk, q + 1, field).rank()
+        if len(lk.faces_of_dim(q)) != rank + after:
+            return False
+        rank = after
+    return True
+
+
+@lru_cache(maxsize=32)
+def _sweep(cx: SimplicialComplex, field: FieldSpec) -> _Sweep:
+    return _Sweep(cx, field)
+
+
+@lru_cache(maxsize=256)
 def is_cm_complex(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
-    """Cohen-Macaulayness of the complex itself over the given field,
-    decided by checking that every face's link has vanishing reduced
+    """Cohen-Macaulayness of the complex itself over the given field, by
+    Reisner's criterion: every face's link has vanishing reduced
     homology below its top dimension.
 
-    Three shortcuts keep every verdict: Cohen-Macaulay implies pure; a
-    cone is Cohen-Macaulay exactly when its base is, so the vertices
-    common to all facets are stripped; a link of dimension <= 0 never
-    fails, so the sweep stops at the first face that has one.  The void
-    complex and the irrelevant complex both count as Cohen-Macaulay.
+    Cohen-Macaulay implies pure, so a complex that is not pure fails at
+    once.  Only closed faces are tested, the intersections of facets:
+    any other face's link is a cone and so acyclic, which covers both
+    the vertices common to all facets and every face whose link has
+    dimension <= 0.  A link passes degree 0 exactly when it is connected,
+    which bitmasks decide, so a 1-dimensional link needs no matrix.  The
+    void complex and the irrelevant complex both count as Cohen-Macaulay.
     """
-    if cx.is_void or cx.is_irrelevant:
-        return True
-    if not cx.is_pure:
-        return False
-    apex = set(cx.facets[0]).intersection(*cx.facets[1:])
-    if apex:
-        cx = SimplicialComplex(cx.n, tuple(tuple(set(f) - apex) for f in cx.facets))
-    for face in cx.all_faces():
-        if len(face) >= cx.dim:
-            break
-        ranks = reduced_homology_ranks(cx.link(face), field)
-        if any(r != 0 for r in ranks[:-1]):
-            return False
-    return True
+    return _sweep(cx, field).is_cm((1 << cx.m) - 1)
 
 
 class OracleVerdict(NamedTuple):
@@ -203,14 +355,6 @@ class OracleVerdict(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.is_cm
-
-
-@lru_cache(maxsize=32)
-def _subcomplex_verdicts(cx: SimplicialComplex, field: FieldSpec) -> dict[int, bool]:
-    """The Cohen-Macaulay verdicts the oracle has reached on threshold
-    subcomplexes of cx, keyed by the mask of their facets (facet j as
-    bit j - 1), shared by every table on cx."""
-    return {}
 
 
 def _cuts(mult: MultiplicityAssignment) -> list[tuple[tuple[int, int], ...]]:
@@ -252,16 +396,7 @@ def is_cm_ideal_oracle(
     cx = mult.complex
     n = cx.n
     cuts = _cuts(mult)
-    verdicts = _subcomplex_verdicts(cx, field)
-
-    def cm(alive: int) -> bool:
-        verdict = verdicts.get(alive)
-        if verdict is None:
-            surviving = tuple(f for j, f in enumerate(cx.facets) if alive >> j & 1)
-            sub = SimplicialComplex._of_canonical(n, surviving)
-            verdict = verdicts[alive] = is_cm_complex(sub, field)
-        return verdict
-
+    cm = _sweep(cx, field).is_cm
     full_mask = (1 << cx.m) - 1
     if n == 0:
         return OracleVerdict(True, None) if cm(full_mask) else OracleVerdict(False, ())

@@ -29,7 +29,7 @@ from .graphs import (
     rooted_walk,
     vertex_graph,
 )
-from .homology import RATIONALS, FieldSpec
+from .homology import RATIONALS, FieldSpec, is_cm_complex
 from .structure import find_shelling, require_tree_case
 
 __all__ = [
@@ -178,6 +178,11 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     vertex first and the remaining facets with non-increasing values.
     Neither sufficient nor known to be necessary."""
     cx = mult.complex
+    # A shellable complex is Cohen-Macaulay over every field, so one
+    # that is not over Q needs no search; a complex that is not pure
+    # goes on to find_shelling, which refuses it.
+    if cx.is_pure and not is_cm_complex(cx, RATIONALS):
+        raise NotShellable("complex is not shellable")
     held, shelled = True, False
     for i in range(1, cx.n + 1):
         weights = dict(mult.vertex_values(i))

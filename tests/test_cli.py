@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
 import time
@@ -284,6 +285,21 @@ def test_analyze_reports_criteria_when_alpha_present(capsys):
     assert "tree criterion: not applicable" in out
     assert "quasi-tree criterion: not applicable" in out
     assert "shelling condition: holds" in out
+
+
+def test_analyze_decides_the_shelling_condition_on_a_wedge_of_spheres_quickly(tmp_path, capsys):
+    # two 5-cross-polytope boundaries glued at a vertex are not
+    # Cohen-Macaulay, hence not shellable, so no shelling search runs
+    cross = list(itertools.product((1, 2), (3, 4), (5, 6), (7, 8), (9, 10)))
+    facets = cross + [tuple(1 if v == 1 else v + 9 for v in f) for f in cross]
+    doc = tmp_path / "wedge.json"
+    doc.write_text(json.dumps({"n": 19, "facets": facets, "alpha": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "analyze", str(doc))
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+    assert "  shellable: no\n" in out
+    assert out.endswith("shelling condition: not applicable (complex is not shellable)\n")
 
 
 def test_analyze_star_alpha(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 import time
 from fractions import Fraction
@@ -26,7 +27,7 @@ from conftest import (
     unpruned_is_cm,
 )
 
-from cmlab import GF2, RATIONALS, fixture_names, get_fixture
+from cmlab import GF2, RATIONALS, complexes, fixture_names, get_fixture, homology
 from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 from cmlab.graphs import ROOT, root_orientation, vertex_graph
@@ -372,3 +373,101 @@ def test_pruned_reisner_sweep_matches_full_sweep():
             verdicts.add((cx.is_pure, cx.dim <= 1, expected))
     # both verdicts occur on pure complexes of each kind of dimension
     assert {(True, low, v) for low in (True, False) for v in (True, False)} <= verdicts
+
+
+def _cross_polytope(d: int) -> SimplicialComplex:
+    """Boundary of the d-dimensional cross-polytope: one vertex of each
+    antipodal pair (2k - 1, 2k) per facet."""
+    return SimplicialComplex.from_facets(
+        2 * d, list(itertools.product(*[(2 * k + 1, 2 * k + 2) for k in range(d)]))
+    )
+
+
+def _octahedra_wedge() -> SimplicialComplex:
+    octahedron = _cross_polytope(3).facets
+    return SimplicialComplex.from_facets(
+        11, octahedron + tuple(tuple(1 if v == 1 else v + 5 for v in f) for f in octahedron)
+    )
+
+
+def _stacked_path(m: int, d: int) -> SimplicialComplex:
+    return SimplicialComplex.from_facets(m + d - 1, [range(k, k + d) for k in range(1, m + 1)])
+
+
+def _on_facets(cx: SimplicialComplex, mask: int) -> SimplicialComplex:
+    return SimplicialComplex(cx.n, tuple(f for j, f in enumerate(cx.facets) if mask >> j & 1))
+
+
+@pytest.mark.parametrize(
+    "name,cx",
+    [
+        ("projective plane", get_fixture("projective-plane").complex),
+        ("stacked path d=3", _stacked_path(9, 3)),
+        ("stacked path d=4", _stacked_path(9, 4)),
+        ("octahedra wedge", _octahedra_wedge()),
+        ("cross-polytope d=4", _cross_polytope(4)),
+    ],
+)
+def test_shared_reisner_sweep_matches_full_sweep_on_facet_subsets(name, cx):
+    # One sweep per complex and field decides every subset in turn, so a
+    # verdict memoized for one subset and reused for another must hold
+    # for both.  Complexes with up to 10 facets get every subset; the
+    # 16-facet ones a seeded sample whose sizes are uniform in 0..16,
+    # since the unpruned reference needs about a minute per field for
+    # all 65,536.
+    rng = random.Random(cx.m)
+    if cx.m <= 10:
+        masks = list(range(1 << cx.m))
+    else:
+        masks = [
+            sum(1 << j for j in rng.sample(range(cx.m), rng.randint(0, cx.m))) for _ in range(400)
+        ]
+    for field in FIELDS:
+        homology._sweep.cache_clear()
+        verdicts = set()
+        for mask in masks:
+            expected = unpruned_is_cm(_on_facets(cx, mask), field)
+            assert homology._sweep(cx, field).is_cm(mask) == expected, (name, field, mask)
+            verdicts.add(expected)
+        assert verdicts == {True, False}, (name, field)
+
+
+def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypatch):
+    # many tables on each complex in one process, fields interleaved:
+    # each verdict and witness equals the reference walk, whose leaves
+    # are decided on freshly built complexes
+    rng = random.Random(77)
+    corpus = [get_fixture("projective-plane").complex, _octahedra_wedge(), _cross_polytope(4)]
+    corpus += [_stacked_path(7, 3), _stacked_path(6, 4)]
+    tables = [
+        (random_assignment(rng, cx, rng.randint(1, 3)), rng.choice(FIELDS))
+        for cx in corpus
+        for _ in range(12)
+    ]
+    rng.shuffle(tables)
+    homology._sweep.cache_clear()
+    expected = [oracle_reference(mult, field) for mult, field in tables]
+    assert {is_cm for is_cm, _ in expected} == {True, False}
+
+    def no_link(self, face):
+        raise AssertionError("the oracle must not build links")
+
+    monkeypatch.setattr(SimplicialComplex, "link", no_link)
+    for (mult, field), want in zip(tables, expected):
+        assert tuple(is_cm_ideal_oracle(mult, field)) == want
+
+
+def test_homology_caches_are_bounded():
+    for cached in (
+        complexes._all_faces,
+        reduced_homology_ranks,
+        is_cm_complex,
+        homology._sweep,
+    ):
+        assert cached.cache_info().maxsize is not None
+    # a bounded cache still answers from memory
+    rp = get_fixture("projective-plane").complex
+    is_cm_complex(rp, GF2)
+    before = is_cm_complex.cache_info().hits
+    assert not is_cm_complex(rp, GF2)
+    assert is_cm_complex.cache_info().hits == before + 1

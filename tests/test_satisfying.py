@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -12,6 +13,7 @@ from conftest import (
     random_assignment,
     random_attach_quasitree,
     random_complex,
+    random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
     random_tree_satisfying,
@@ -28,6 +30,7 @@ from cmlab.errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotCohenMacaulay,
+    NotPure,
     NotQuasiTree,
     NotShellable,
     NotTreeFacetGraph,
@@ -43,7 +46,7 @@ from cmlab.graphs import (
     root_orientation,
     vertex_graph,
 )
-from cmlab.homology import is_cm_ideal_oracle
+from cmlab.homology import is_cm_complex, is_cm_ideal_oracle
 from cmlab.structure import find_shelling
 from cmlab.satisfying import (
     check_cm_quasitree_sufficient,
@@ -544,12 +547,50 @@ def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shel
         calls.clear()
         assert is_general_satisfying(MultiplicityAssignment.from_overrides(cx, overrides)) == held
         assert calls == searched
+    # Cohen-Macaulay over Q, yet not shellable (it fails over GF(2)):
+    # the first prefix search fails and the unweighted one decides
+    calls.clear()
+    with pytest.raises(NotShellable):
+        is_general_satisfying(MultiplicityAssignment.constant(get_fixture("projective-plane").complex))
+    assert calls == [1, None]
+    # not Cohen-Macaulay over Q, so not shellable before any search
     calls.clear()
     with pytest.raises(NotShellable):
         is_general_satisfying(
             MultiplicityAssignment.constant(SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]))
         )
-    assert calls == [1, None]
+    assert calls == []
+
+
+def test_general_criterion_refuses_complexes_that_are_not_cm_without_a_search(monkeypatch):
+    # shellable implies Cohen-Macaulay over every field, so a pure
+    # complex that is not Cohen-Macaulay over Q gets the reference's
+    # outcome before any shelling search; one that is not pure is still
+    # refused by the search
+    mixed = MultiplicityAssignment.constant(SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]]))
+    expected = _outcome(lambda: general_satisfying_reference(mixed))
+    assert expected[0] is NotPure
+    assert _outcome(lambda: is_general_satisfying(mixed)) == expected
+    rng = random.Random(107)
+    octahedron = list(itertools.product((1, 2), (3, 4), (5, 6)))
+    corpus = [
+        SimplicialComplex.from_facets(
+            11, octahedron + [tuple(1 if v == 1 else v + 5 for v in f) for f in octahedron]
+        ),
+        SimplicialComplex.from_facets(4, [[1, 2], [3, 4]]),
+    ]
+    corpus += [
+        cx for cx in (random_pure_complex(rng) for _ in range(200)) if not is_cm_complex(cx, RATIONALS)
+    ]
+    assert len(corpus) > 40
+    searched = []
+    monkeypatch.setattr(satisfying, "find_shelling", lambda cx, **kw: searched.append(cx))
+    for cx in corpus:
+        for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
+            expected = _outcome(lambda: general_satisfying_reference(am))
+            assert expected == (NotShellable, "complex is not shellable")
+            assert _outcome(lambda: is_general_satisfying(am)) == expected
+    assert searched == []
 
 
 def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree_fixture):
