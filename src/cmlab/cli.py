@@ -18,7 +18,7 @@ import random
 import sys
 
 from .cli_helpers import resolve_source
-from .complexes import MultiplicityAssignment
+from .complexes import MultiplicityAssignment, _exponent_domain
 from .errors import (
     CmLabError,
     HypothesesViolated,
@@ -235,7 +235,7 @@ def cmd_cross_validate(args) -> int:
         _applies(method, cx, field) for method in ("tree", "quasitree", "general")
     )
 
-    domain = [(j, i) for j, i, _ in MultiplicityAssignment.constant(cx).entries]
+    domain = _exponent_domain(cx)
     rng = random.Random(args.seed)
     cm_count = 0
     tree_agree = tree_disagree = 0

@@ -263,11 +263,15 @@ def _validated_entries(
                 f"{kind} must cover each (facet, missing vertex) pair exactly once"
             )
     for j, i, v in entries:
-        if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
-            raise MultiplicityDomainMismatch(
-                f"{kind} value at facet {j}, vertex {i} must be an integer >= {minimum}, got {v!r}"
-            )
+        _check_value(j, i, v, minimum, kind)
     return ordered
+
+
+def _check_value(j: int, i: int, v: object, minimum: int, kind: str) -> None:
+    if not isinstance(v, int) or isinstance(v, bool) or v < minimum:
+        raise MultiplicityDomainMismatch(
+            f"{kind} value at facet {j}, vertex {i} must be an integer >= {minimum}, got {v!r}"
+        )
 
 
 class MultiplicityAssignment(Frozen):
@@ -316,7 +320,12 @@ class MultiplicityAssignment(Frozen):
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
-        return cls(cx, [(j, i, value) for j, i in _exponent_domain(cx)])
+        """The table with this value at every pair; the value is checked
+        once, named at the first pair, and not at all with no pairs."""
+        domain = _exponent_domain(cx)
+        if domain:
+            _check_value(*domain[0], value, 1, "exponent table")
+        return cls._of_canonical(cx, tuple((j, i, value) for j, i in domain))
 
     @classmethod
     def from_overrides(

@@ -12,7 +12,11 @@ intersections of facets, are tested: any other face's link is a cone
 and so acyclic.  A link has no reduced homology in degree 0 exactly
 when it is connected, which bitmasks decide, so a link of dimension L
 needs boundary ranks in degrees 2..L only, and over Q those are first
-tried mod 2, which can only confirm vanishing.  Each complex finds its
+tried mod 2, which can only confirm vanishing.  Before any rank, a
+connected link sheds the facets that meet the rest in a cone or in one
+simplex, which keeps its homotopy type.  A quasi-tree's leaves are
+such facets, and the links met on tree-satisfying stacked paths peel
+down to one simplex; spheres shed nothing.  Each complex finds its
 closed faces once, and every threshold subcomplex of it shares the link
 verdicts.
 """
@@ -292,7 +296,8 @@ class _Sweep:
         vertex masks, in canonical order, has no reduced homology below
         dimension top.  Being nonempty, it has none in degree -1; it has
         none in degree 0 exactly when it is connected, and then d_1 has
-        rank (vertices - 1), so only d_2 .. d_top need a matrix."""
+        rank (vertices - 1), so only d_2 .. d_top need a matrix, and only
+        for what peeling leaves when that is more than one simplex."""
         reach, rest = link[0], link[1:]
         while rest:
             left = []
@@ -306,6 +311,9 @@ class _Sweep:
             rest = left
         if top == 1:
             return True
+        link = _peeled(link)
+        if len(link) == 1:
+            return True
         lk = SimplicialComplex._of_canonical(self.cx.n, tuple(tuple(_bits(x)) for x in link))
         # An integer matrix has rank over Q at least its rank mod 2, so
         # homology that vanishes over GF(2) vanishes over Q, and the XOR
@@ -313,6 +321,48 @@ class _Sweep:
         if self.field == RATIONALS and _connected_vanishes(lk, top, GF2):
             return True
         return _connected_vanishes(lk, top, self.field)
+
+
+def _peeled(facets: tuple[int, ...]) -> tuple[int, ...]:
+    """The facets, as vertex masks of a complex, left in their order
+    after deleting, while one exists, a facet F whose nonempty meets with
+    the other facets either share a vertex (F meets the rest in a cone)
+    or all lie inside one of them (F is a leaf: it meets the rest in one
+    simplex).  Then F and its meet with the rest are contractible, so
+    the deletion keeps the homotopy type and the reduced homology over
+    every field.  A facet is kept as soon as its meets share no vertex
+    and cover it, since no meet, a proper face of F, can then contain
+    the others; without that early stop, spheres, which never peel,
+    would pay a full scan per facet."""
+    kept = list(facets)
+    peeling = True
+    while peeling and len(kept) > 1:
+        peeling = False
+        k = 0
+        while k < len(kept):
+            f = kept[k]
+            # leaf: whether one of the meets so far contains the others;
+            # a meet equals f only for g == f, facets being distinct
+            common, union, leaf = -1, 0, False
+            for g in kept:
+                meet = f & g
+                if meet and meet != f:
+                    common &= meet
+                    grown = union | meet
+                    if grown == meet:
+                        leaf = True
+                    elif grown != union:
+                        leaf = False
+                    union = grown
+                    if not common and union == f:
+                        break
+            else:
+                if union and (common or leaf):
+                    del kept[k]
+                    peeling = True
+                    continue
+            k += 1
+    return tuple(kept)
 
 
 def _connected_vanishes(lk: SimplicialComplex, top: int, field: FieldSpec) -> bool:

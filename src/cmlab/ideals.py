@@ -261,8 +261,14 @@ def splitting_witness(
 
     The candidate is read off the facet graph (the vertex separating
     the last facet from its unique neighbor, with the neighbor's
-    exponent) and then verified by direct ideal arithmetic; None means
-    the identity fails for this table and order.
+    exponent) and then verified by membership tests; None means the
+    identity fails for this table and order.  The vertex i lies in the
+    last facet, so no power of x_i lies in the last component, and
+    x_i^s lies in the left side exactly when it lies in every earlier
+    component.  The right side is irreducible, so the earlier
+    components' intersection lies inside it exactly when its corner,
+    the largest monomial outside it, lies outside some earlier
+    component.
     """
     cx = mult.complex
     require_tree_case(cx, field)
@@ -283,16 +289,20 @@ def splitting_witness(
         )
     i = private.pop()
     s = mult.value(against, i)
-    q_last = irreducible_component(mult, last)
-    inter = MonomialIdeal.unit(cx.n)
-    for j in seq[:-1]:
-        inter = inter.intersect(irreducible_component(mult, j))
-    lhs = inter + q_last
-    power = MonomialIdeal(
-        cx.n, (tuple(s if k == i else 0 for k in range(1, cx.n + 1)),)
-    )
-    rhs = power + q_last
-    return (i, s) if lhs == rhs else None
+    power = tuple(s if k == i else 0 for k in range(1, cx.n + 1))
+    earlier = [irreducible_component(mult, j) for j in seq[:-1]]
+    if not all(q.contains_monomial(power) for q in earlier):
+        return None
+    # b - 1 at each pure power x^b of the right side, and past every
+    # exponent in play elsewhere
+    corner = [mult.max_value() + 1] * cx.n
+    for j, k, v in mult.entries:
+        if j == last:
+            corner[k - 1] = v - 1
+    corner[i - 1] = s - 1
+    if all(q.contains_monomial(tuple(corner)) for q in earlier):
+        return None
+    return i, s
 
 
 def render_monomial(mono: Monomial) -> str:

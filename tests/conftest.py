@@ -512,3 +512,26 @@ def reference_intersect(a, b) -> tuple[tuple[int, ...], ...]:
     return reference_minimalize(
         tuple(max(x, y) for x, y in zip(g, h)) for g in a for h in b
     )
+
+
+def splitting_witness_reference(
+    mult: MultiplicityAssignment, order: tuple[int, ...]
+) -> tuple[int, int] | None:
+    """The splitting check by folded ideal arithmetic: intersect every
+    earlier component, add the last one, and compare with the candidate
+    power plus the last component.  The order must be a shelling whose
+    last facet has one neighbor in the facet graph."""
+    from cmlab.graphs import facet_graph
+    from cmlab.ideals import MonomialIdeal, irreducible_component
+
+    cx = mult.complex
+    last = order[-1]
+    (against,) = facet_graph(cx).neighbors(last)
+    (i,) = set(cx.facets[last - 1]) - set(cx.facets[against - 1])
+    s = mult.value(against, i)
+    q_last = irreducible_component(mult, last)
+    inter = MonomialIdeal.unit(cx.n)
+    for j in order[:-1]:
+        inter = inter.intersect(irreducible_component(mult, j))
+    power = MonomialIdeal(cx.n, (tuple(s if k == i else 0 for k in range(1, cx.n + 1)),))
+    return (i, s) if inter + q_last == power + q_last else None

@@ -13,11 +13,12 @@ from hypothesis import strategies as st
 
 from conftest import random_assignment, random_complex, random_pure_strongly_connected
 
-from cmlab import RATIONALS, fixture_names, get_fixture, is_cm_complex
+from cmlab import RATIONALS, complexes, fixture_names, get_fixture, is_cm_complex
 from cmlab.complexes import (
     ExponentOffset,
     MultiplicityAssignment,
     SimplicialComplex,
+    _exponent_domain,
 )
 from cmlab.errors import (
     EmptyFacet,
@@ -164,6 +165,30 @@ def test_constant_assignment_domain(tree_fixture):
     assert all(v == 1 for _, _, v in ones.entries)
     assert ones.max_value() == 1
     assert ones.overrides() == {}
+
+
+def test_constant_table_checks_its_value_once(tree_fixture, monkeypatch):
+    # the table equals the validated one, and a bad value is reported as
+    # the validating constructor reports it, at the first domain pair
+    rng = random.Random(12)
+    for cx in [tree_fixture] + [random_pure_strongly_connected(rng) for _ in range(10)]:
+        for value in (1, 4):
+            want = MultiplicityAssignment(cx, [(j, i, value) for j, i in _exponent_domain(cx)])
+            assert MultiplicityAssignment.constant(cx, value) == want
+    j, i = _exponent_domain(tree_fixture)[0]
+    for bad in (0, -2, True, 1.0, "1"):
+        message = f"exponent table value at facet {j}, vertex {i} must be an integer >= 1, got {bad!r}"
+        with pytest.raises(MultiplicityDomainMismatch, match=re.escape(message)):
+            MultiplicityAssignment.constant(tree_fixture, bad)
+    # with no exponent slots there is nothing to check
+    simplex = SimplicialComplex.from_facets(3, [[1, 2, 3]])
+    assert MultiplicityAssignment.constant(simplex, 0).entries == ()
+
+    def no_validation(*args):
+        raise AssertionError("a constant table is built without validating its entries")
+
+    monkeypatch.setattr(complexes, "_validated_entries", no_validation)
+    assert MultiplicityAssignment.constant(tree_fixture, 2).max_value() == 2
 
 
 def test_from_overrides_roundtrip(tree_fixture):

@@ -457,6 +457,102 @@ def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypat
         assert tuple(is_cm_ideal_oracle(mult, field)) == want
 
 
+def _masks(cx: SimplicialComplex) -> tuple[int, ...]:
+    return tuple(sum(1 << v for v in f) for f in cx.facets)
+
+
+def _on_masks(n: int, masks) -> SimplicialComplex:
+    return SimplicialComplex(n, [[v for v in range(1, n + 1) if x >> v & 1] for x in masks])
+
+
+def _assert_peeling_keeps_homology(cx: SimplicialComplex) -> tuple[int, ...]:
+    masks = _masks(cx)
+    left = homology._peeled(masks)
+    rest = iter(masks)
+    assert all(x in rest for x in left), "the remainder keeps the facet order"
+    for field in FIELDS:
+        assert reduced_homology_ranks(_on_masks(cx.n, left), field) == reduced_homology_ranks(
+            cx, field
+        ), (cx.facets, left, field)
+    return left
+
+
+def _random_connected_pure(rng: random.Random) -> SimplicialComplex:
+    """A connected pure complex of dimension 2..4: facets drawn uniformly
+    from few vertices, or grown along ridges with a few random extras."""
+    size = rng.randint(3, 5)
+    n = rng.randint(size + 1, size + 4)
+    while True:
+        if rng.random() < 0.5:
+            facets = {frozenset(rng.sample(range(1, n + 1), size)) for _ in range(rng.randint(2, 9))}
+        else:
+            facets = {frozenset(rng.sample(range(1, n + 1), size))}
+            for _ in range(rng.randint(1, 8)):
+                base = set(rng.choice(sorted(facets, key=sorted)))
+                base.discard(rng.choice(sorted(base)))
+                facets.add(frozenset(base | {rng.choice([v for v in range(1, n + 1) if v not in base])}))
+            for _ in range(rng.randint(0, 2)):
+                facets.add(frozenset(rng.sample(range(1, n + 1), size)))
+        cx = SimplicialComplex(n, facets)
+        if cx.m > 1 and reduced_homology_ranks(cx, GF2)[1] == 0:
+            return cx
+
+
+def test_peeling_keeps_reduced_homology_on_random_pure_complexes():
+    rng = random.Random(1515)
+    outcomes = {"whole": 0, "part": 0, "none": 0}
+    for _ in range(320):
+        cx = _random_connected_pure(rng)
+        left = _assert_peeling_keeps_homology(cx)
+        outcomes["whole" if len(left) == 1 else "none" if len(left) == cx.m else "part"] += 1
+    assert min(outcomes.values()) >= 20, outcomes
+
+
+def test_peeling_keeps_homology_where_it_stops_early():
+    octahedron = _cross_polytope(3)
+    # an octahedron is a sphere: no facet of it peels
+    assert _assert_peeling_keeps_homology(octahedron) == _masks(octahedron)
+    # a hexagon coned from vertex 7 and wedged onto it at vertex 1 is a
+    # pendant disk whose triangles are cones, not leaves; they all go
+    rim = (1, 8, 9, 10, 11, 12)
+    pendant = SimplicialComplex.from_facets(
+        12, list(octahedron.facets) + [(7, rim[k - 1], rim[k]) for k in range(6)]
+    )
+    assert _assert_peeling_keeps_homology(pendant) == _masks(octahedron)
+    # the projective plane is acyclic over Q, but not contractible
+    rp = get_fixture("projective-plane").complex
+    assert 1 < len(_assert_peeling_keeps_homology(rp)) <= rp.m
+    # the 7-vertex torus
+    torus = SimplicialComplex.from_facets(
+        7, [[(i + a) % 7 + 1 for a in t] for i in range(7) for t in ((0, 1, 3), (0, 2, 3))]
+    )
+    assert reduced_homology_ranks(torus, RATIONALS) == (0, 0, 2, 1)
+    assert 1 < len(_assert_peeling_keeps_homology(torus)) <= torus.m
+    # a facet that meets nothing never goes, so components survive
+    apart = SimplicialComplex.from_facets(6, [[1, 2, 3], [4, 5, 6]])
+    assert _assert_peeling_keeps_homology(apart) == _masks(apart)
+
+
+def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
+    # every link in every threshold subcomplex of a stacked path peels
+    # down to one facet, so no boundary matrix is built
+    rng = random.Random(4)
+    cases = []
+    for d, m in ((4, 12), (5, 10)):
+        path = _stacked_path(m, d)
+        cases += [(path, random_tree_satisfying(rng, path, 3), field) for field in FIELDS]
+    homology._sweep.cache_clear()
+    is_cm_complex.cache_clear()
+
+    def no_matrix(*args):
+        raise AssertionError("a peeled link needs no boundary matrix")
+
+    monkeypatch.setattr(homology, "boundary_matrix", no_matrix)
+    for path, mult, field in cases:
+        assert is_cm_complex(path, field)
+        assert is_cm_ideal_oracle(mult, field).is_cm
+
+
 def test_homology_caches_are_bounded():
     for cached in (
         complexes._all_faces,

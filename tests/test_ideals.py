@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -14,6 +15,7 @@ from conftest import (
     reference_divides,
     reference_intersect,
     reference_minimalize,
+    splitting_witness_reference,
 )
 
 from cmlab import fixture_names, get_fixture
@@ -36,6 +38,7 @@ from cmlab.ideals import (
     stanley_reisner_ideal,
     variable_ideal,
 )
+from cmlab.structure import is_shelling
 
 
 def ideal(n, *gens):
@@ -208,6 +211,31 @@ def test_splitting_witness_verifies_by_arithmetic(tree_fixture):
 def test_splitting_witness_none_when_identity_fails(tree_fixture):
     am = MultiplicityAssignment.from_overrides(tree_fixture, {(2, 1): 2})
     assert splitting_witness(am, (6, 4, 5, 3, 2, 1)) is None
+
+
+def test_splitting_witness_matches_the_folded_intersection():
+    # membership tests decide both inclusions as the folded intersection
+    # does, on every shelling of the triangle tree and on shellings of
+    # stacked paths, with tables that keep and break the identity
+    rng = random.Random(808)
+    tree = get_fixture("triangle-tree").complex
+    cases = [(tree, order) for order in itertools.permutations(range(1, 7)) if is_shelling(tree, order)]
+    for m, d in ((6, 3), (5, 4)):
+        path = SimplicialComplex.from_facets(m + d - 1, [range(k, k + d) for k in range(1, m + 1)])
+        cases += [(path, tuple(range(1, m + 1))), (path, tuple(range(m, 0, -1)))]
+        cases += [(path, (3, 2, 4, 1) + tuple(range(5, m + 1)))]
+    outcomes = set()
+    for cx, order in cases:
+        assert is_shelling(cx, order)
+        for mult in (
+            random_tree_satisfying(rng, cx, 3),
+            random_assignment(rng, cx, 2),
+            random_assignment(rng, cx, 4),
+        ):
+            pair = splitting_witness(mult, order)
+            assert pair == splitting_witness_reference(mult, order), (cx.facets, order, mult)
+            outcomes.add(pair is None)
+    assert outcomes == {True, False}
 
 
 def test_splitting_witness_gates(tree_fixture, square_fixture):
