@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
+from typing import NoReturn
 
 from .cli_helpers import resolve_source
 from .complexes import MultiplicityAssignment, _exponent_domain
@@ -384,5 +386,28 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"error: input too large: {what} exhausted")
 
 
+def console_main() -> NoReturn:
+    """Run main() on the process arguments and end the process with its
+    exit code; the entry point of ``cm-lab`` and ``python -m cmlab.cli``.
+
+    Once stdout and stderr are flushed the process leaves through
+    os._exit, skipping interpreter finalization, which only frees what
+    the OS reclaims at exit anyway.  That is safe because the package
+    registers no atexit handler, starts no thread and opens files only
+    for reading, so nothing is left to run or write.  If a flush fails
+    (a closed pipe, a full disk) the process leaves through sys.exit, so
+    the exit status and stderr are those of a normal exit.  An exception
+    escaping main propagates as it would without this function.
+    """
+    code = main()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None when the fd was closed at start-up
+                stream.flush()
+    except OSError:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

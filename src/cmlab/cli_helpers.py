@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import os
 
-from .complexes import MultiplicityAssignment, SimplicialComplex
+from .complexes import MultiplicityAssignment, SimplicialComplex, _exponent_domain
 from .errors import CmLabError, InvalidCharacteristic, ParseError, UnknownFixture
 from .fixtures import fixture_names, get_fixture
 from .homology import FieldSpec
@@ -89,7 +89,10 @@ def parse_problem_file(
             if (j, i) in overrides:
                 raise ParseError(f"alpha[{k}]: duplicate pair (facet {j}, vertex {i})")
             overrides[(j, i)] = v
-        mult = MultiplicityAssignment.from_overrides(cx, overrides)
+        # every record is checked above, so the table needs no second pass
+        mult = MultiplicityAssignment._of_canonical(
+            cx, tuple((j, i, overrides.get((j, i), 1)) for j, i in _exponent_domain(cx))
+        )
 
     char = 0
     if "char" in doc:

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import subprocess
 import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import cmlab
 from cmlab import cli, graphs, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
@@ -408,3 +411,109 @@ def test_no_table_decision_multiplies_relation_trees_out(monkeypatch, capsys, ar
     satisfying._clique_masks.cache_clear()
     case = GOLDEN[argv]
     assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])
+
+
+# -- the CLI as a process ----------------------------------------------------
+
+
+def cli_env(buffered=True):
+    """The environment of a CLI process: block-buffered output as in a
+    user's run, unless buffered is False, and UTF-8 streams."""
+    src = str(Path(cmlab.__file__).parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env["PYTHONIOENCODING"] = "utf-8"
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return env
+
+
+def cli_process(*argv, buffered=True, **kwargs):
+    return subprocess.run(
+        [sys.executable, "-m", "cmlab.cli", *argv], env=cli_env(buffered), timeout=60, **kwargs
+    )
+
+
+@pytest.fixture
+def long_path(tmp_path):
+    """A 200-edge path, whose ideal output is far past a 64 KiB pipe buffer."""
+    doc = tmp_path / "path.json"
+    doc.write_text(json.dumps({"n": 201, "facets": [[k, k + 1] for k in range(1, 201)]}))
+    return str(doc)
+
+
+def one_case_per_command_and_code():
+    picked = {}
+    for case in GOLDEN.values():
+        picked.setdefault(case["argv"][0], case)
+        picked.setdefault(case["code"], case)
+    return list({id(case): case for case in picked.values()}.values())
+
+
+@pytest.mark.parametrize(
+    "case", one_case_per_command_and_code(), ids=lambda case: " ".join(case["argv"])
+)
+def test_process_output_matches_the_golden_case(case):
+    proc = cli_process(*case["argv"], capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        case["code"],
+        case["stdout"].encode(),
+        case["stderr"].encode(),
+    )
+
+
+def test_process_usage_error_matches_main(capsys):
+    argv = ("check", "square-alpha", "--method", "bogus")
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and out == "" and err.startswith("usage error: ")
+    proc = cli_process(*argv, capture_output=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", err.encode())
+
+
+def test_process_output_past_the_pipe_buffer_is_complete(tmp_path, capsys, long_path):
+    code, out, err = run(capsys, "ideal", long_path)
+    assert (code, err) == (0, "")
+    assert len(out) > 2 * 65536
+    piped = cli_process("ideal", long_path, capture_output=True)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (0, out.encode(), b"")
+    target = tmp_path / "out.txt"
+    with open(target, "wb") as handle:
+        written = cli_process("ideal", long_path, stdout=handle, stderr=subprocess.PIPE)
+    assert (written.returncode, target.read_bytes(), written.stderr) == (0, out.encode(), b"")
+
+
+UNFLUSHED_EPIPE = (
+    120,
+    b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
+    b"BrokenPipeError: [Errno 32] Broken pipe\n",
+)
+WRITE_EPIPE = (3, b"error: [Errno 32] Broken pipe\n")
+
+
+@pytest.mark.parametrize(
+    "long_output,buffered,expected",
+    [(False, True, UNFLUSHED_EPIPE), (False, False, WRITE_EPIPE), (True, True, WRITE_EPIPE)],
+    ids=["buffered", "unbuffered", "past-the-buffer"],
+)
+def test_process_on_a_closed_pipe_exits_as_python_does(long_path, long_output, buffered, expected):
+    # as in any Python program: a buffered answer fails only in the
+    # flush at exit, which Python reports with status 120, and a failed
+    # write inside main is an exit-3 error line
+    argv = ["ideal", long_path] if long_output else ["examples"]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = cli_process(*argv, buffered=buffered, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == expected
+
+
+def test_process_with_stdout_closed_at_start_exits_zero():
+    # Python sets sys.stdout to None when fd 1 is closed, and print drops
+    # the output silently
+    proc = subprocess.run(
+        ["sh", "-c", 'exec "$0" -m cmlab.cli examples >&-', sys.executable],
+        env=cli_env(), capture_output=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")

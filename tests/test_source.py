@@ -96,3 +96,57 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_entry_point_skips_interpreter_teardown():
+    # cli.console_main leaves through os._exit, so no other code may end
+    # the process before its output is flushed
+    found = []
+    for path in sorted(Path(cmlab.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}
+        for fn in ast.walk(tree):  # outer functions first, so the innermost wins
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner.update(dict.fromkeys(ast.walk(fn), fn.name))
+        found += [
+            f"{path.name}: {owner.get(node, '<module>')}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_exit"
+            or isinstance(node, ast.alias) and node.name == "_exit"
+        ]
+    assert found == ["cli.py: console_main"]
+
+
+EXIT_TIME_MODULES = {"atexit", "threading", "_thread", "multiprocessing", "concurrent"}
+
+
+def _left_for_teardown(node: ast.AST) -> str | None:
+    """What this node leaves for interpreter teardown to run or write, if
+    anything: an exit handler, a thread, or a file opened for writing."""
+    if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open":
+        mode = node.args[1] if len(node.args) > 1 else None
+        mode = next((kw.value for kw in node.keywords if kw.arg == "mode"), mode)
+        if mode is None or isinstance(mode, ast.Constant) and mode.value in ("r", "rb"):
+            return None
+        return "open without a read mode"
+    if isinstance(node, ast.Attribute) and node.attr in ("write_text", "write_bytes"):
+        return f"call of {node.attr}"
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+    elif isinstance(node, ast.ImportFrom):
+        names = [node.module or ""]
+    else:
+        return None
+    hits = [name for name in names if name.partition(".")[0] in EXIT_TIME_MODULES]
+    return f"import of {hits[0]}" if hits else None
+
+
+def test_nothing_is_left_to_run_or_write_at_exit():
+    # the conditions under which console_main may skip teardown
+    found = [
+        f"{path.name}:{node.lineno}: {why}"
+        for path in sorted(Path(cmlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (why := _left_for_teardown(node))
+    ]
+    assert found == []
