@@ -7,16 +7,20 @@ facets (list of vertex lists), alpha (optional list of records
 a built-in fixture name in place of a file path.
 
 Exit codes: 0 Cohen-Macaulay (or plain success), 1 not Cohen-Macaulay,
-2 unknown, 3 usage or input errors.
+2 unknown, 3 usage or input errors, 4 output could not be written (its
+reader closed stdout early).
+
+A request loads only what its subcommand runs: plain arguments are read
+straight from the command table, and argparse parses only --help and the
+argument lists that reading declines.  Package attributes load on first
+access.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import random
 import sys
+from types import SimpleNamespace
 from typing import NoReturn
 
 from .cli_helpers import resolve_source
@@ -29,10 +33,8 @@ from .errors import (
     NotShellable,
     ParseError,
 )
-from .fixtures import fixture_names, get_fixture, problem_json
 from .graphs import ROOT, clique_trees, facet_graph, vertex_graph
 from .homology import FieldSpec, is_cm_ideal_oracle
-from .ideals import expand_ideal, irreducible_component, render_ideal
 from .satisfying import (
     is_general_satisfying,
     is_quasitree_satisfying,
@@ -45,11 +47,6 @@ __all__ = ["main"]
 
 class _UsageError(Exception):
     pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message: str) -> None:  # type: ignore[override]
-        raise _UsageError(message)
 
 
 def _render_edges(edges) -> str:
@@ -222,6 +219,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_cross_validate(args) -> int:
+    import random
+
     cx, _, char, label = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
     if args.samples < 0:
@@ -292,9 +291,13 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_examples(args) -> int:
+    from .fixtures import fixture_names, get_fixture, problem_json
+
     if args.action == "show":
         if args.name is None:
             raise ParseError("examples show requires a fixture name")
+        import json
+
         print(json.dumps(problem_json(args.name), indent=2))
         return 0
     for name in fixture_names():
@@ -303,6 +306,8 @@ def cmd_examples(args) -> int:
 
 
 def cmd_ideal(args) -> int:
+    from .ideals import expand_ideal, irreducible_component, render_ideal
+
     cx, mult, _, _ = resolve_source(args.source)
     if mult is None:
         mult = MultiplicityAssignment.constant(cx)
@@ -313,50 +318,129 @@ def cmd_ideal(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# Every subcommand, read by build_parser() and _fast_parse() alike: name
+# -> (handler, help, arguments), each argument a positional name or an
+# option flag with the keyword options of add_argument.
+_COMMANDS = {
+    "analyze": (cmd_analyze, "structural report for a problem file", (
+        ("source", {"help": "problem file path or fixture name"}),
+        ("--char", {"type": int, "default": None, "help": "field characteristic"}),
+    )),
+    "check": (cmd_check, "decide Cohen-Macaulayness", (
+        ("source", {}),
+        ("--method", {
+            "choices": ["tree", "quasitree", "general", "oracle", "auto"],
+            "default": "auto",
+        }),
+        ("--char", {"type": int, "default": None}),
+    )),
+    "cross-validate": (
+        cmd_cross_validate, "sample random exponent tables against the oracle", (
+            ("source", {}),
+            ("--samples", {"type": int, "required": True}),
+            ("--max-exp", {"type": int, "default": 3}),
+            ("--seed", {"type": int, "default": 0}),
+            ("--char", {"type": int, "default": None}),
+        ),
+    ),
+    "examples": (cmd_examples, "list built-in fixtures or show one", (
+        ("action", {"nargs": "?", "choices": ["list", "show"], "default": "list"}),
+        ("name", {"nargs": "?", "default": None}),
+    )),
+    "ideal": (cmd_ideal, "print the components of the ideal", (
+        ("source", {}),
+        ("--expand", {"action": "store_true"}),
+    )),
+}
+
+
+def build_parser():
+    """The argparse parser of _COMMANDS, which raises _UsageError on a
+    usage error."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        def error(self, message: str) -> NoReturn:
+            raise _UsageError(message)
+
     parser = _Parser(prog="cm-lab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("analyze", help="structural report for a problem file")
-    p.add_argument("source", help="problem file path or fixture name")
-    p.add_argument("--char", type=int, default=None, help="field characteristic")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("check", help="decide Cohen-Macaulayness")
-    p.add_argument("source")
-    p.add_argument(
-        "--method",
-        choices=["tree", "quasitree", "general", "oracle", "auto"],
-        default="auto",
-    )
-    p.add_argument("--char", type=int, default=None)
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser(
-        "cross-validate", help="sample random exponent tables against the oracle"
-    )
-    p.add_argument("source")
-    p.add_argument("--samples", type=int, required=True)
-    p.add_argument("--max-exp", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--char", type=int, default=None)
-    p.set_defaults(func=cmd_cross_validate)
-
-    p = sub.add_parser("examples", help="list built-in fixtures or show one")
-    p.add_argument("action", nargs="?", choices=["list", "show"], default="list")
-    p.add_argument("name", nargs="?", default=None)
-    p.set_defaults(func=cmd_examples)
-
-    p = sub.add_parser("ideal", help="print the components of the ideal")
-    p.add_argument("source")
-    p.add_argument("--expand", action="store_true")
-    p.set_defaults(func=cmd_ideal)
-
+    for name, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
+
+
+def _fast_parse(argv) -> SimpleNamespace | None:
+    """The namespace build_parser().parse_args(argv) returns, read from
+    _COMMANDS without argparse, or None unless argv is plain.
+
+    Plain argv is an exact subcommand name, then its positionals and
+    exact option names, as --opt value or --opt=value: no option twice,
+    every required one present, no token empty or starting with "-" but
+    the option names, and every value accepted by its type and choices.
+    Everything else (--help, abbreviations, "--", every usage error) is
+    left to argparse, so its help and messages stay its own.
+    """
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments = _COMMANDS[argv[0]]
+    options = {flag: spec for flag, spec in arguments if flag.startswith("-")}
+    given: dict[str, str] = {}
+    positionals = []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+            continue
+        flag, eq, value = token.partition("=")
+        spec = options.get(flag)
+        if spec is None or flag in given:
+            return None
+        if spec.get("action") == "store_true":
+            if eq:
+                return None
+        elif not eq:
+            value = next(tokens, "")
+        given[flag] = value
+    rest = iter(positionals)
+    args = SimpleNamespace(command=argv[0], func=func)
+    for flag, spec in arguments:
+        if flag.startswith("-"):
+            dest = flag[2:].replace("-", "_")
+            if spec.get("action") == "store_true":
+                setattr(args, dest, flag in given)
+                continue
+            raw = given.get(flag)
+            if raw is None and spec.get("required"):
+                return None
+        else:
+            dest = flag
+            raw = next(rest, None)
+            if raw is None and spec.get("nargs") != "?":
+                return None
+        if raw is None:
+            setattr(args, dest, spec.get("default"))
+            continue
+        if not raw or raw.startswith("-"):
+            return None
+        try:
+            value = spec["type"](raw) if "type" in spec else raw
+        except (TypeError, ValueError):
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        setattr(args, dest, value)
+    return args if next(rest, None) is None else None
 
 
 # Error lines quote user input (an argument, a path), so they are cut here.
 _ERROR_WIDTH = 200
+
+# The exit code of a run whose output could not be written.
+_OUTPUT_LOST = 4
 
 
 def _fail(message: str) -> int:
@@ -369,16 +453,27 @@ def _fail(message: str) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        return _fail(f"usage error: {exc}")
-    except SystemExit as exc:  # --help
-        code = exc.code
-        return int(code) if code else 0
+    """Run one request and return its exit code; never end the process.
+
+    argparse is imported and built only for argv that _fast_parse
+    declines.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _fast_parse(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except _UsageError as exc:
+            return _fail(f"usage error: {exc}")
+        except SystemExit as exc:  # --help
+            code = exc.code
+            return int(code) if code else 0
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader of stdout has gone: nothing more can reach it
+        return _OUTPUT_LOST
     except (CmLabError, OSError) as exc:
         return _fail(f"error: {exc}")
     except (RecursionError, MemoryError) as exc:
@@ -394,18 +489,24 @@ def console_main() -> NoReturn:
     os._exit, skipping interpreter finalization, which only frees what
     the OS reclaims at exit anyway.  That is safe because the package
     registers no atexit handler, starts no thread and opens files only
-    for reading, so nothing is left to run or write.  If a flush fails
-    (a closed pipe, a full disk) the process leaves through sys.exit, so
-    the exit status and stderr are those of a normal exit.  An exception
+    for reading, so nothing is left to run or write.  A flush that fails
+    on a closed pipe makes the exit code 4, like a failed write inside
+    main, and leaving through os._exit drops what is left unwritten,
+    with no "Exception ignored" report at exit.  If a flush fails
+    otherwise (a full disk) the process leaves through sys.exit, so the
+    exit status and stderr are those of a normal exit.  An exception
     escaping main propagates as it would without this function.
     """
     code = main()
-    try:
-        for stream in (sys.stdout, sys.stderr):
-            if stream is not None:  # None when the fd was closed at start-up
-                stream.flush()
-    except OSError:
-        sys.exit(code)
+    for stream in (sys.stdout, sys.stderr):
+        if stream is None:  # None when the fd was closed at start-up
+            continue
+        try:
+            stream.flush()
+        except BrokenPipeError:
+            code = _OUTPUT_LOST
+        except OSError:
+            sys.exit(code)
     os._exit(code)
 
 

@@ -2,24 +2,26 @@
 
 from __future__ import annotations
 
-import json
 import os
 
 from .complexes import MultiplicityAssignment, SimplicialComplex, _exponent_domain
 from .errors import CmLabError, InvalidCharacteristic, ParseError, UnknownFixture
-from .fixtures import fixture_names, get_fixture
 from .homology import FieldSpec
 
 __all__ = ["parse_problem_file", "resolve_source"]
 
 _FIELDS = {"n", "facets", "alpha", "char"}
+_RECORD_FIELDS = frozenset(("facet", "vertex", "value"))
 
 
-def _require_int(value, label: str, minimum: int | None = None) -> int:
+def _require_int(value, minimum: int | None, label: str, *index: int) -> int:
+    """value, if it is an int (not a bool) of at least minimum; else a
+    ParseError labelled ``label % index``, formatted only then, since
+    an alpha list can hold millions of values."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ParseError(f"{label}: expected an integer, got {value!r}")
+        raise ParseError(f"{label % index}: expected an integer, got {value!r}")
     if minimum is not None and value < minimum:
-        raise ParseError(f"{label}: must be >= {minimum}, got {value}")
+        raise ParseError(f"{label % index}: must be >= {minimum}, got {value}")
     return value
 
 
@@ -31,6 +33,8 @@ def parse_problem_file(
     The returned assignment is None when the file has no alpha field so
     callers can distinguish a stated all-ones table from an absent one.
     """
+    import json  # only problem files need it, not fixtures or examples
+
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -44,7 +48,7 @@ def parse_problem_file(
         raise ParseError("missing field 'n'")
     if "facets" not in doc:
         raise ParseError("missing field 'facets'")
-    n = _require_int(doc["n"], "n", 1)
+    n = _require_int(doc["n"], 1, "n")
     raw_facets = doc["facets"]
     if not isinstance(raw_facets, list) or not raw_facets:
         raise ParseError("facets: expected a non-empty list")
@@ -52,7 +56,7 @@ def parse_problem_file(
     for k, item in enumerate(raw_facets):
         if not isinstance(item, list):
             raise ParseError(f"facets[{k}]: expected a list of vertices")
-        facets.append([_require_int(v, f"facets[{k}]") for v in item])
+        facets.append([_require_int(v, None, "facets[%d]", k) for v in item])
     try:
         cx = SimplicialComplex.from_facets(n, facets)
     except CmLabError as exc:
@@ -67,15 +71,20 @@ def parse_problem_file(
         for k, record in enumerate(raw_alpha):
             if not isinstance(record, dict):
                 raise ParseError(f"alpha[{k}]: expected an object")
-            for key in record:
-                if key not in {"facet", "vertex", "value"}:
-                    raise ParseError(f"alpha[{k}]: unknown field {key!r}")
-            for key in ("facet", "vertex", "value"):
-                if key not in record:
-                    raise ParseError(f"alpha[{k}]: missing field {key!r}")
-            j = _require_int(record["facet"], f"alpha[{k}].facet", 1)
-            i = _require_int(record["vertex"], f"alpha[{k}].vertex", 1)
-            v = _require_int(record["value"], f"alpha[{k}].value", 1)
+            # the common case is checked at once; the checks that name
+            # what is wrong run only when it fails
+            if record.keys() != _RECORD_FIELDS:
+                for key in record:
+                    if key not in _RECORD_FIELDS:
+                        raise ParseError(f"alpha[{k}]: unknown field {key!r}")
+                for key in ("facet", "vertex", "value"):
+                    if key not in record:
+                        raise ParseError(f"alpha[{k}]: missing field {key!r}")
+            j, i, v = record["facet"], record["vertex"], record["value"]
+            if not (type(j) is type(i) is type(v) is int and j > 0 and i > 0 and v > 0):
+                j = _require_int(j, 1, "alpha[%d].facet", k)
+                i = _require_int(i, 1, "alpha[%d].vertex", k)
+                v = _require_int(v, 1, "alpha[%d].value", k)
             if j > cx.m:
                 raise ParseError(
                     f"alpha[{k}]: facet {j} out of range (the complex has {cx.m})"
@@ -96,7 +105,7 @@ def parse_problem_file(
 
     char = 0
     if "char" in doc:
-        char = _require_int(doc["char"], "char", 0)
+        char = _require_int(doc["char"], 0, "char")
         try:
             FieldSpec(char)
         except InvalidCharacteristic as exc:
@@ -112,6 +121,8 @@ def resolve_source(
         with open(source, "r", encoding="utf-8") as handle:
             cx, mult, char = parse_problem_file(handle.read())
         return cx, mult, char, source
+    from .fixtures import fixture_names, get_fixture
+
     if source in fixture_names():
         fx = get_fixture(source)
         mult = fx.assignment() if fx.has_alpha else None

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import io
 import itertools
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cmlab
 from cmlab import cli, graphs, satisfying
@@ -413,6 +418,124 @@ def test_no_table_decision_multiplies_relation_trees_out(monkeypatch, capsys, ar
     assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])
 
 
+# -- argument parsing --------------------------------------------------------
+
+
+def argparse_outcome(argv):
+    """What argparse alone makes of argv: (its attributes, None) when it
+    parses them, else (None, (exit code, stdout, stderr)) as main reports
+    the error or the help."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            return vars(cli.build_parser().parse_args(argv)), None
+        except cli._UsageError as exc:
+            line = f"usage error: {exc}"
+            if len(line) > _ERROR_WIDTH:
+                line = line[: _ERROR_WIDTH - 1] + "…"
+            return None, (3, "", line + "\n")
+        except SystemExit as exc:
+            return None, (exc.code or 0, out.getvalue(), err.getvalue())
+
+
+REQUESTS = [
+    ("examples",),
+    ("examples", "list"),
+    ("examples", "show", "star"),
+    ("check", "problems/path.json", "--method", "oracle", "--char", "2"),
+    ("check", "--method=quasitree", "star", "--char=3"),
+    ("ideal", "problems/path.json", "--expand"),
+    ("cross-validate", "star", "--samples", "40", "--seed", "7"),
+    ("cross-validate", "--samples", "0", "star", "--max-exp", " 4", "--char", "0"),
+    ("analyze", "star", "--char", "5"),
+]
+
+
+@pytest.mark.parametrize("argv", sorted(GOLDEN) + REQUESTS, ids=" ".join)
+def test_plain_argv_is_parsed_without_argparse(argv):
+    fast = cli._fast_parse(list(argv))
+    assert fast is not None
+    assert vars(fast) == argparse_outcome(list(argv))[0]
+
+
+FLAGS = sorted(
+    {flag for _, _, arguments in cli._COMMANDS.values() for flag, _ in arguments if flag[0] == "-"}
+)
+WORDS = [
+    "star", "list", "show", "oracle", "auto", "tree", "0", "2", "07", " 7", "1_0", "+4",
+    "-1", "1.5", "x", "", "7" * 5000, "-h", "--help", "--", "-", "-x", "--unknown",
+]
+
+
+@st.composite
+def table_argvs(draw):
+    """A subcommand with its positionals in order and a random subset of
+    its options, some repeated, in any order, with valid and invalid
+    values, written as --opt value or --opt=value."""
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    groups, positionals = [], []
+    for flag, spec in cli._COMMANDS[name][2]:
+        if "choices" in spec:
+            values = spec["choices"] + ["bogus"]
+        elif "type" in spec:
+            values = ["3", "0", " 7", "-2", "x", "7" * 5000]
+        else:
+            values = ["star", "show", "list", "problems/path.json", "", "-1", "--help"]
+        if not flag.startswith("-"):
+            if spec.get("nargs") != "?" or draw(st.booleans()):
+                positionals.append(draw(st.sampled_from(values)))
+            continue
+        for _ in range(draw(st.sampled_from([1, 0, 1, 2]))):
+            if spec.get("action") == "store_true":
+                groups.append([flag])
+            else:
+                value = draw(st.sampled_from(values))
+                groups.append(draw(st.sampled_from([[flag, value], [f"{flag}={value}"]])))
+    groups = draw(st.permutations(groups))
+    for token in positionals:
+        groups.insert(draw(st.integers(0, len(groups))), [token])
+    return [name] + [token for group in groups for token in group]
+
+
+JUNK_TOKENS = st.one_of(
+    st.sampled_from(FLAGS),
+    st.builds(lambda flag, cut: flag[:cut], st.sampled_from(FLAGS), st.integers(3, 8)),
+    st.builds("{}={}".format, st.sampled_from(FLAGS), st.sampled_from(WORDS)),
+    st.sampled_from(WORDS),
+)
+JUNK_ARGVS = st.builds(
+    lambda head, rest: head + rest,
+    st.sampled_from([[name] for name in cli._COMMANDS] + [["chec"], ["frobnicate"], []]),
+    st.lists(JUNK_TOKENS, max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(table_argvs(), JUNK_ARGVS))
+def test_fast_parse_agrees_with_argparse(argv):
+    parsed, failure = argparse_outcome(argv)
+    fast = cli._fast_parse(argv)
+    if fast is not None:
+        assert vars(fast) == parsed
+        return
+    # a declined argv goes to argparse through main, with its exit code,
+    # help and usage-error line; the handlers are stubbed out
+    seen = []
+
+    def handler(args):
+        seen.append(vars(args))
+        return 0
+
+    table = {name: (handler, *rest) for name, (_, *rest) in cli._COMMANDS.items()}
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(cli._COMMANDS, table), redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    if failure is None:
+        assert (code, out.getvalue(), err.getvalue(), seen) == (0, "", "", [dict(parsed, func=handler)])
+    else:
+        assert (code, out.getvalue(), err.getvalue()) == failure
+
+
 # -- the CLI as a process ----------------------------------------------------
 
 
@@ -482,31 +605,33 @@ def test_process_output_past_the_pipe_buffer_is_complete(tmp_path, capsys, long_
     assert (written.returncode, target.read_bytes(), written.stderr) == (0, out.encode(), b"")
 
 
-UNFLUSHED_EPIPE = (
-    120,
-    b"Exception ignored in: <_io.TextIOWrapper name='<stdout>' mode='w' encoding='utf-8'>\n"
-    b"BrokenPipeError: [Errno 32] Broken pipe\n",
-)
-WRITE_EPIPE = (3, b"error: [Errno 32] Broken pipe\n")
-
-
 @pytest.mark.parametrize(
-    "long_output,buffered,expected",
-    [(False, True, UNFLUSHED_EPIPE), (False, False, WRITE_EPIPE), (True, True, WRITE_EPIPE)],
+    "long_output,buffered,read",
+    [(False, True, 0), (False, False, 0), (True, True, 10)],
     ids=["buffered", "unbuffered", "past-the-buffer"],
 )
-def test_process_on_a_closed_pipe_exits_as_python_does(long_path, long_output, buffered, expected):
-    # as in any Python program: a buffered answer fails only in the
-    # flush at exit, which Python reports with status 120, and a failed
-    # write inside main is an exit-3 error line
+def test_process_on_a_closed_pipe_exits_four(long_path, long_output, buffered, read):
+    # a reader that closes stdout early is no input error: whether the
+    # write fails in main or in the flush at exit, the run exits 4 and
+    # writes nothing to stderr.  A short answer fails only if the reader
+    # is gone before it is written; a long one blocks until the reader
+    # has read some of it and closed the pipe.
     argv = ["ideal", long_path] if long_output else ["examples"]
     read_end, write_end = os.pipe()
-    os.close(read_end)
+    reader = os.fdopen(read_end, "rb")
     try:
-        proc = cli_process(*argv, buffered=buffered, stdout=write_end, stderr=subprocess.PIPE)
-    finally:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cmlab.cli", *argv],
+            env=cli_env(buffered), stdout=write_end, stderr=subprocess.PIPE,
+        )
         os.close(write_end)
-    assert (proc.returncode, proc.stderr) == expected
+        assert len(reader.read(read)) == read
+        reader.close()
+        _, err = proc.communicate(timeout=60)
+    finally:
+        if not reader.closed:
+            reader.close()
+    assert (proc.returncode, err) == (4, b"")
 
 
 def test_process_with_stdout_closed_at_start_exits_zero():

@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cmlab
 
@@ -96,6 +100,65 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+FOOTPRINT = """\
+import contextlib, io, json, sys
+before = set(sys.modules)
+from cmlab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted(set(sys.modules) - before)]))
+"""
+
+
+FOOTPRINT_CASES = [
+    (["check", "{path}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures"}),
+    (["check", "{path}", "--method", "oracle"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures"}),
+    (["ideal", "{path}", "--expand"], 0, {"argparse", "cmlab.fixtures"}),
+    (["examples"], 0, {"argparse", "cmlab.ideals"}),
+    (["--help"], 0, set()),
+    (["check"], 3, set()),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,code,unloaded", FOOTPRINT_CASES, ids=[" ".join(case[0]) for case in FOOTPRINT_CASES]
+)
+def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unloaded):
+    # each CLI request is a fresh process, which pays for every import;
+    # argparse is loaded only for help and usage errors
+    doc = tmp_path / "path.json"
+    doc.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4]]}')
+    argv = [arg.format(path=doc) for arg in argv]
+    src = str(Path(cmlab.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    got, loaded = json.loads(out.stdout)
+    assert got == code
+    assert unloaded & set(loaded) == set()
+    if not unloaded:
+        assert "argparse" in loaded
+
+
+def test_public_names_load_on_first_access():
+    # every name in __all__ is the object its defining module holds, and
+    # dir() and star-import list them before they are loaded
+    namespace: dict = {}
+    exec("from cmlab import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(cmlab.__all__)
+    assert set(cmlab.__all__) <= set(dir(cmlab))
+    for name in cmlab.__all__:
+        value = getattr(cmlab, name)
+        home = getattr(value, "__module__", None)
+        if not (home or "").startswith("cmlab."):  # a constant, as ROOT
+            home = f"cmlab.{cmlab._MODULE_OF[name]}"
+        assert getattr(importlib.import_module(home), name) is value, name
+    with pytest.raises(AttributeError):
+        cmlab.no_such_name
 
 
 def test_only_the_entry_point_skips_interpreter_teardown():
