@@ -16,7 +16,7 @@ from bisect import bisect_left
 from functools import lru_cache
 from math import comb
 from operator import itemgetter, ne
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyFacet,
@@ -32,7 +32,6 @@ __all__ = [
     "SimplicialComplex",
     "MultiplicityAssignment",
     "ExponentOffset",
-    "leaf_branches",
 ]
 
 Face = tuple[int, ...]
@@ -227,17 +226,30 @@ def _all_faces(cx: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(sorted(faces, key=lambda t: (len(t), t)))
 
 
-def leaf_branches(facets: tuple[Face, ...], idx: int) -> tuple[int, ...]:
-    """0-based indices g such that facet[g] absorbs every intersection
-    with facet[idx]; non-empty exactly when facet[idx] is a leaf of a
-    multi-facet collection."""
-    f = set(facets[idx])
-    others = [(g, set(facets[g]) & f) for g in range(len(facets)) if g != idx]
-    return tuple(
-        g
-        for g, cap in others
-        if all(other <= cap for _, other in others)
-    )
+@lru_cache(maxsize=256)
+def _facet_masks(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The bitmask index of a complex: per facet its vertex mask, vertex
+    v being bit v, and per vertex 0..n the mask of the facets holding it,
+    facet j being bit j - 1."""
+    holders = [0] * (cx.n + 1)
+    for j, f in enumerate(cx.facets):
+        for v in f:
+            holders[v] |= 1 << j
+    return tuple(sum(1 << v for v in f) for f in cx.facets), tuple(holders)
+
+
+def _leaf_branch(masks: Sequence[int], kept: Sequence[int], k: int) -> int | None:
+    """The lowest g other than k among the ascending indices kept whose
+    vertex mask holds every meet of masks[k] with the other kept masks:
+    the branch of the leaf k of the kept facets, or None when k is not a
+    leaf of them.  A facet meeting none of the others hangs from the
+    lowest one."""
+    rest = 0
+    for g in kept:
+        if g != k:
+            rest |= masks[g]
+    union = masks[k] & rest
+    return next((g for g in kept if g != k and masks[g] & union == union), None)
 
 
 def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
@@ -274,17 +286,18 @@ def _check_value(j: int, i: int, v: object, minimum: int, kind: str) -> None:
         )
 
 
-class MultiplicityAssignment(Frozen):
-    """A positive exponent for every (facet, missing vertex) pair.
+class _Table(Frozen):
+    """An integer of at least _minimum for every (facet, missing vertex)
+    pair of a complex.
 
-    Entry (j, i, v) assigns exponent v to vertex i at the j-th facet
+    Entry (j, i, v) gives vertex i the value v at the j-th facet
     (1-based, canonical facet order), defined exactly when vertex i lies
-    outside that facet.  Together with the complex this determines one
-    generically complete intersection monomial ideal.
+    outside that facet.  Entries are kept in that order.
     """
 
     __slots__ = ("complex", "entries", "_by_vertex")
     _fields = ("complex", "entries")
+    _minimum, _kind = 1, "exponent table"
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
 
@@ -296,19 +309,19 @@ class MultiplicityAssignment(Frozen):
         self.__post_init__()
 
     def __post_init__(self) -> None:
-        entries = _validated_entries(self.complex, tuple(self.entries), 1, "exponent table")
+        entries = _validated_entries(
+            self.complex, tuple(self.entries), self._minimum, self._kind
+        )
         self._store(self.complex, entries)
 
     @classmethod
-    def _of_canonical(
-        cls, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]
-    ) -> MultiplicityAssignment:
+    def _of_canonical(cls, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]):
         """The table with these entries, already known to be valid and
-        sorted: positive ints over the exponent domain of cx, in its
-        order."""
-        mult = cls.__new__(cls)
-        mult._store(cx, entries)
-        return mult
+        sorted: ints of at least the minimum over the exponent domain of
+        cx, in its order."""
+        table = cls.__new__(cls)
+        table._store(cx, entries)
+        return table
 
     def _store(self, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]) -> None:
         self._freeze(cx, entries)
@@ -317,6 +330,23 @@ class MultiplicityAssignment(Frozen):
         for j, i, v in entries:
             by_vertex.setdefault(i, {})[j] = v
         _set(self, "_by_vertex", by_vertex)
+
+    def value(self, j: int, i: int) -> int:
+        try:
+            return self._by_vertex[i][j]
+        except KeyError:
+            raise MultiplicityDomainMismatch(
+                f"no exponent slot at facet {j}, vertex {i}"
+            ) from None
+
+
+class MultiplicityAssignment(_Table):
+    """A positive exponent for every (facet, missing vertex) pair.
+    Together with the complex this determines one generically complete
+    intersection monomial ideal.
+    """
+
+    __slots__ = ()
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
@@ -343,14 +373,6 @@ class MultiplicityAssignment(Frozen):
             cx,
             tuple((j, i, overrides.get((j, i), 1)) for j, i in _exponent_domain(cx)),
         )
-
-    def value(self, j: int, i: int) -> int:
-        try:
-            return self._by_vertex[i][j]
-        except KeyError:
-            raise MultiplicityDomainMismatch(
-                f"no exponent slot at facet {j}, vertex {i}"
-            ) from None
 
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:
         """(facet index, value) pairs for one vertex, facet order."""
@@ -391,25 +413,16 @@ class MultiplicityAssignment(Frozen):
         return SimplicialComplex._of_canonical(self.complex.n, surviving)
 
 
-class ExponentOffset(Frozen):
+class ExponentOffset(_Table):
     """Nonnegative exponent table; the additive counterpart of
     MultiplicityAssignment, used for semigroup arithmetic."""
 
-    __slots__ = ("complex", "entries", "_values")
-    _fields = ("complex", "entries")
-    complex: SimplicialComplex
-    entries: tuple[tuple[int, int, int], ...]
-
-    def __init__(
-        self, complex: SimplicialComplex, entries: Iterable[tuple[int, int, int]]
-    ) -> None:
-        entries = _validated_entries(complex, tuple(entries), 0, "offset table")
-        self._freeze(complex, entries)
-        _set(self, "_values", {(j, i): v for j, i, v in entries})
+    __slots__ = ()
+    _minimum, _kind = 0, "offset table"
 
     @classmethod
     def zero(cls, cx: SimplicialComplex) -> ExponentOffset:
-        return cls(cx, tuple((j, i, 0) for j, i in _exponent_domain(cx)))
+        return cls._of_canonical(cx, tuple((j, i, 0) for j, i in _exponent_domain(cx)))
 
     @classmethod
     def indicator(
@@ -425,17 +438,15 @@ class ExponentOffset(Frozen):
             ),
         )
 
-    def value(self, j: int, i: int) -> int:
-        return self._values[(j, i)]
-
     def __add__(self, other: ExponentOffset) -> ExponentOffset:
         if not isinstance(other, ExponentOffset):
             return NotImplemented
         if other.complex != self.complex:
             raise MultiplicityDomainMismatch("offsets live on different complexes")
+        # both entry lists are in the complex's domain order
+        pairs = zip(self.entries, other.entries)
         return ExponentOffset(
-            self.complex,
-            tuple((j, i, v + other._values[(j, i)]) for j, i, v in self.entries),
+            self.complex, tuple((j, i, v + w) for (j, i, v), (_, _, w) in pairs)
         )
 
     def scale(self, k: int) -> ExponentOffset:

@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
 
-from .complexes import Frozen, SimplicialComplex, leaf_branches
+from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -124,14 +124,17 @@ def root_orientation(g: FacetLevelGraph, root: int) -> tuple[tuple[int, int], ..
     return directed
 
 
-def _ridge_cliques(cx: SimplicialComplex) -> list[list[int]]:
-    """Per ridge that two or more facets of the pure complex share, those
-    facets, ascending: the cliques whose union is the facet graph."""
-    by_ridge: dict[tuple[int, ...], list[int]] = {}
+@lru_cache(maxsize=256)
+def _ridge_groups(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """Per ridge that two or more facets share, the pairs (facet j,
+    vertex of facet j outside the ridge), facets ascending; ridges in
+    the order their first facet lists them.  Their facets are the ridge
+    cliques, whose union is the facet graph of a pure complex."""
+    by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
     for j, f in enumerate(cx.facets, start=1):
-        for k in range(len(f)):
-            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append(j)
-    return [js for js in by_ridge.values() if len(js) > 1]
+        for k, v in enumerate(f):
+            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append((j, v))
+    return tuple(tuple(pairs) for pairs in by_ridge.values() if len(pairs) > 1)
 
 
 @lru_cache(maxsize=256)
@@ -140,7 +143,7 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     is, sharing a ridge."""
     if not cx.is_pure:
         raise NotPure("the facet graph requires a pure complex")
-    edges = [e for js in _ridge_cliques(cx) for e in combinations(js, 2)]
+    edges = [(a, b) for group in _ridge_groups(cx) for (a, _), (b, _) in combinations(group, 2)]
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), edges)
 
 
@@ -195,21 +198,19 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
     """Greedy reverse construction: repeatedly remove the lowest-index
     leaf of what remains.  Cross-checked against the exhaustive search
     in the test suite."""
-    remaining = list(range(1, cx.m + 1))
+    masks, _ = _facet_masks(cx)
+    remaining = list(range(cx.m))
     removed: list[tuple[int, int]] = []
     while len(remaining) > 1:
-        step = None
-        sub = tuple(cx.facets[t - 1] for t in remaining)
-        for pos, j in enumerate(remaining):
-            branches = leaf_branches(sub, pos)
-            if branches:
-                step = (j, remaining[branches[0]])
+        for k in remaining:
+            g = _leaf_branch(masks, remaining, k)
+            if g is not None:
                 break
-        if step is None:
+        else:
             return None
-        removed.append(step)
-        remaining.remove(step[0])
-    order = tuple(remaining) + tuple(j for j, _ in reversed(removed))
+        removed.append((k + 1, g + 1))
+        remaining.remove(k)
+    order = tuple(j + 1 for j in remaining) + tuple(j for j, _ in reversed(removed))
     branches = (None,) * len(remaining) + tuple(g for _, g in reversed(removed))
     return LeafOrder(order, branches)
 
@@ -225,7 +226,8 @@ def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
     if find_leaf_order(cx) is None:
         raise NotQuasiTree("no leaf order exists")
     cliques = []
-    for nodes in _ridge_cliques(cx):
+    for group in _ridge_groups(cx):
+        nodes = [j for j, _ in group]
         trees = []
         for code in product(nodes, repeat=len(nodes) - 2):
             degree = {v: code.count(v) + 1 for v in nodes}

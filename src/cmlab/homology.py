@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Iterator, NamedTuple
 
-from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
+from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 
 __all__ = [
@@ -210,12 +210,8 @@ class _Sweep:
 
     def __init__(self, cx: SimplicialComplex, field: FieldSpec) -> None:
         self.cx, self.field = cx, field
-        self.facet_bits = fb = [sum(1 << v for v in f) for f in cx.facets]
-        # vertex v -> the facets containing it
-        incidence = [0] * (cx.n + 1)
-        for j, f in enumerate(cx.facets):
-            for v in f:
-                incidence[v] |= 1 << j
+        fb, incidence = _facet_masks(cx)
+        self.facet_bits = fb
         # Every nonempty meet of facets is reached by meeting a closed
         # face with a facet that shares a vertex with it; the meet of
         # all facets is the one that may be empty.
@@ -341,23 +337,17 @@ def _peeled(facets: tuple[int, ...]) -> tuple[int, ...]:
         k = 0
         while k < len(kept):
             f = kept[k]
-            # leaf: whether one of the meets so far contains the others;
             # a meet equals f only for g == f, facets being distinct
-            common, union, leaf = -1, 0, False
+            common, union = -1, 0
             for g in kept:
                 meet = f & g
                 if meet and meet != f:
                     common &= meet
-                    grown = union | meet
-                    if grown == meet:
-                        leaf = True
-                    elif grown != union:
-                        leaf = False
-                    union = grown
+                    union |= meet
                     if not common and union == f:
                         break
             else:
-                if union and (common or leaf):
+                if union and (common or _leaf_branch(kept, range(len(kept)), k) is not None):
                     del kept[k]
                     peeling = True
                     continue

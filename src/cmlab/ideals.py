@@ -8,6 +8,7 @@ and containment of finitely generated monomial ideals.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable
 
 from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
@@ -220,12 +221,13 @@ def irreducible_component(mult: MultiplicityAssignment, j: int) -> MonomialIdeal
     cx = mult.complex
     if not 1 <= j <= cx.m:
         raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
-    # the table's entries are sorted and positive, so these distinct pure
-    # powers come minimal and in display order
+    # the table's entries are sorted and positive, so facet j's run of
+    # them gives distinct pure powers, minimal and in display order
+    entries = mult.entries
+    lo = bisect_left(entries, (j,))
     gens = tuple(
         tuple(v if k == i else 0 for k in range(1, cx.n + 1))
-        for j2, i, v in mult.entries
-        if j2 == j
+        for _, i, v in entries[lo : bisect_left(entries, (j + 1,), lo)]
     )
     return MonomialIdeal._of_minimal(cx.n, gens)
 

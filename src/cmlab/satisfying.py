@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
-from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
+from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex, _facet_masks
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -104,16 +104,13 @@ def _clique_masks(
     on c's side and c -> p otherwise; with none at all it is no tree.
     The bits are worked out once per distinct split (c, p, c's side)."""
     cliques = clique_trees(cx)
-    containing = [0] * (cx.n + 1)
-    for j, f in enumerate(cx.facets, start=1):
-        for i in f:
-            containing[i] |= 1 << j
+    _, containing = _facet_masks(cx)
     uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
     if uncovered:
         raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
     walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
     parent = {c: p for p, c in walk}
-    below = {j: 1 << j for j in range(1, cx.m + 1)}
+    below = {j: 1 << (j - 1) for j in range(1, cx.m + 1)}
     for p, c in reversed(walk):
         below[p] |= below[c]
     out = []
@@ -133,7 +130,7 @@ def _clique_masks(
             for c, p in tree:
                 split = splits.get((c, p, side[c]))
                 if split is None:
-                    split, ends = 0, 1 << p | 1 << c
+                    split, ends = 0, 1 << (p - 1) | 1 << (c - 1)
                     for i in range(1, cx.n + 1):
                         held = containing[i]
                         if not held & ends:

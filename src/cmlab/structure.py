@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .complexes import SimplicialComplex, leaf_branches
+from .complexes import SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import (
     FacetIndexOutOfRange,
     InternalInvariantViolation,
@@ -17,7 +17,7 @@ from .errors import (
     NotShellable,
     NotTreeFacetGraph,
 )
-from .graphs import LeafOrder, facet_graph, find_leaf_order, is_tree
+from .graphs import LeafOrder, _ridge_groups, facet_graph, find_leaf_order, is_tree
 from .homology import RATIONALS, FieldSpec, is_cm_complex
 
 __all__ = [
@@ -55,29 +55,23 @@ def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int
 @lru_cache(maxsize=32)
 def _ridge_masks(
     cx: SimplicialComplex,
-) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...], tuple[int, ...]]:
+) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
     """The bitmasks of the shelling step test, the facet at position j
     of cx.facets (0-based) being bit j.
 
     Per facet j: the mask of the facets that share a ridge with it, and
     for each such facet t the pair (t, holders), where holders is the
-    mask of the facets containing the one vertex of j outside t.  Last,
-    per vertex the mask of the facets containing it."""
-    containing = [0] * (cx.n + 1)
-    by_ridge: dict[tuple[int, ...], list[tuple[int, int]]] = {}
-    for j, f in enumerate(cx.facets):
-        for k, v in enumerate(f):
-            containing[v] |= 1 << j
-            by_ridge.setdefault(f[:k] + f[k + 1 :], []).append((j, v))
+    mask of the facets containing the one vertex of j outside t."""
+    _, containing = _facet_masks(cx)
     neighbours = [0] * cx.m
     pairs: list[list[tuple[int, int]]] = [[] for _ in cx.facets]
-    for sharing in by_ridge.values():
-        for j, v in sharing:
-            for t, _ in sharing:
+    for group in _ridge_groups(cx):
+        for j, v in group:
+            for t, _ in group:
                 if t != j:
-                    neighbours[j] |= 1 << t
-                    pairs[j].append((t, containing[v]))
-    return tuple(neighbours), tuple(map(tuple, pairs)), tuple(containing)
+                    neighbours[j - 1] |= 1 << (t - 1)
+                    pairs[j - 1].append((t - 1, containing[v]))
+    return tuple(neighbours), tuple(map(tuple, pairs))
 
 
 def _extends(pairs: tuple[tuple[int, int], ...], used: int) -> bool:
@@ -101,7 +95,7 @@ def is_shelling(cx: SimplicialComplex, order: Iterable[int]) -> bool:
     if not cx.is_pure:
         raise NotPure("shellings are defined for pure complexes here")
     seq = _check_permutation(cx, order)
-    _, ridges, _ = _ridge_masks(cx)
+    _, ridges = _ridge_masks(cx)
     used = 0
     for j in seq:
         if used and not _extends(ridges[j - 1], used):
@@ -112,7 +106,6 @@ def is_shelling(cx: SimplicialComplex, order: Iterable[int]) -> bool:
 
 def _tiers(
     cx: SimplicialComplex,
-    containing: tuple[int, ...],
     prefix_vertex: int | None,
     weights: dict[int, int] | None,
 ) -> list[int]:
@@ -122,7 +115,7 @@ def _tiers(
     full = (1 << cx.m) - 1
     if prefix_vertex is None:
         return [full]
-    first = containing[prefix_vertex] if 0 < prefix_vertex <= cx.n else 0
+    first = _facet_masks(cx)[1][prefix_vertex] if 0 < prefix_vertex <= cx.n else 0
     rest = full & ~first
     if not weights:
         return [first, rest]
@@ -157,8 +150,8 @@ def find_shelling(
     m = cx.m
     if m == 0:
         return ()
-    neighbours, ridges, containing = _ridge_masks(cx)
-    tiers = _tiers(cx, containing, prefix_vertex, weights)
+    neighbours, ridges = _ridge_masks(cx)
+    tiers = _tiers(cx, prefix_vertex, weights)
     full = (1 << m) - 1
 
     def allowed(used: int) -> int:
@@ -208,10 +201,8 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
         raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
     if cx.m == 1:
         return True, None
-    branches = leaf_branches(cx.facets, j - 1)
-    if branches:
-        return True, branches[0] + 1
-    return False, None
+    g = _leaf_branch(_facet_masks(cx)[0], range(cx.m), j - 1)
+    return (False, None) if g is None else (True, g + 1)
 
 
 class ClassificationReport(NamedTuple):

@@ -122,13 +122,21 @@ def restrict_relation_tree(
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
 
 
+def leaf_branches_reference(facets: tuple[tuple[int, ...], ...], idx: int) -> tuple[int, ...]:
+    """Reference leaf test on Python sets: the 0-based indices g such
+    that facets[g] absorbs every intersection with facets[idx]; non-empty
+    exactly when facets[idx] is a leaf of a multi-facet collection."""
+    f = set(facets[idx])
+    others = [(g, set(facets[g]) & f) for g in range(len(facets)) if g != idx]
+    return tuple(g for g, cap in others if all(other <= cap for _, other in others))
+
+
 def relation_trees_reference(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     """Reference relation trees: every tree obtainable by recursive leaf
     removal with branch choice, deduplicated by edge set and sorted by
     edges, with the gate and messages of graphs.relation_trees.
     Memoized on the remaining facets; recursive, so for small complexes
     only."""
-    from cmlab.complexes import leaf_branches
     from cmlab.errors import NotQuasiTree
     from cmlab.graphs import facet_graph
 
@@ -146,7 +154,7 @@ def relation_trees_reference(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ..
         sub = tuple(cx.facets[j] for j in back)
         out: set[frozenset[tuple[int, int]]] = set()
         for pos, j in enumerate(back):
-            branches = leaf_branches(sub, pos)
+            branches = leaf_branches_reference(sub, pos)
             if not branches:
                 continue
             rest = grow(present - {j})

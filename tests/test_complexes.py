@@ -292,6 +292,13 @@ def test_offset_arithmetic(tree_fixture):
         ind + other
 
 
+def test_offset_value_outside_the_domain_is_a_domain_mismatch(tree_fixture):
+    # vertex tree_fixture.facets[0][0] lies in facet 1, so it has no slot there
+    for table in (ExponentOffset.zero(tree_fixture), MultiplicityAssignment.constant(tree_fixture)):
+        with pytest.raises(MultiplicityDomainMismatch, match="no exponent slot at facet 1"):
+            table.value(1, tree_fixture.facets[0][0])
+
+
 def test_offset_of_assignment_roundtrip(tree_fixture):
     am = MultiplicityAssignment.from_overrides(tree_fixture, {(3, 1): 4})
     assert am.offset().plus_one() == am

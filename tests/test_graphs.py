@@ -24,7 +24,7 @@ from conftest import (
     strongly_connected_by_bfs,
 )
 
-from cmlab import get_fixture, satisfying
+from cmlab import get_fixture, graphs, satisfying
 from cmlab.complexes import SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
@@ -398,7 +398,12 @@ def test_clique_trees_list_each_tree_bottom_up_under_the_last_facet():
 
 def test_graph_caches_are_bounded(tree_fixture):
     for cached in (
-        facet_graph, vertex_graph, clique_trees, relation_trees, satisfying._clique_masks
+        facet_graph,
+        vertex_graph,
+        clique_trees,
+        relation_trees,
+        graphs._ridge_groups,
+        satisfying._clique_masks,
     ):
         assert cached.cache_info().maxsize is not None
     # a bounded cache still answers from memory

@@ -17,6 +17,7 @@ from conftest import (
     dense_rank,
     exact_matrix,
     is_zero,
+    leaf_branches_reference,
     matmul,
     oracle_reference,
     random_assignment,
@@ -465,9 +466,32 @@ def _on_masks(n: int, masks) -> SimplicialComplex:
     return SimplicialComplex(n, [[v for v in range(1, n + 1) if x >> v & 1] for x in masks])
 
 
+def _peeled_reference(masks: tuple[int, ...]) -> tuple[int, ...]:
+    """The cone-or-leaf peeling on Python sets, in the order of
+    homology._peeled: passes over the facets, each deleting in place
+    every facet whose nonempty meets with the others share a vertex or
+    all lie in one other facet, until a pass deletes none or one facet
+    is left."""
+    kept = [tuple(v for v in range(x.bit_length()) if x >> v & 1) for x in masks]
+    peeling = True
+    while peeling and len(kept) > 1:
+        peeling = False
+        k = 0
+        while k < len(kept):
+            f = set(kept[k])
+            meets = [f & set(g) for g in kept if g != kept[k] and f & set(g)]
+            if meets and (set.intersection(*meets) or leaf_branches_reference(tuple(kept), k)):
+                del kept[k]
+                peeling = True
+            else:
+                k += 1
+    return tuple(sum(1 << v for v in f) for f in kept)
+
+
 def _assert_peeling_keeps_homology(cx: SimplicialComplex) -> tuple[int, ...]:
     masks = _masks(cx)
     left = homology._peeled(masks)
+    assert left == _peeled_reference(masks), cx.facets
     rest = iter(masks)
     assert all(x in rest for x in left), "the remainder keeps the facet order"
     for field in FIELDS:
@@ -556,6 +580,7 @@ def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
 def test_homology_caches_are_bounded():
     for cached in (
         complexes._all_faces,
+        complexes._facet_masks,
         reduced_homology_ranks,
         is_cm_complex,
         homology._sweep,

@@ -406,6 +406,13 @@ def test_ideal_arithmetic_matches_reference_on_components():
         for am in tables:
             comps = [irreducible_component(am, j) for j in range(1, cx.m + 1)]
             assert all(q == MonomialIdeal(cx.n, q.generators) for q in comps)
+            # one pure power per vertex missing from the facet, vertices ascending
+            for j, (f, q) in enumerate(zip(cx.facets, comps), start=1):
+                assert q.generators == tuple(
+                    tuple(am.value(j, i) if k == i else 0 for k in range(1, cx.n + 1))
+                    for i in range(1, cx.n + 1)
+                    if i not in f
+                )
             expected = reference_fold(cx.n, comps)
             assert expand_ideal(am).generators == expected
             check_against_reference(comps[0], comps[-1], expected)

@@ -11,13 +11,15 @@ import pytest
 from conftest import (
     find_shelling_reference,
     is_shelling_reference,
+    leaf_branches_reference,
+    random_complex,
     random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
 )
 
 from cmlab import GF2, RATIONALS, get_fixture, structure
-from cmlab.complexes import SimplicialComplex, leaf_branches
+from cmlab.complexes import SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
     NotATree,
@@ -167,7 +169,7 @@ def find_leaf_order_exhaustive(cx: SimplicialComplex) -> LeafOrder | None:
         back = sorted(remaining)
         sub = tuple(cx.facets[t - 1] for t in back)
         for pos, j in enumerate(back):
-            branches = leaf_branches(sub, pos)
+            branches = leaf_branches_reference(sub, pos)
             if not branches:
                 continue
             head = search(remaining - {j})
@@ -195,6 +197,77 @@ def test_greedy_leaf_order_matches_exhaustive():
         qt = random_quasi_tree(rng, max_m=6)
         assert find_leaf_order(qt) is not None
         assert find_leaf_order_exhaustive(qt) is not None
+
+
+def find_leaf_order_reference(cx: SimplicialComplex) -> LeafOrder | None:
+    """The greedy leaf order on Python sets: repeatedly remove the
+    lowest-index leaf of what remains, with its lowest branch."""
+    remaining = list(range(1, cx.m + 1))
+    removed: list[tuple[int, int]] = []
+    while len(remaining) > 1:
+        sub = tuple(cx.facets[t - 1] for t in remaining)
+        for pos, j in enumerate(remaining):
+            branches = leaf_branches_reference(sub, pos)
+            if branches:
+                removed.append((j, remaining[branches[0]]))
+                break
+        else:
+            return None
+        remaining.remove(removed[-1][0])
+    return LeafOrder(
+        tuple(remaining) + tuple(j for j, _ in reversed(removed)),
+        (None,) * len(remaining) + tuple(g for _, g in reversed(removed)),
+    )
+
+
+def _disjoint_union(a: SimplicialComplex, b: SimplicialComplex) -> SimplicialComplex:
+    shifted = [[v + a.n for v in f] for f in b.facets]
+    return SimplicialComplex(a.n + b.n, list(a.facets) + shifted)
+
+
+def _facet_components(cx: SimplicialComplex) -> int:
+    """The number of classes of facets joined by sharing a vertex."""
+    label = list(range(cx.m))
+    for a in range(cx.m):
+        for b in range(a):
+            if set(cx.facets[a]) & set(cx.facets[b]):
+                old, new = label[a], label[b]
+                label = [new if x == old else x for x in label]
+    return len(set(label))
+
+
+def test_leaf_order_and_leaf_test_match_the_set_based_reference():
+    rng = random.Random(1802)
+    seen = {"none": 0, "order": 0, "single": 0, "nonpure": 0, "disconnected": 0, "isolated": 0}
+    for k in range(2400):
+        kind = k % 4
+        n = rng.randint(1, 8)
+        if kind == 0:
+            cx = random_complex(rng, n, rng.randint(1, min(n, 5)))
+        elif kind == 1:
+            cx = random_quasi_tree(rng, max_m=7)
+        elif kind == 2:
+            cx = random_pure_strongly_connected(rng, max_n=7, max_m=7)
+        else:
+            cx = _disjoint_union(
+                random_complex(rng, n, min(n, 3)), random_quasi_tree(rng, max_m=4)
+            )
+        want = find_leaf_order_reference(cx)
+        assert find_leaf_order(cx) == want, cx.facets
+        for j in range(1, cx.m + 1):
+            branches = leaf_branches_reference(cx.facets, j - 1)
+            expected = (True, None) if cx.m == 1 else (
+                (True, branches[0] + 1) if branches else (False, None)
+            )
+            assert is_leaf(cx, j) == expected, (cx.facets, j)
+        seen["none" if want is None else "order"] += 1
+        seen["single"] += cx.m == 1
+        seen["nonpure"] += not cx.is_pure
+        seen["disconnected"] += _facet_components(cx) > 1
+        seen["isolated"] += cx.m > 1 and any(
+            not any(set(f) & set(g) for g in cx.facets if g != f) for f in cx.facets
+        )
+    assert min(seen.values()) >= 100, seen
 
 
 def test_classify_main(tree_fixture):
