@@ -218,6 +218,21 @@ def cmd_check(args) -> int:
     return _check_oracle(mult, field)
 
 
+def _random_entries(rng, top: int, domain) -> tuple[tuple[int, int, int], ...]:
+    """An entry (j, i, value) per domain pair, each value drawn as
+    rng.randint(1, top) draws it: getrandbits(top.bit_length()) until
+    the draw is below top, plus one."""
+    getrandbits = rng.getrandbits
+    bits = top.bit_length()
+    entries = []
+    for j, i in domain:
+        r = getrandbits(bits)
+        while r >= top:
+            r = getrandbits(bits)
+        entries.append((j, i, r + 1))
+    return tuple(entries)
+
+
 def cmd_cross_validate(args) -> int:
     import random
 
@@ -245,7 +260,7 @@ def cmd_cross_validate(args) -> int:
     for _ in range(args.samples):
         # drawn in canonical domain order, so the table needs no validation
         mult = MultiplicityAssignment._of_canonical(
-            cx, tuple((j, i, rng.randint(1, args.max_exp)) for j, i in domain)
+            cx, _random_entries(rng, args.max_exp, domain)
         )
         oracle_cm = is_cm_ideal_oracle(mult, field).is_cm
         cm_count += oracle_cm

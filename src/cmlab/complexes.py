@@ -38,9 +38,25 @@ Face = tuple[int, ...]
 
 
 def _canonical_facets(raw: Iterable[Iterable[int]]) -> tuple[Face, ...]:
-    faces = {tuple(sorted(set(f))) for f in raw}
-    facets = [f for f in faces if not any(set(f) < set(g) for g in faces)]
-    return tuple(sorted(facets))
+    """The distinct inclusion-maximal faces, sorted.  Faces are distinct
+    sets, so the faces holding every vertex of a face are the face itself
+    and the larger faces it lies in: bit k stands for the k-th face, and
+    a face is kept when the meet of its vertices' holder masks is its
+    own bit."""
+    faces = sorted({tuple(sorted(set(f))) for f in raw})
+    holders: dict[int, int] = {}
+    for k, f in enumerate(faces):
+        for v in f:
+            holders[v] = holders.get(v, 0) | 1 << k
+    everything = (1 << len(faces)) - 1
+    facets = []
+    for k, f in enumerate(faces):
+        common = everything
+        for v in f:
+            common &= holders[v]
+        if common == 1 << k:
+            facets.append(f)
+    return tuple(facets)
 
 
 _set = object.__setattr__
@@ -93,7 +109,8 @@ class SimplicialComplex(Frozen):
     values (links, subcomplexes) that may leave vertices uncovered.
     """
 
-    __slots__ = _fields = ("n", "facets")
+    __slots__ = ("n", "facets", "_pure")
+    _fields = ("n", "facets")
     n: int
     facets: tuple[Face, ...]
 
@@ -146,7 +163,13 @@ class SimplicialComplex(Frozen):
 
     @property
     def is_pure(self) -> bool:
-        return len({len(f) for f in self.facets}) <= 1
+        """Whether all facets have one size; worked out on first use."""
+        try:
+            return self._pure
+        except AttributeError:
+            pure = len({len(f) for f in self.facets}) <= 1
+            _set(self, "_pure", pure)
+            return pure
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -257,6 +280,32 @@ def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
     return [(j, i) for j, f in enumerate(cx.facets, start=1) for i in vertices if i not in f]
 
 
+@lru_cache(maxsize=256)
+def _domain_index(cx: SimplicialComplex) -> tuple[int, ...]:
+    """The domain index of a complex: the pair (facet j, vertex i) sits in
+    a table's entries at index[j - 1] + i - bisect_left(cx.facets[j - 1], i),
+    the position of facet j's first pair plus the vertices below i that
+    the facet misses, less one."""
+    index, start = [], 0
+    for f in cx.facets:
+        index.append(start - 1)
+        start += cx.n - len(f)
+    return tuple(index)
+
+
+def _position(cx: SimplicialComplex, j: int, i: int) -> int | None:
+    """The position of the pair (facet j, vertex i) in the entries of a
+    table on cx, or None when vertex i lies in facet j or either is out
+    of range."""
+    if not (isinstance(j, int) and isinstance(i, int) and 1 <= j <= cx.m and 1 <= i <= cx.n):
+        return None
+    f = cx.facets[j - 1]
+    below = bisect_left(f, i)
+    if below < len(f) and f[below] == i:
+        return None
+    return _domain_index(cx)[j - 1] + i - below
+
+
 def _validated_entries(
     cx: SimplicialComplex,
     entries: tuple[tuple[int, int, int], ...],
@@ -292,11 +341,11 @@ class _Table(Frozen):
 
     Entry (j, i, v) gives vertex i the value v at the j-th facet
     (1-based, canonical facet order), defined exactly when vertex i lies
-    outside that facet.  Entries are kept in that order.
+    outside that facet.  Entries are kept in that order, so the value of
+    a pair sits at the position that the complex's domain index gives.
     """
 
-    __slots__ = ("complex", "entries", "_by_vertex")
-    _fields = ("complex", "entries")
+    __slots__ = _fields = ("complex", "entries")
     _minimum, _kind = 1, "exponent table"
     complex: SimplicialComplex
     entries: tuple[tuple[int, int, int], ...]
@@ -312,7 +361,7 @@ class _Table(Frozen):
         entries = _validated_entries(
             self.complex, tuple(self.entries), self._minimum, self._kind
         )
-        self._store(self.complex, entries)
+        self._freeze(self.complex, entries)
 
     @classmethod
     def _of_canonical(cls, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]):
@@ -320,24 +369,14 @@ class _Table(Frozen):
         sorted: ints of at least the minimum over the exponent domain of
         cx, in its order."""
         table = cls.__new__(cls)
-        table._store(cx, entries)
+        table._freeze(cx, entries)
         return table
 
-    def _store(self, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]) -> None:
-        self._freeze(cx, entries)
-        # vertex i -> {facet j: value}, facets ascending
-        by_vertex: dict[int, dict[int, int]] = {}
-        for j, i, v in entries:
-            by_vertex.setdefault(i, {})[j] = v
-        _set(self, "_by_vertex", by_vertex)
-
     def value(self, j: int, i: int) -> int:
-        try:
-            return self._by_vertex[i][j]
-        except KeyError:
-            raise MultiplicityDomainMismatch(
-                f"no exponent slot at facet {j}, vertex {i}"
-            ) from None
+        p = _position(self.complex, j, i)
+        if p is None:
+            raise MultiplicityDomainMismatch(f"no exponent slot at facet {j}, vertex {i}")
+        return self.entries[p][2]
 
 
 class MultiplicityAssignment(_Table):
@@ -346,7 +385,7 @@ class MultiplicityAssignment(_Table):
     intersection monomial ideal.
     """
 
-    __slots__ = ()
+    __slots__ = ("_levels",)
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
@@ -376,8 +415,27 @@ class MultiplicityAssignment(_Table):
 
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:
         """(facet index, value) pairs for one vertex, facet order."""
-        values = self._by_vertex.get(i)
-        return tuple(values.items()) if values else ()
+        cx, entries = self.complex, self.entries
+        slots = (_position(cx, j, i) for j in range(1, cx.m + 1))
+        return tuple((entries[p][0], entries[p][2]) for p in slots if p is not None)
+
+    @property
+    def levels(self) -> tuple[tuple[tuple[int, int], ...], ...]:
+        """Per vertex 0..n, the pairs (value, mask of the facets taking
+        that value at the vertex, facet j being bit j - 1), values
+        ascending; built on first use.  They are the oracle's threshold
+        cuts and the shelling condition's weight tiers."""
+        try:
+            return self._levels
+        except AttributeError:
+            pass
+        at_vertex: list[dict[int, int]] = [{} for _ in range(self.complex.n + 1)]
+        for j, i, v in self.entries:
+            at = at_vertex[i]
+            at[v] = at.get(v, 0) | 1 << (j - 1)
+        levels = tuple(tuple(sorted(at.items())) for at in at_vertex)
+        _set(self, "_levels", levels)
+        return levels
 
     def max_value(self) -> int:
         return max((v for _, _, v in self.entries), default=1)

@@ -228,17 +228,34 @@ def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
     cliques = []
     for group in _ridge_groups(cx):
         nodes = [j for j, _ in group]
+        k = len(nodes)
         trees = []
-        for code in product(nodes, repeat=len(nodes) - 2):
-            degree = {v: code.count(v) + 1 for v in nodes}
-            edges = []
-            for x in code + (nodes[-1],):
-                leaf = next(v for v in nodes if degree[v] == 1)
-                edges.append((leaf, x))
-                degree[leaf] = 0
+        for code in product(range(k), repeat=k - 2):
+            # each step joins the lowest remaining leaf to the next code
+            # entry: a pointer climbs over the leaves, and a node that
+            # becomes a leaf below the pointer is taken at once
+            degree = [1] * k
+            for x in code:
+                degree[x] += 1
+            ptr = leaf = degree.index(1)
+            edges, key = [], []
+            for x in code:
+                edges.append((nodes[leaf], nodes[x]))
+                key.append((leaf, x) if leaf < x else (x, leaf))
                 degree[x] -= 1
-            trees.append(tuple(edges))
-        cliques.append(tuple(sorted(trees, key=_canonical_edges)))
+                if degree[x] == 1 and x < ptr:
+                    leaf = x
+                else:
+                    ptr += 1
+                    while degree[ptr] != 1:
+                        ptr += 1
+                    leaf = ptr
+            edges.append((nodes[leaf], nodes[-1]))
+            key.append((leaf, k - 1))
+            # positions ascend with the nodes, so this sorts by edges
+            trees.append((sorted(key), tuple(edges)))
+        trees.sort()
+        cliques.append(tuple(tree for _, tree in trees))
     return tuple(cliques)
 
 

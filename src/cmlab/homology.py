@@ -402,14 +402,11 @@ def _cuts(mult: MultiplicityAssignment) -> list[tuple[tuple[int, int], ...]]:
     value a paired with the mask of the facets that threshold a removes:
     those whose value at that vertex is at most a."""
     cuts = []
-    for i in range(1, mult.complex.n + 1):
-        by_value: dict[int, int] = {}
-        for j, v in mult.vertex_values(i):
-            by_value[v] = by_value.get(v, 0) | 1 << (j - 1)
+    for levels in mult.levels[1:]:
         kill = 0
         cut = [(0, 0)]
-        for v in sorted(by_value):
-            kill |= by_value[v]
+        for v, mask in levels:
+            kill |= mask
             cut.append((v, kill))
         cuts.append(tuple(cut))
     return cuts

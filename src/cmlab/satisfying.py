@@ -6,11 +6,18 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, NamedTuple
 
-from .complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex, _facet_masks
+from .complexes import (
+    ExponentOffset,
+    MultiplicityAssignment,
+    SimplicialComplex,
+    _domain_index,
+    _facet_masks,
+)
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -30,7 +37,7 @@ from .graphs import (
     vertex_graph,
 )
 from .homology import RATIONALS, FieldSpec, is_cm_complex
-from .structure import find_shelling, require_tree_case
+from .structure import _shelling, require_tree_case
 
 __all__ = [
     "SatisfyingVerdict",
@@ -66,21 +73,32 @@ def is_tree_satisfying(
     when the facet graph is a tree and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
+    e = mult.entries
     violations = [
-        (i, (h, k), (mult.value(h, i), mult.value(k, i)))
-        for i, h, k in _facet_graph_edges(cx)
-        if mult.value(h, i) < mult.value(k, i)
+        (i, (h, k), (e[p][2], e[c][2]))
+        for i, h, k, p, c in _facet_graph_edges(cx)
+        if e[p][2] < e[c][2]
     ]
     return SatisfyingVerdict(not violations, tuple(violations))
 
 
 @lru_cache(maxsize=32)
-def _facet_graph_edges(cx: SimplicialComplex) -> tuple[tuple[int, int, int], ...]:
+def _facet_graph_edges(cx: SimplicialComplex) -> tuple[tuple[int, int, int, int, int], ...]:
     """The facet-facet edges (vertex i, parent, child) of the facet
-    graph's vertex restrictions, in restriction_edges' order."""
-    return tuple(
-        edge for edge in next(restriction_edges(cx, [facet_graph(cx)])) if edge[1] != ROOT
-    )
+    graph's vertex restrictions, in restriction_edges' order, each with
+    the domain positions of (parent, i) and (child, i)."""
+    # the rule of complexes._domain_index, inlined: on a large complex
+    # this loop runs once per pair of the domain
+    index, facets = _domain_index(cx), cx.facets
+    out = []
+    for edge in next(restriction_edges(cx, [facet_graph(cx)])):
+        i, h, k = edge
+        if h != ROOT:
+            out.append(edge + (
+                index[h - 1] + i - bisect_left(facets[h - 1], i),
+                index[k - 1] + i - bisect_left(facets[k - 1], i),
+            ))
+    return tuple(out)
 
 
 def check_cm_tree_case(
@@ -92,11 +110,12 @@ def check_cm_tree_case(
 @lru_cache(maxsize=32)
 def _clique_masks(
     cx: SimplicialComplex,
-) -> tuple[tuple[tuple[CliqueTree, ...], tuple[tuple[int, int, int], ...], tuple[int, ...]], ...]:
+) -> tuple[tuple[tuple[CliqueTree, ...], tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
     """Per ridge clique: its trees in clique_trees' order, the oriented
     facet-facet edges (vertex i, parent, child) they put into the vertex
-    restrictions of a relation tree, and per tree the mask of its edges:
-    bit b stands for the clique's edge b.
+    restrictions of a relation tree, each as the domain positions of
+    (parent, i) and (child, i), and per tree the mask of its edges: bit b
+    stands for the clique's edge b.
 
     A clique-tree edge p-c has on c's side the facets hanging from c's
     subtree.  The facets containing i form a subtree of every relation
@@ -105,6 +124,7 @@ def _clique_masks(
     The bits are worked out once per distinct split (c, p, c's side)."""
     cliques = clique_trees(cx)
     _, containing = _facet_masks(cx)
+    index, facets = _domain_index(cx), cx.facets
     uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
     if uncovered:
         raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
@@ -122,7 +142,7 @@ def _clique_masks(
         for k in nodes:
             if parent.get(k) in nodes:
                 hang[parent[k]] &= ~below[k]
-        bits: dict[tuple[int, int, int], int] = {}
+        bits: dict[tuple[int, int], int] = {}
         splits: dict[tuple[int, int, int], int] = {}
         masks = []
         for tree in trees:
@@ -131,10 +151,14 @@ def _clique_masks(
                 split = splits.get((c, p, side[c]))
                 if split is None:
                     split, ends = 0, 1 << (p - 1) | 1 << (c - 1)
+                    fp, fc = facets[p - 1], facets[c - 1]
                     for i in range(1, cx.n + 1):
                         held = containing[i]
                         if not held & ends:
-                            edge = (i, c, p) if held & side[c] else (i, p, c)
+                            # the positions of (p, i) and (c, i), as above
+                            a = index[p - 1] + i - bisect_left(fp, i)
+                            b = index[c - 1] + i - bisect_left(fc, i)
+                            edge = (b, a) if held & side[c] else (a, b)
                             split |= 1 << bits.setdefault(edge, len(bits))
                     splits[c, p, side[c]] = split
                 mask |= split
@@ -152,10 +176,11 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     takes its first tree whose mask misses the edges along which the
     table grows, and the witness is the union of those trees."""
     chosen: list[tuple[int, int]] = []
+    e = mult.entries
     for trees, edges, masks in _clique_masks(mult.complex):
         grown = 0
-        for b, (i, h, k) in enumerate(edges):
-            if mult.value(h, i) < mult.value(k, i):
+        for b, (p, c) in enumerate(edges):
+            if e[p][2] < e[c][2]:
                 grown |= 1 << b
         tree = next((t for t, mask in zip(trees, masks) if not mask & grown), None)
         if tree is None:
@@ -177,21 +202,22 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     cx = mult.complex
     # A shellable complex is Cohen-Macaulay over every field, so one
     # that is not over Q needs no search; a complex that is not pure
-    # goes on to find_shelling, which refuses it.
+    # goes on to the search, which refuses it.
     if cx.is_pure and not is_cm_complex(cx, RATIONALS):
         raise NotShellable("complex is not shellable")
+    holders = _facet_masks(cx)[1]
     held, shelled = True, False
-    for i in range(1, cx.n + 1):
-        weights = dict(mult.vertex_values(i))
-        if not weights:
+    for i, levels in enumerate(mult.levels):
+        if not levels:
             continue
-        if find_shelling(cx, prefix_vertex=i, weights=weights) is None:
+        # the facets holding i, then those omitting it by descending value
+        if _shelling(cx, [holders[i]] + [mask for _, mask in reversed(levels)]) is None:
             held = False
             break
         shelled = True
     # Any prefix shelling found proves the complex shellable; otherwise
     # the unweighted search tells "fails" from "not shellable".
-    if not shelled and find_shelling(cx) is None:
+    if not shelled and _shelling(cx, [(1 << cx.m) - 1]) is None:
         raise NotShellable("complex is not shellable")
     return held
 

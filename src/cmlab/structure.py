@@ -37,12 +37,18 @@ def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> 
     """Raise unless the complex is pure with a tree facet graph and, when
     a field is given, Cohen-Macaulay over it: the hypotheses of the
     tree-case criterion and of the constructions built on it."""
-    if not cx.is_pure or not is_tree(facet_graph(cx)):
+    if not _tree_facet_graph(cx):
         raise NotTreeFacetGraph("the facet graph must be a tree")
     if field is not None and not is_cm_complex(cx, field):
         raise NotCohenMacaulay(
             f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
         )
+
+
+@lru_cache(maxsize=256)
+def _tree_facet_graph(cx: SimplicialComplex) -> bool:
+    """Whether the complex is pure with a tree facet graph."""
+    return cx.is_pure and is_tree(facet_graph(cx))
 
 
 def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int, ...]:
@@ -139,6 +145,14 @@ def find_shelling(
     that vertex precedes every facet omitting it are considered; with
     weights set as well, the omitting facets must additionally appear
     with non-increasing weight.  Returns the first witness, or None.
+    """
+    return _shelling(cx, _tiers(cx, prefix_vertex, weights))
+
+
+def _shelling(cx: SimplicialComplex, tiers: list[int]) -> tuple[int, ...] | None:
+    """The first shelling, facets tried in ascending index, that places
+    every facet of each tier, a facet mask, before any facet of a later
+    one; the tiers cover all facets.  None when there is none.
 
     The search is depth-first on an explicit stack, so a long shelling
     needs no recursion.  Prefixes are facet bitmasks; only facets that
@@ -151,7 +165,6 @@ def find_shelling(
     if m == 0:
         return ()
     neighbours, ridges = _ridge_masks(cx)
-    tiers = _tiers(cx, prefix_vertex, weights)
     full = (1 << m) - 1
 
     def allowed(used: int) -> int:

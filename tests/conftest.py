@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -129,6 +129,32 @@ def leaf_branches_reference(facets: tuple[tuple[int, ...], ...], idx: int) -> tu
     f = set(facets[idx])
     others = [(g, set(facets[g]) & f) for g in range(len(facets)) if g != idx]
     return tuple(g for g, cap in others if all(other <= cap for _, other in others))
+
+
+def canonical_facets_reference(raw) -> tuple[tuple[int, ...], ...]:
+    """Reference facet canonicalization on Python sets: the distinct
+    faces not strictly inside another, sorted; quadratic in the faces."""
+    faces = {tuple(sorted(set(f))) for f in raw}
+    facets = [f for f in faces if not any(set(f) < set(g) for g in faces)]
+    return tuple(sorted(facets))
+
+
+def prufer_trees_reference(nodes: list[int]) -> list[tuple[tuple[int, int], ...]]:
+    """Reference Pruefer decoding, quadratic per tree: for each code over
+    the ascending nodes, in product order, the (leaf, neighbour) pairs
+    from joining the lowest leaf to each code entry and then to the last
+    node."""
+    trees = []
+    for code in product(nodes, repeat=len(nodes) - 2):
+        degree = {v: code.count(v) + 1 for v in nodes}
+        edges = []
+        for x in code + (nodes[-1],):
+            leaf = next(v for v in nodes if degree[v] == 1)
+            edges.append((leaf, x))
+            degree[leaf] = 0
+            degree[x] -= 1
+        trees.append(tuple(edges))
+    return trees
 
 
 def relation_trees_reference(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:

@@ -366,6 +366,24 @@ def test_cross_validate_deterministic(capsys):
     assert "tree:" in out1
 
 
+def test_cross_validate_draws_values_as_randint_does():
+    # the same stream and values as randint(1, top) at each pair of a
+    # full domain, table after table, so every tally stays the same
+    import random
+
+    from cmlab.complexes import _exponent_domain
+
+    domain = _exponent_domain(cmlab.get_fixture("triangle-tree").complex)
+    for top in range(1, 10):
+        for seed in range(24):
+            rng, expected = random.Random(seed), random.Random(seed)
+            for _ in range(3):
+                assert cli._random_entries(rng, top, domain) == tuple(
+                    (j, i, expected.randint(1, top)) for j, i in domain
+                )
+            assert rng.random() == expected.random()
+
+
 def test_cross_validate_zero_samples(capsys):
     code, out, _ = run(
         capsys, "cross-validate", "star", "--samples", "0"

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_assignment, random_complex, random_pure_strongly_connected
+from conftest import (
+    canonical_facets_reference,
+    random_assignment,
+    random_complex,
+    random_pure_complex,
+    random_pure_strongly_connected,
+)
 
 from cmlab import RATIONALS, complexes, fixture_names, get_fixture, is_cm_complex
 from cmlab.complexes import (
@@ -44,6 +50,34 @@ def test_canonicalization_sorts_dedupes_and_absorbs():
     cx = SimplicialComplex.from_facets(4, [[2, 1], [1, 2], [3, 4], [4], [1]])
     assert cx.facets == ((1, 2), (3, 4))
     assert cx.m == 2
+
+
+def test_canonical_facets_match_the_set_based_reference():
+    # duplicates in any order, nested faces down to a vertex, the empty
+    # face, no faces at all, and the 1,100-edge path
+    rng = random.Random(59)
+    inputs = [
+        [],
+        [()],
+        [(), (3,)],
+        [[2, 1], [1, 2], [3, 4], [4], [1], [1, 1, 2]],
+        [(1, 2, 3), (1, 2), (2, 3), (1, 3), (3,), (1, 2, 3), (3, 2, 1)],
+        [(1, 2, 3), (2, 3, 4), (2, 3), (1, 4), (4,)],
+        [[k, k + 1] for k in range(1, 1101)],
+    ]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        faces = [rng.sample(range(1, n + 1), rng.randint(0, n)) for _ in range(rng.randint(1, 9))]
+        # repeat and shrink some faces, so duplicates and nested faces occur
+        faces += [rng.sample(f, rng.randint(0, len(f))) for f in rng.sample(faces, len(faces) // 2)]
+        faces += rng.sample(faces, len(faces) // 3)
+        inputs.append(faces)
+    absorbed = 0
+    for raw in inputs:
+        expected = canonical_facets_reference(raw)
+        assert complexes._canonical_facets(raw) == expected
+        absorbed += len(expected) < len({tuple(sorted(set(f))) for f in raw})
+    assert absorbed >= 200
 
 
 def test_from_facets_rejects_empty_facet():
@@ -297,6 +331,50 @@ def test_offset_value_outside_the_domain_is_a_domain_mismatch(tree_fixture):
     for table in (ExponentOffset.zero(tree_fixture), MultiplicityAssignment.constant(tree_fixture)):
         with pytest.raises(MultiplicityDomainMismatch, match="no exponent slot at facet 1"):
             table.value(1, tree_fixture.facets[0][0])
+
+
+def test_value_outside_the_domain_names_the_pair(tree_fixture):
+    # a vertex inside the facet, a facet or vertex out of range, and a
+    # vertex no facet misses all have no slot
+    cx = SimplicialComplex(3, ((1, 2), (2, 3)))
+    for table in (MultiplicityAssignment.constant(cx, 2), ExponentOffset.zero(cx)):
+        for j, i in ((1, 2), (1, 1), (0, 3), (3, 1), (1, 0), (1, 4), (2, 2)):
+            with pytest.raises(MultiplicityDomainMismatch) as info:
+                table.value(j, i)
+            assert str(info.value) == f"no exponent slot at facet {j}, vertex {i}"
+        assert table.value(1, 3) == table.entries[0][2]
+
+
+def test_domain_index_gives_each_pair_its_entry_position():
+    rng = random.Random(83)
+    corpus = [random_complex(rng, 7, 4, cone=rng.randint(0, 2)) for _ in range(80)]
+    corpus += [SimplicialComplex(3, [()]), SimplicialComplex(2, [])]
+    for cx in corpus:
+        domain = _exponent_domain(cx)
+        assert [complexes._position(cx, j, i) for j, i in domain] == list(range(len(domain)))
+        pairs = {(j, i) for j in range(cx.m + 2) for i in range(cx.n + 2)}
+        assert all(complexes._position(cx, j, i) is None for j, i in pairs - set(domain))
+
+
+def test_levels_group_each_vertex_values_by_value():
+    # per vertex, the facets taking each value, as vertex_values lists
+    # them; vertex 0 and vertices inside every facet have none
+    rng = random.Random(61)
+    corpus = [random_pure_strongly_connected(rng) for _ in range(60)]
+    corpus += [random_pure_complex(rng) for _ in range(60)]
+    corpus += [random_complex(rng, 6, 4, cone=rng.randint(0, 1)) for _ in range(60)]
+    for cx in corpus:
+        for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 4)):
+            expected = []
+            for i in range(cx.n + 1):
+                masks: dict[int, int] = {}
+                for j, v in am.vertex_values(i):
+                    masks[v] = masks.get(v, 0) | 1 << (j - 1)
+                expected.append(tuple(sorted(masks.items())))
+            assert am.levels == tuple(expected)
+            assert am.levels is am.levels
+            trusted = MultiplicityAssignment._of_canonical(cx, am.entries)
+            assert trusted.levels == am.levels
 
 
 def test_offset_of_assignment_roundtrip(tree_fixture):

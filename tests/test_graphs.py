@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     book_chain,
+    prufer_trees_reference,
     random_attach_quasitree,
     random_pure_complex,
     random_pure_strongly_connected,
@@ -24,7 +25,7 @@ from conftest import (
     strongly_connected_by_bfs,
 )
 
-from cmlab import get_fixture, graphs, satisfying
+from cmlab import complexes, get_fixture, graphs, satisfying, structure
 from cmlab.complexes import SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
@@ -396,6 +397,23 @@ def test_clique_trees_list_each_tree_bottom_up_under_the_last_facet():
                     assert all(k in [a for a, _ in tree[:pos]] for k, p in tree if p == c)
 
 
+def test_clique_trees_decode_as_the_quadratic_reference():
+    # the pointer decode yields the reference's pairs in its order, so
+    # sorting by edges gives the same trees
+    for k in range(2, 8):
+        cx = SimplicialComplex(k + 1, [(1, v) for v in range(2, k + 2)])
+        (trees,) = clique_trees(cx)
+        reference = prufer_trees_reference(list(range(1, k + 1)))
+        assert len(trees) == len(reference) == k ** (k - 2)
+        assert trees == tuple(sorted(reference, key=lambda t: sorted(map(sorted, t))))
+    # nodes that are not 1..k: the cliques of a book chain and of quasi-trees
+    rng = random.Random(31)
+    for cx in [book_chain(4, 2)] + [random_attach_quasitree(rng, (3, 4, 2)) for _ in range(3)]:
+        for trees, group in zip(clique_trees(cx), graphs._ridge_groups(cx)):
+            reference = prufer_trees_reference([j for j, _ in group])
+            assert trees == tuple(sorted(reference, key=lambda t: sorted(map(sorted, t))))
+
+
 def test_graph_caches_are_bounded(tree_fixture):
     for cached in (
         facet_graph,
@@ -403,7 +421,10 @@ def test_graph_caches_are_bounded(tree_fixture):
         clique_trees,
         relation_trees,
         graphs._ridge_groups,
+        complexes._domain_index,
+        structure._tree_facet_graph,
         satisfying._clique_masks,
+        satisfying._facet_graph_edges,
     ):
         assert cached.cache_info().maxsize is not None
     # a bounded cache still answers from memory

@@ -239,6 +239,27 @@ def test_oracle_matches_the_cut_loop_reference():
                     assert verdict.is_cm == is_cm
 
 
+def test_cuts_match_the_vertex_values_reference():
+    # per coordinate the grid {0} and the table values, each with the
+    # facets whose value at the vertex is at most it, read by value()
+    rng = random.Random(67)
+    corpus = [get_fixture(name).complex for name in fixture_names()]
+    corpus += [random_pure_strongly_connected(rng, max_n=6, max_m=5) for _ in range(40)]
+    corpus += [random_pure_complex(rng, max_n=6, max_m=5) for _ in range(40)]
+    corpus += [random_complex(rng, 5, 3) for _ in range(40)]
+    for cx in corpus:
+        for max_exp in (1, 3, 5):
+            mult = random_assignment(rng, cx, max_exp)
+            expected = []
+            for i in range(1, cx.n + 1):
+                values = sorted({v for _, v in mult.vertex_values(i)})
+                expected.append(((0, 0),) + tuple(
+                    (a, sum(1 << (j - 1) for j, _ in mult.vertex_values(i) if mult.value(j, i) <= a))
+                    for a in values
+                ))
+            assert homology._cuts(mult) == expected
+
+
 def _raise_one_child(rng: random.Random, mult: MultiplicityAssignment) -> MultiplicityAssignment:
     """The table with one facet's value above its parent's in a rooted
     vertex graph of the tree complex."""

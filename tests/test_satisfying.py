@@ -21,10 +21,15 @@ from conftest import (
     restriction_edge_sets,
 )
 
-from cmlab import satisfying
+from cmlab import satisfying, structure
 
 from cmlab import GF2, RATIONALS, get_fixture
-from cmlab.complexes import ExponentOffset, MultiplicityAssignment, SimplicialComplex
+from cmlab.complexes import (
+    ExponentOffset,
+    MultiplicityAssignment,
+    SimplicialComplex,
+    _exponent_domain,
+)
 from cmlab.errors import (
     CmLabError,
     FacetIndexOutOfRange,
@@ -47,7 +52,7 @@ from cmlab.graphs import (
     vertex_graph,
 )
 from cmlab.homology import is_cm_complex, is_cm_ideal_oracle
-from cmlab.structure import find_shelling
+from cmlab.structure import _shelling
 from cmlab.satisfying import (
     check_cm_quasitree_sufficient,
     check_cm_tree_case,
@@ -447,8 +452,11 @@ def _outcome(compute):
 def _mask_edge_sets(cx):
     """Per relation tree, the union of the edges held by the masks of its
     trees in the ridge cliques."""
+    domain = _exponent_domain(cx)
     cliques = []
-    for trees, edges, masks in satisfying._clique_masks(cx):
+    for trees, slots, masks in satisfying._clique_masks(cx):
+        # (vertex, parent, child) from the positions of (parent, i) and (child, i)
+        edges = [(domain[p][1], domain[p][0], domain[c][0]) for p, c in slots]
         by_edges = {
             frozenset((min(a, b), max(a, b)) for a, b in t): mask for t, mask in zip(trees, masks)
         }
@@ -526,17 +534,28 @@ def test_general_criterion_matches_its_definition():
     assert {True, False, NotShellable} <= outcomes
 
 
+def _search_tiers(mult, searched):
+    """The tiers find_shelling would search for each prefix vertex in
+    searched, the weights read through vertex_values; None stands for
+    the unweighted search."""
+    cx = mult.complex
+    return [
+        structure._tiers(cx, i, None if i is None else dict(mult.vertex_values(i)))
+        for i in searched
+    ]
+
+
 def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shells(
     monkeypatch,
 ):
-    # the calls' prefix vertices, None for the unweighted search
+    # the tiers of each call of the one shelling search
     calls = []
 
-    def counted(cx, **kwargs):
-        calls.append(kwargs.get("prefix_vertex"))
-        return find_shelling(cx, **kwargs)
+    def counted(cx, tiers):
+        calls.append(tiers)
+        return _shelling(cx, tiers)
 
-    monkeypatch.setattr(satisfying, "find_shelling", counted)
+    monkeypatch.setattr(satisfying, "_shelling", counted)
     cx = get_fixture("triangle-tree").complex
     weighted = [i for i in range(1, cx.n + 1) if len(cx.facets) > sum(i in f for f in cx.facets)]
     for overrides, held, searched in (
@@ -545,14 +564,16 @@ def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shel
         ({(2, 1): 2}, False, [1, None]),  # fails at the first vertex searched
     ):
         calls.clear()
-        assert is_general_satisfying(MultiplicityAssignment.from_overrides(cx, overrides)) == held
-        assert calls == searched
+        mult = MultiplicityAssignment.from_overrides(cx, overrides)
+        assert is_general_satisfying(mult) == held
+        assert calls == _search_tiers(mult, searched)
     # Cohen-Macaulay over Q, yet not shellable (it fails over GF(2)):
     # the first prefix search fails and the unweighted one decides
     calls.clear()
+    mult = MultiplicityAssignment.constant(get_fixture("projective-plane").complex)
     with pytest.raises(NotShellable):
-        is_general_satisfying(MultiplicityAssignment.constant(get_fixture("projective-plane").complex))
-    assert calls == [1, None]
+        is_general_satisfying(mult)
+    assert calls == _search_tiers(mult, [1, None])
     # not Cohen-Macaulay over Q, so not shellable before any search
     calls.clear()
     with pytest.raises(NotShellable):
@@ -584,13 +605,73 @@ def test_general_criterion_refuses_complexes_that_are_not_cm_without_a_search(mo
     ]
     assert len(corpus) > 40
     searched = []
-    monkeypatch.setattr(satisfying, "find_shelling", lambda cx, **kw: searched.append(cx))
+    monkeypatch.setattr(satisfying, "_shelling", lambda cx, tiers: searched.append(cx))
     for cx in corpus:
         for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
             expected = _outcome(lambda: general_satisfying_reference(am))
             assert expected == (NotShellable, "complex is not shellable")
             assert _outcome(lambda: is_general_satisfying(am)) == expected
     assert searched == []
+
+
+def test_general_criterion_searches_the_tiers_the_weights_give(monkeypatch):
+    # each vertex search gets the tiers find_shelling builds from the
+    # weights vertex_values lists, in vertex order, and an unweighted
+    # search is the single tier of all facets
+    calls = []
+
+    def counted(cx, tiers):
+        calls.append(tiers)
+        return _shelling(cx, tiers)
+
+    monkeypatch.setattr(satisfying, "_shelling", counted)
+    rng = random.Random(73)
+    corpus = [random_pure_strongly_connected(rng, max_n=7, max_m=6) for _ in range(60)]
+    corpus += [random_attach_quasitree(rng, (3, 3)) for _ in range(10)]
+    corpus += [get_fixture(name).complex for name in ("triangle-tree", "star", "square")]
+    searched = 0
+    for cx in corpus:
+        for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
+            calls.clear()
+            _outcome(lambda: is_general_satisfying(am))
+            weighted = [i for i in range(1, cx.n + 1) if am.vertex_values(i)]
+            by_vertex = _search_tiers(am, weighted)
+            prefix = [tiers for tiers in calls if len(tiers) > 1]
+            assert prefix == by_vertex[: len(prefix)]
+            assert calls[len(prefix):] in ([], _search_tiers(am, [None]))
+            searched += len(prefix)
+    assert searched > 300
+
+
+def test_positional_edges_read_the_values_of_their_pairs():
+    # the domain positions the tree and quasi-tree criteria compare at
+    # hold the values value() reads for the edges' pairs
+    rng = random.Random(79)
+    corpus = [random_quasi_tree(rng, max_m=6) for _ in range(40)]
+    corpus += [random_attach_quasitree(rng, (3, 4, 2)) for _ in range(5)]
+    corpus += [get_fixture(name).complex for name in ("triangle-tree", "star")]
+    corpus += [SimplicialComplex.from_facets(3 + d, [range(k, k + d) for k in range(1, 5)]) for d in (2, 3)]
+    checked = 0
+    for cx in corpus:
+        am = random_assignment(rng, cx, 4)
+        try:
+            tree_edges = satisfying._facet_graph_edges(cx)
+        except (NotPure, RestrictionNotTree):
+            tree_edges = ()
+        for i, h, k, p, c in tree_edges:
+            assert am.entries[p][2] == am.value(h, i) and am.entries[c][2] == am.value(k, i)
+            checked += 1
+        # a clique edge's positions are the slots of (parent, i) and
+        # (child, i) for one vertex i; test_tree_masks_match_restriction_edges
+        # checks that these edges are the restriction walk's
+        domain = _exponent_domain(cx)
+        for _, slots, _ in satisfying._clique_masks(cx):
+            for p, c in slots:
+                (h, i), (k, i2) = domain[p], domain[c]
+                assert i == i2 and h != k
+                assert am.entries[p][2] == am.value(h, i) and am.entries[c][2] == am.value(k, i)
+                checked += 1
+    assert checked > 500
 
 
 def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree_fixture):
