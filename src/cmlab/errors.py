@@ -47,8 +47,7 @@ class NotQuasiTree(CmLabError):
 
 class RestrictionNotTree(NotATree):
     """Restriction of a tree on the facets to the facets omitting a vertex
-    is not a tree: a bug for relation trees, or a complex outside the
-    tree-case hypotheses."""
+    is not a tree: a bug for relation trees, or a vertex in no facet."""
 
 
 class NotPermutation(CmLabError):

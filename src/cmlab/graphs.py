@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Collection, Iterable, Iterator, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping, NamedTuple
 
 from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import (
@@ -21,7 +21,6 @@ from .errors import (
     NotATree,
     NotPure,
     NotQuasiTree,
-    RestrictionNotTree,
     RootNotFound,
     VertexOutOfRange,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "is_tree",
     "root_orientation",
     "rooted_walk",
-    "restriction_edges",
     "LeafOrder",
     "find_leaf_order",
     "clique_trees",
@@ -147,7 +145,6 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), edges)
 
 
-@lru_cache(maxsize=1024)
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     """The formal root 0 plus every facet omitting vertex i; facet-facet
     edges are inherited, and a root edge marks adjacency to some facet
@@ -162,28 +159,6 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     edges = [(a, b) for a, b in base.edges if a in kept and b in kept]
     edges += [(ROOT, j) for j in kept if any(k not in kept for k in base.neighbors(j))]
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
-
-
-def restriction_edges(
-    cx: SimplicialComplex, trees: Iterable[FacetLevelGraph]
-) -> Iterator[tuple[tuple[int, int, int], ...]]:
-    """For each tree on the facets, the directed edges (vertex i, parent,
-    child) of its restriction to the facets omitting i, vertex by vertex
-    in rooted_walk's order: the formal root is joined to each kept facet
-    that is tree-adjacent to a facet containing i, and root edges are
-    included.  Raises when some restriction is not a tree."""
-    omitting = [
-        (i, {j for j, f in enumerate(cx.facets, start=1) if i not in f})
-        for i in range(1, cx.n + 1)
-    ]
-    for tree in trees:
-        edges: list[tuple[int, int, int]] = []
-        for i, kept in omitting:
-            directed, ok = rooted_walk(tree.adjacency, kept, ROOT)
-            if not ok:
-                raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
-            edges += [(i, h, k) for h, k in directed]
-        yield tuple(edges)
 
 
 class LeafOrder(NamedTuple):

@@ -25,17 +25,7 @@ from .errors import (
     RestrictionNotTree,
     VertexOutOfRange,
 )
-from .graphs import (
-    ROOT,
-    CliqueTree,
-    FacetLevelGraph,
-    clique_trees,
-    facet_graph,
-    is_tree,
-    restriction_edges,
-    rooted_walk,
-    vertex_graph,
-)
+from .graphs import ROOT, CliqueTree, FacetLevelGraph, clique_trees, facet_graph, rooted_walk
 from .homology import RATIONALS, FieldSpec, is_cm_complex
 from .structure import _shelling, require_tree_case
 
@@ -85,19 +75,27 @@ def is_tree_satisfying(
 @lru_cache(maxsize=32)
 def _facet_graph_edges(cx: SimplicialComplex) -> tuple[tuple[int, int, int, int, int], ...]:
     """The facet-facet edges (vertex i, parent, child) of the facet
-    graph's vertex restrictions, in restriction_edges' order, each with
-    the domain positions of (parent, i) and (child, i)."""
+    graph's restrictions to the facets omitting i, vertex by vertex in
+    rooted_walk's order, each with the domain positions of (parent, i)
+    and (child, i).  Root edges are left out: a facet omitting i with no
+    parent here hangs from the root.  Raises when some restriction is
+    not a tree."""
     # the rule of complexes._domain_index, inlined: on a large complex
-    # this loop runs once per pair of the domain
-    index, facets = _domain_index(cx), cx.facets
+    # the inner loop runs once per pair of the domain
+    adjacency, index, facets = facet_graph(cx).adjacency, _domain_index(cx), cx.facets
     out = []
-    for edge in next(restriction_edges(cx, [facet_graph(cx)])):
-        i, h, k = edge
-        if h != ROOT:
-            out.append(edge + (
-                index[h - 1] + i - bisect_left(facets[h - 1], i),
-                index[k - 1] + i - bisect_left(facets[k - 1], i),
-            ))
+    for i in range(1, cx.n + 1):
+        kept = {j for j, f in enumerate(facets, start=1) if i not in f}
+        directed, ok = rooted_walk(adjacency, kept, ROOT)
+        if not ok:
+            raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
+        for h, k in directed:
+            if h != ROOT:
+                out.append((
+                    i, h, k,
+                    index[h - 1] + i - bisect_left(facets[h - 1], i),
+                    index[k - 1] + i - bisect_left(facets[k - 1], i),
+                ))
     return tuple(out)
 
 
@@ -250,7 +248,9 @@ def check_cm_uniform_block(
 ) -> bool:
     """Exact criterion for block-uniform tables: the ideal is
     Cohen-Macaulay iff, per block vertex, the vertex graph induced on
-    the root plus the block facets missing that vertex is a tree."""
+    the root plus the block facets missing that vertex is a tree.  That
+    is the tree criterion on the block's table, which grows along an
+    edge exactly when the edge enters the block from outside."""
     require_tree_case(cx, field)
     vs = sorted(set(block_vertices))
     fs = sorted(set(block_facets))
@@ -265,24 +265,7 @@ def check_cm_uniform_block(
     for i, a in levels.items():
         if not isinstance(a, int) or isinstance(a, bool) or a < 2:
             raise HypothesesViolated(f"level for vertex {i} must be an integer >= 2")
-    for i in vs:
-        g = vertex_graph(cx, i)
-        keep = {ROOT} | {j for j in fs if j in g.nodes}
-        induced = FacetLevelGraph(
-            tuple(keep),
-            tuple((a, b) for a, b in g.edges if a in keep and b in keep),
-        )
-        if not is_tree(induced):
-            return False
-    return True
-
-
-def _parent_maps(cx: SimplicialComplex) -> dict[int, dict[int, int]]:
-    """Per vertex, each facet's parent in the rooted vertex graph."""
-    parents: dict[int, dict[int, int]] = {i: {} for i in range(1, cx.n + 1)}
-    for i, parent, child in next(restriction_edges(cx, [facet_graph(cx)])):
-        parents[i][child] = parent
-    return parents
+    return is_tree_satisfying(uniform_block_assignment(cx, vs, fs, levels), field).satisfied
 
 
 def semigroup_generators(
@@ -299,7 +282,11 @@ def semigroup_generators(
     if vertex is not None and not 1 <= vertex <= cx.n:
         raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
     wanted = [vertex] if vertex is not None else list(range(1, cx.n + 1))
-    parents = _parent_maps(cx)
+    # per vertex, each facet's parent in the rooted vertex graph
+    parents = {i: {j: ROOT for j, f in enumerate(cx.facets, start=1) if i not in f} for i in wanted}
+    for i, h, k, _, _ in _facet_graph_edges(cx):
+        if i in parents:
+            parents[i][k] = h
     out: list[ExponentOffset] = []
     seen: set[tuple[tuple[int, int, int], ...]] = set()
     for i in wanted:
@@ -325,18 +312,15 @@ def decompose_into_generators(
     slicing each vertex's values into level sets; None exactly when
     some level set is not ancestor-closed, i.e. the table is not
     tree-satisfying."""
+    if not is_tree_satisfying(mult, RATIONALS).satisfied:
+        return None
     cx = mult.complex
-    require_tree_case(cx, RATIONALS)
-    parents = _parent_maps(cx)
     parts: list[ExponentOffset] = []
     for i in range(1, cx.n + 1):
         values = dict(mult.vertex_values(i))
         if not values:
             continue
-        parent = parents[i]
         for level in range(1, max(values.values())):
             chosen = {j for j, v in values.items() if v - 1 >= level}
-            if not all(parent[j] in chosen or parent[j] == ROOT for j in chosen):
-                return None
             parts.append(ExponentOffset.indicator(cx, i, chosen))
     return tuple(parts)

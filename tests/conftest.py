@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, product
+from typing import Iterator
 
 import pytest
 
@@ -254,14 +255,112 @@ def random_spanning_tree(rng: random.Random, g: FacetLevelGraph) -> FacetLevelGr
     return FacetLevelGraph(g.nodes, edges)
 
 
+def restriction_edges_reference(
+    cx: SimplicialComplex, trees
+) -> Iterator[tuple[tuple[int, int, int], ...]]:
+    """For each tree on the facets, the directed edges (vertex i, parent,
+    child) of its restriction to the facets omitting i, vertex by vertex
+    in rooted_walk's order: the formal root is joined to each kept facet
+    that is tree-adjacent to a facet containing i, and root edges are
+    included.  Raises when some restriction is not a tree."""
+    from cmlab.errors import RestrictionNotTree
+    from cmlab.graphs import rooted_walk
+
+    omitting = [
+        (i, {j for j, f in enumerate(cx.facets, start=1) if i not in f})
+        for i in range(1, cx.n + 1)
+    ]
+    for tree in trees:
+        edges: list[tuple[int, int, int]] = []
+        for i, kept in omitting:
+            directed, ok = rooted_walk(tree.adjacency, kept, ROOT)
+            if not ok:
+                raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
+            edges += [(i, h, k) for h, k in directed]
+        yield tuple(edges)
+
+
 def restriction_edge_sets(
     cx: SimplicialComplex, trees
 ) -> list[frozenset[tuple[int, int, int]]]:
     """Per tree, the oriented facet-facet edges (vertex, parent, child)
-    of its vertex restrictions, read off graphs.restriction_edges."""
-    from cmlab.graphs import restriction_edges
+    of its vertex restrictions, read off restriction_edges_reference."""
+    return [
+        frozenset(e for e in edges if e[1] != ROOT)
+        for edges in restriction_edges_reference(cx, trees)
+    ]
 
-    return [frozenset(e for e in edges if e[1] != ROOT) for edges in restriction_edges(cx, trees)]
+
+def parent_maps_reference(cx: SimplicialComplex) -> dict[int, dict[int, int]]:
+    """Per vertex, each facet's parent in the rooted vertex graph."""
+    from cmlab.graphs import facet_graph
+
+    parents: dict[int, dict[int, int]] = {i: {} for i in range(1, cx.n + 1)}
+    for i, parent, child in next(restriction_edges_reference(cx, [facet_graph(cx)])):
+        parents[i][child] = parent
+    return parents
+
+
+def check_cm_uniform_block_reference(
+    cx: SimplicialComplex, block_vertices, block_facets, levels, field: FieldSpec
+) -> bool:
+    """The uniform-block criterion on induced vertex graphs, with the
+    gates and messages of satisfying.check_cm_uniform_block: per block
+    vertex, the vertex graph induced on the root plus the block facets
+    missing that vertex must be a tree."""
+    from cmlab.errors import FacetIndexOutOfRange, HypothesesViolated, VertexOutOfRange
+    from cmlab.graphs import is_tree, vertex_graph
+    from cmlab.structure import require_tree_case
+
+    require_tree_case(cx, field)
+    vs = sorted(set(block_vertices))
+    fs = sorted(set(block_facets))
+    for i in vs:
+        if not 1 <= i <= cx.n:
+            raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
+    for j in fs:
+        if not 1 <= j <= cx.m:
+            raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
+    if set(levels) != set(vs):
+        raise HypothesesViolated("levels must be keyed exactly by the block vertices")
+    for i, a in levels.items():
+        if not isinstance(a, int) or isinstance(a, bool) or a < 2:
+            raise HypothesesViolated(f"level for vertex {i} must be an integer >= 2")
+    for i in vs:
+        g = vertex_graph(cx, i)
+        keep = {ROOT} | {j for j in fs if j in g.nodes}
+        induced = FacetLevelGraph(
+            tuple(keep),
+            tuple((a, b) for a, b in g.edges if a in keep and b in keep),
+        )
+        if not is_tree(induced):
+            return False
+    return True
+
+
+def decompose_into_generators_reference(mult: MultiplicityAssignment):
+    """The decomposition by level sets with an ancestor check on each:
+    None when some level set is not ancestor-closed in its vertex's
+    rooted vertex graph."""
+    from cmlab.complexes import ExponentOffset
+    from cmlab.homology import RATIONALS
+    from cmlab.structure import require_tree_case
+
+    cx = mult.complex
+    require_tree_case(cx, RATIONALS)
+    parents = parent_maps_reference(cx)
+    parts = []
+    for i in range(1, cx.n + 1):
+        values = dict(mult.vertex_values(i))
+        if not values:
+            continue
+        parent = parents[i]
+        for level in range(1, max(values.values())):
+            chosen = {j for j, v in values.items() if v - 1 >= level}
+            if not all(parent[j] in chosen or parent[j] == ROOT for j in chosen):
+                return None
+            parts.append(ExponentOffset.indicator(cx, i, chosen))
+    return tuple(parts)
 
 
 def general_satisfying_reference(mult: MultiplicityAssignment) -> bool:

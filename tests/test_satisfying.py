@@ -9,7 +9,10 @@ import pytest
 
 from conftest import (
     book_chain,
+    check_cm_uniform_block_reference,
+    decompose_into_generators_reference,
     general_satisfying_reference,
+    parent_maps_reference,
     random_assignment,
     random_attach_quasitree,
     random_complex,
@@ -19,6 +22,7 @@ from conftest import (
     random_tree_satisfying,
     restrict_relation_tree,
     restriction_edge_sets,
+    restriction_edges_reference,
 )
 
 from cmlab import satisfying, structure
@@ -47,8 +51,8 @@ from cmlab.graphs import (
     facet_graph,
     is_tree,
     relation_trees,
-    restriction_edges,
     root_orientation,
+    rooted_walk,
     vertex_graph,
 )
 from cmlab.homology import is_cm_complex, is_cm_ideal_oracle
@@ -223,6 +227,104 @@ def test_uniform_block_validates_inputs(tree_fixture):
         check_cm_uniform_block(tree_fixture, [1], [7], {1: 2})
 
 
+def test_uniform_block_raises_on_an_uncovered_vertex():
+    # vertex 3 lies in no facet, so its restriction is no tree: the
+    # uniform-block criterion raises as the tree criterion and the
+    # semigroup layer do, although the oracle finds the table CM
+    cx = SimplicialComplex(3, [(1, 2)])
+    assert is_cm_ideal_oracle(uniform_block_assignment(cx, [3], [1], {3: 2})).is_cm
+    for call in (
+        lambda: check_cm_uniform_block(cx, [3], [1], {3: 2}),
+        lambda: check_cm_uniform_block(cx, [], [], {}),
+        lambda: is_tree_satisfying(uniform_block_assignment(cx, [3], [1], {3: 2})),
+        lambda: semigroup_generators(cx),
+    ):
+        with pytest.raises(RestrictionNotTree, match="restriction to vertex 3 is not a tree"):
+            call()
+    # input errors come first
+    with pytest.raises(VertexOutOfRange):
+        check_cm_uniform_block(cx, [4], [1], {4: 2})
+    with pytest.raises(FacetIndexOutOfRange):
+        check_cm_uniform_block(cx, [3], [2], {3: 2})
+    with pytest.raises(HypothesesViolated):
+        check_cm_uniform_block(cx, [3], [1], {3: 1})
+    # and a complex that is not Cohen-Macaulay is reported as such: the
+    # strip of test_tree_criterion_reports_non_cm_before_uncovered_vertex
+    strip = SimplicialComplex(6, ((1, 2, 3), (1, 4, 5), (2, 3, 4), (3, 4, 5)))
+    with pytest.raises(NotCohenMacaulay):
+        check_cm_uniform_block(strip, [6], [1], {6: 2})
+
+
+def _tree_case_corpus(rng):
+    """The triangle tree and random covered complexes with at least three
+    facets and a tree facet graph, Cohen-Macaulay or not."""
+    complexes = [get_fixture("triangle-tree").complex]
+    while len(complexes) < 40:
+        if rng.random() < 0.5:
+            cx = random_quasi_tree(rng, max_m=8)
+        else:
+            cx = random_pure_strongly_connected(rng, max_n=8, max_m=7)
+        if cx.m >= 3 and structure._tree_facet_graph(cx):
+            complexes.append(cx)
+    return complexes
+
+
+def test_uniform_block_criterion_matches_the_induced_graph_reference_and_the_oracle():
+    # on covered tree-case complexes in characteristics 0 and 2, the
+    # tree criterion on the block's table, the induced vertex graphs of
+    # the reference and the oracle agree
+    rng = random.Random(109)
+    decided = {True: 0, False: 0}
+    for cx in _tree_case_corpus(rng):
+        for field in (RATIONALS, GF2):
+            if not is_cm_complex(cx, field):
+                continue
+            for _ in range(20):
+                vs = [i for i in range(1, cx.n + 1) if rng.random() < 0.5]
+                fs = [j for j in range(1, cx.m + 1) if rng.random() < 0.5]
+                levels = {i: rng.randint(2, 3) for i in vs}
+                got = check_cm_uniform_block(cx, vs, fs, levels, field)
+                assert got == check_cm_uniform_block_reference(cx, vs, fs, levels, field)
+                oracle = is_cm_ideal_oracle(uniform_block_assignment(cx, vs, fs, levels), field)
+                assert got == oracle.is_cm
+                decided[got] += 1
+    assert decided[False] >= 300 and decided[True] >= 300
+
+
+def test_uniform_block_criterion_raises_as_the_reference_does():
+    # complexes that are not pure, have no tree facet graph or are not
+    # Cohen-Macaulay, and input errors, meet the reference's errors; a
+    # vertex in no facet is the one change: a RestrictionNotTree where
+    # the reference gave a verdict
+    rng = random.Random(113)
+    corpus = [get_fixture(name).complex for name in ("triangle-tree", "square", "star")]
+    corpus.append(SimplicialComplex.from_facets(5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]]))
+    corpus += [random_pure_complex(rng) for _ in range(150)]
+    corpus += [random_complex(rng, 5, 3) for _ in range(50)]
+    outcomes = set()
+    for cx in corpus:
+        for field in (RATIONALS, GF2):
+            vs = [i for i in range(1, cx.n + 2) if rng.random() < 0.3]
+            fs = [j for j in range(1, cx.m + 2) if rng.random() < 0.4]
+            levels = {i: rng.randint(1, 3) for i in vs}
+            got = _outcome(lambda: check_cm_uniform_block(cx, vs, fs, levels, field))
+            expected = _outcome(lambda: check_cm_uniform_block_reference(cx, vs, fs, levels, field))
+            uncovered = [i for i in range(1, cx.n + 1) if i not in cx.vertices]
+            if isinstance(expected, bool) and uncovered:
+                expected = (RestrictionNotTree, f"restriction to vertex {uncovered[0]} is not a tree")
+            assert got == expected
+            outcomes.add(got if isinstance(got, bool) else got[0])
+    assert {
+        True,
+        NotTreeFacetGraph,
+        NotCohenMacaulay,
+        RestrictionNotTree,
+        VertexOutOfRange,
+        FacetIndexOutOfRange,
+        HypothesesViolated,
+    } <= outcomes
+
+
 def test_uniform_block_assignment_shape(tree_fixture):
     am = uniform_block_assignment(tree_fixture, [1], [3, 4], {1: 3})
     assert am.value(3, 1) == 3
@@ -303,6 +405,46 @@ def test_decompose_none_iff_not_tree_satisfying(tree_fixture):
             assert parts is not None
         else:
             assert parts is None
+
+
+def test_decompose_matches_the_ancestor_check_reference_and_the_oracle():
+    # on covered tree-case complexes, the decomposition equals the one
+    # that checks each level set for ancestor closure, is None exactly
+    # when the tree criterion fails, and then the oracle finds the table
+    # not Cohen-Macaulay; the generators of each vertex are the
+    # ancestor-closed sets of the reference's rooted vertex graph
+    rng = random.Random(127)
+    decided = {True: 0, False: 0}
+    for cx in _tree_case_corpus(rng):
+        if not is_cm_complex(cx, RATIONALS):
+            ones = MultiplicityAssignment.constant(cx)
+            for decompose in (decompose_into_generators, decompose_into_generators_reference):
+                with pytest.raises(NotCohenMacaulay):
+                    decompose(ones)
+            continue
+        parents = parent_maps_reference(cx)
+        for i in range(1, cx.n + 1):
+            nodes = sorted(parents[i])
+            closed = {
+                frozenset(subset)
+                for size in range(len(nodes) + 1)
+                for subset in itertools.combinations(nodes, size)
+                if all(parents[i][j] == ROOT or parents[i][j] in subset for j in subset)
+            }
+            supports = [
+                frozenset(j for j, i2, v in g.entries if v and i2 == i)
+                for g in semigroup_generators(cx, i)
+            ]
+            assert len(supports) == len(closed) and set(supports) == closed
+        tables = [random_assignment(rng, cx, 3) for _ in range(15)]
+        tables += [random_tree_satisfying(rng, cx, 3) for _ in range(5)]
+        for am in tables:
+            parts = decompose_into_generators(am)
+            assert parts == decompose_into_generators_reference(am)
+            assert (parts is not None) == is_tree_satisfying(am).satisfied
+            assert (parts is not None) == is_cm_ideal_oracle(am).is_cm
+            decided[parts is not None] += 1
+    assert decided[False] >= 300 and decided[True] >= 100
 
 
 def test_sum_of_tree_satisfying_stays_satisfying(tree_fixture):
@@ -675,15 +817,17 @@ def test_positional_edges_read_the_values_of_their_pairs():
 
 
 def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree_fixture):
+    # one rooted walk per vertex restriction, shared by the tree
+    # criterion, the uniform-block criterion and the semigroup layer
     walks = []
 
-    def counted(cx, trees):
-        walks.append(cx)
-        return restriction_edges(cx, trees)
+    def counted(adjacency, kept, root):
+        walks.append((frozenset(kept), root))
+        return rooted_walk(adjacency, kept, root)
 
     satisfying._facet_graph_edges.cache_clear()
-    monkeypatch.setattr(satisfying, "restriction_edges", counted)
-    (walk,) = restriction_edges(tree_fixture, [facet_graph(tree_fixture)])
+    monkeypatch.setattr(satisfying, "rooted_walk", counted)
+    (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
     edges = [e for e in walk if e[1] != ROOT]
     rng = random.Random(103)
     for _ in range(20):
@@ -694,7 +838,13 @@ def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree
             if am.value(h, i) < am.value(k, i)
         )
         assert is_tree_satisfying(am).violations == expected
-    assert walks == [tree_fixture]
+        assert (decompose_into_generators(am) is None) == bool(expected)
+    assert check_cm_uniform_block(tree_fixture, [1], [3], {1: 2})
+    assert len(semigroup_generators(tree_fixture)) == 55
+    assert walks == [
+        (frozenset(j for j, f in enumerate(tree_fixture.facets, start=1) if i not in f), ROOT)
+        for i in range(1, tree_fixture.n + 1)
+    ]
 
 
 def test_tree_criterion_reports_non_cm_before_uncovered_vertex():
