@@ -12,8 +12,20 @@ reader closed stdout early).
 
 A request loads only what its subcommand runs: plain arguments are read
 straight from the command table, and argparse parses only --help and the
-argument lists that reading declines.  Package attributes load on first
-access.
+argument lists that reading declines.  Each handler imports the modules
+it calls when it runs.  Besides cli, cli_helpers, complexes and errors,
+and fixtures when the source is a fixture name:
+
+- examples loads only fixtures;
+- check --method oracle loads homology;
+- check --method auto loads homology, graphs and structure to test the
+  hypotheses, and satisfying only when the tree or quasi-tree criterion
+  runs;
+- check --method tree, quasitree or general, analyze and cross-validate
+  load homology, graphs, structure and satisfying;
+- ideal loads homology, graphs, structure and ideals.
+
+Package attributes load on first access.
 """
 
 from __future__ import annotations
@@ -33,14 +45,6 @@ from .errors import (
     NotShellable,
     ParseError,
 )
-from .graphs import ROOT, clique_trees, facet_graph, vertex_graph
-from .homology import FieldSpec, is_cm_ideal_oracle
-from .satisfying import (
-    is_general_satisfying,
-    is_quasitree_satisfying,
-    is_tree_satisfying,
-)
-from .structure import classify, find_shelling, require_tree_case
 
 __all__ = ["main"]
 
@@ -50,6 +54,8 @@ class _UsageError(Exception):
 
 
 def _render_edges(edges) -> str:
+    from .graphs import ROOT
+
     return " ".join(
         f"{'r' if a == ROOT else a}-{'r' if b == ROOT else b}" for a, b in edges
     )
@@ -71,6 +77,11 @@ def _violation_lines(verdict) -> list[str]:
 
 
 def cmd_analyze(args) -> int:
+    from .graphs import facet_graph, vertex_graph
+    from .homology import FieldSpec
+    from .satisfying import is_general_satisfying, is_quasitree_satisfying, is_tree_satisfying
+    from .structure import classify
+
     cx, mult, char, label = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
     print(f"source: {label}")
@@ -122,6 +133,8 @@ def cmd_analyze(args) -> int:
 
 
 def _check_tree(mult, field) -> int:
+    from .satisfying import is_tree_satisfying
+
     try:
         verdict = is_tree_satisfying(mult, field)
     except HypothesesViolated as exc:
@@ -136,6 +149,8 @@ def _check_tree(mult, field) -> int:
 
 
 def _check_quasitree(mult) -> int:
+    from .satisfying import is_quasitree_satisfying
+
     try:
         verdict = is_quasitree_satisfying(mult)
     except NotQuasiTree as exc:
@@ -149,6 +164,8 @@ def _check_quasitree(mult) -> int:
 
 
 def _check_general(mult) -> int:
+    from .satisfying import is_general_satisfying
+
     try:
         held = is_general_satisfying(mult)
     except NotShellable as exc:
@@ -159,6 +176,8 @@ def _check_general(mult) -> int:
 
 
 def _check_oracle(mult, field) -> int:
+    from .homology import is_cm_ideal_oracle
+
     verdict = is_cm_ideal_oracle(mult, field)
     if verdict.is_cm:
         print("verdict: Cohen-Macaulay")
@@ -174,6 +193,9 @@ def _check_oracle(mult, field) -> int:
 def _applies(method: str, cx, field) -> bool:
     """Whether the hypotheses of the tree, quasitree or general method
     hold on the complex, so that its answer means something."""
+    from .graphs import clique_trees
+    from .structure import find_shelling, require_tree_case
+
     try:
         if method == "tree":
             require_tree_case(cx, field)
@@ -187,6 +209,8 @@ def _applies(method: str, cx, field) -> bool:
 
 
 def cmd_check(args) -> int:
+    from .homology import FieldSpec
+
     cx, mult, char, _ = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
     if mult is None:
@@ -235,6 +259,9 @@ def _random_entries(rng, top: int, domain) -> tuple[tuple[int, int, int], ...]:
 
 def cmd_cross_validate(args) -> int:
     import random
+
+    from .homology import FieldSpec, is_cm_ideal_oracle
+    from .satisfying import is_general_satisfying, is_quasitree_satisfying, is_tree_satisfying
 
     cx, _, char, label = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)

@@ -6,7 +6,6 @@ import os
 
 from .complexes import MultiplicityAssignment, SimplicialComplex, _exponent_domain
 from .errors import CmLabError, InvalidCharacteristic, ParseError, UnknownFixture
-from .homology import FieldSpec
 
 __all__ = ["parse_problem_file", "resolve_source"]
 
@@ -106,6 +105,8 @@ def parse_problem_file(
     char = 0
     if "char" in doc:
         char = _require_int(doc["char"], 0, "char")
+        from .homology import FieldSpec
+
         try:
             FieldSpec(char)
         except InvalidCharacteristic as exc:
@@ -119,7 +120,11 @@ def resolve_source(
     """Load a problem from a file path, falling back to the fixture catalog."""
     if os.path.exists(source):
         with open(source, "r", encoding="utf-8") as handle:
-            cx, mult, char = parse_problem_file(handle.read())
+            try:
+                text = handle.read()
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"not UTF-8 text: {exc.reason} at byte {exc.start}") from None
+        cx, mult, char = parse_problem_file(text)
         return cx, mult, char, source
     from .fixtures import fixture_names, get_fixture
 

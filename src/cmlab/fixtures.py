@@ -4,7 +4,7 @@ table, and a default field characteristic."""
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import namedtuple
 
 from .complexes import MultiplicityAssignment, SimplicialComplex
 from .errors import UnknownFixture
@@ -12,12 +12,12 @@ from .errors import UnknownFixture
 __all__ = ["Fixture", "fixture_names", "get_fixture", "problem_json"]
 
 
-class Fixture(NamedTuple):
-    name: str
-    description: str
-    complex: SimplicialComplex
-    overrides: tuple[tuple[int, int, int], ...]  # (facet, vertex, value), only non-1
-    char: int = 0
+class Fixture(namedtuple("Fixture", "name description complex overrides char", defaults=(0,))):
+    """A named problem: a SimplicialComplex, its overrides as (facet,
+    vertex, value) triples, only the non-1 values, and its default
+    characteristic."""
+
+    __slots__ = ()
 
     @property
     def has_alpha(self) -> bool:

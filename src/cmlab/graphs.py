@@ -9,10 +9,10 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import deque, namedtuple
 from functools import lru_cache
 from itertools import chain, combinations, product
-from typing import Collection, Iterable, Mapping, NamedTuple
+from typing import Collection, Iterable, Mapping
 
 from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import (
@@ -161,12 +161,11 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
 
 
-class LeafOrder(NamedTuple):
+class LeafOrder(namedtuple("LeafOrder", "order branches")):
     """Facet order where each facet is a leaf of the preceding ones,
     with the chosen branch recorded per position (None for the first)."""
 
-    order: tuple[int, ...]
-    branches: tuple[int | None, ...]
+    __slots__ = ()
 
 
 def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:

@@ -23,9 +23,10 @@ verdicts.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
 from math import gcd
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
@@ -389,9 +390,11 @@ def is_cm_complex(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     return _sweep(cx, field).is_cm((1 << cx.m) - 1)
 
 
-class OracleVerdict(NamedTuple):
-    is_cm: bool
-    witness: tuple[int, ...] | None
+class OracleVerdict(namedtuple("OracleVerdict", "is_cm witness")):
+    """Whether the ideal is Cohen-Macaulay, and the failing threshold
+    vector (a tuple of ints) or None."""
+
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.is_cm

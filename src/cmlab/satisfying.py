@@ -7,9 +7,10 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping
 
 from .complexes import (
     ExponentOffset,
@@ -42,14 +43,14 @@ __all__ = [
     "decompose_into_generators",
 ]
 
-# (vertex, (parent facet, child facet), (parent value, child value))
-Violation = tuple[int, tuple[int, int], tuple[int, int]]
+class SatisfyingVerdict(
+    namedtuple("SatisfyingVerdict", "satisfied violations witness_tree", defaults=((), None))
+):
+    """Whether the criterion holds, its violations, each (vertex, (parent
+    facet, child facet), (parent value, child value)), and the
+    FacetLevelGraph it was witnessed on, if any."""
 
-
-class SatisfyingVerdict(NamedTuple):
-    satisfied: bool
-    violations: tuple[Violation, ...] = ()
-    witness_tree: FacetLevelGraph | None = None
+    __slots__ = ()
 
     def __bool__(self) -> bool:
         return self.satisfied

@@ -4,8 +4,9 @@ checks, and the minimal-multiplicity classification report.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .complexes import SimplicialComplex, _facet_masks, _leaf_branch
 from .errors import (
@@ -218,17 +219,13 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
     return (False, None) if g is None else (True, g + 1)
 
 
-class ClassificationReport(NamedTuple):
-    field: FieldSpec
-    pure: bool
-    strongly_connected: bool
-    shellable: bool
-    cohen_macaulay: bool
-    minimal_multiplicity: bool
-    quasi_tree: bool
-    facet_graph_is_tree: bool
-    cm_without_codim1_cycles: bool
-    strongly_connected_quasi_tree: bool
+class ClassificationReport(namedtuple("ClassificationReport", (
+    "field pure strongly_connected shellable cohen_macaulay minimal_multiplicity"
+    " quasi_tree facet_graph_is_tree cm_without_codim1_cycles strongly_connected_quasi_tree"
+))):
+    """The FieldSpec of a classification and its structural booleans."""
+
+    __slots__ = ()
 
     def flags(self) -> tuple[tuple[str, bool], ...]:
         return tuple((name, flag) for name, flag in zip(self._fields, self) if name != "field")

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmlab
-from cmlab import cli, graphs, satisfying
+from cmlab import cli, graphs, homology, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
@@ -169,7 +169,7 @@ def test_recursion_exhaustion_exits_three(monkeypatch, capsys):
     def exhausted(*args):
         raise RecursionError("maximum recursion depth exceeded")
 
-    monkeypatch.setattr(cli, "is_cm_ideal_oracle", exhausted)
+    monkeypatch.setattr(homology, "is_cm_ideal_oracle", exhausted)
     code, _, err = run(capsys, "check", "square-alpha", "--method", "oracle")
     assert code == 3
     assert err == "error: input too large: recursion depth exhausted\n"
@@ -264,6 +264,15 @@ def test_parse_error_from_file_exits_three(tmp_path, capsys):
     code, _, err = run(capsys, "analyze", str(bad))
     assert code == 3
     assert "invalid JSON" in err
+
+
+def test_problem_file_that_is_not_utf8_exits_three(tmp_path, capsys):
+    # exit 1 would read as "not Cohen-Macaulay"
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "check", str(bad))
+    assert (code, out) == (3, "")
+    assert err == "error: not UTF-8 text: invalid start byte at byte 0\n"
 
 
 def test_file_and_fixture_resolution(tmp_path, capsys):
@@ -609,6 +618,16 @@ def test_process_usage_error_matches_main(capsys):
     assert code == 3 and out == "" and err.startswith("usage error: ")
     proc = cli_process(*argv, capture_output=True)
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, b"", err.encode())
+
+
+def test_process_on_a_file_that_is_not_utf8_prints_one_error_line(tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'{"n": 2, "facets": [[1, 2]]}\xff')
+    proc = cli_process("check", str(bad), capture_output=True)
+    assert b"Traceback" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        3, b"", b"error: not UTF-8 text: invalid start byte at byte 28\n"
+    )
 
 
 def test_process_output_past_the_pipe_buffer_is_complete(tmp_path, capsys, long_path):

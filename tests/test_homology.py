@@ -613,3 +613,44 @@ def test_homology_caches_are_bounded():
     before = is_cm_complex.cache_info().hits
     assert not is_cm_complex(rp, GF2)
     assert is_cm_complex.cache_info().hits == before + 1
+
+
+def _cone(cx: SimplicialComplex) -> SimplicialComplex:
+    """The cone over cx with apex n+1: the apex joins every facet."""
+    return SimplicialComplex(cx.n + 1, [f + (cx.n + 1,) for f in cx.facets])
+
+
+def test_oracle_verdict_survives_a_cone():
+    # apex lemma: coning keeps every threshold subcomplex's
+    # Cohen-Macaulayness, and the apex lies in every facet, so the table
+    # keeps its entries and a witness gains a trailing 0
+    rng = random.Random(71)
+    corpus = [get_fixture(name).complex for name in fixture_names()]
+    corpus += [random_complex(rng, 6, 3) for _ in range(60)]
+    corpus += [random_pure_complex(rng, max_n=6, max_m=5) for _ in range(40)]
+    outcomes = set()
+    for cx in corpus:
+        cone = _cone(cx)
+        for field in FIELDS:
+            mult = random_assignment(rng, cx, 3)
+            verdict = is_cm_ideal_oracle(mult, field)
+            coned = is_cm_ideal_oracle(MultiplicityAssignment(cone, mult.entries), field)
+            expected = None if verdict.witness is None else verdict.witness + (0,)
+            assert tuple(coned) == (verdict.is_cm, expected), (cx.facets, field)
+            outcomes.add("cm" if verdict.is_cm else "cut" if any(verdict.witness) else "zero")
+    assert outcomes == {"cm", "cut", "zero"}
+
+
+def test_oracle_finds_every_table_on_a_book_cohen_macaulay():
+    # d-sets sharing one ridge: every threshold subcomplex is a smaller
+    # book, a cone over the ridge, or void
+    rng = random.Random(73)
+    for _ in range(30):
+        d, m = rng.randint(2, 4), rng.randint(2, 7)
+        n = d - 1 + m
+        labels = rng.sample(range(1, n + 1), n)
+        ridge = labels[: d - 1]
+        book = SimplicialComplex(n, [ridge + [page] for page in labels[d - 1:]])
+        mult = random_assignment(rng, book, 3)
+        for field in FIELDS:
+            assert is_cm_ideal_oracle(mult, field) == (True, None), (book.facets, field)

@@ -102,6 +102,19 @@ def test_cli_import_leaves_fractions_and_decimal_unloaded():
     assert out.stdout.strip() == "[]"
 
 
+def test_no_record_is_a_typing_namedtuple():
+    # typing.NamedTuple compiles every string annotation of the class
+    # when the module loads, which each CLI process would pay for
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(Path(cmlab.__file__).parent.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.alias) and node.name == "NamedTuple"
+        or isinstance(node, ast.Attribute) and node.attr == "NamedTuple"
+    ]
+    assert found == []
+
+
 FOOTPRINT = """\
 import contextlib, io, json, sys
 before = set(sys.modules)
@@ -112,11 +125,18 @@ print(json.dumps([code, sorted(set(sys.modules) - before)]))
 """
 
 
+# the modules that only some methods run
+CRITERIA = {"cmlab.graphs", "cmlab.structure", "cmlab.satisfying"}
+
 FOOTPRINT_CASES = [
     (["check", "{path}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures"}),
-    (["check", "{path}", "--method", "oracle"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures"}),
+    (["check", "{path}", "--method", "oracle"], 0,
+     {"argparse", "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+    # neither the tree nor the quasi-tree criterion applies to a 4-cycle,
+    # so auto goes straight to the oracle
+    (["check", "{cycle}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures", "cmlab.satisfying"}),
     (["ideal", "{path}", "--expand"], 0, {"argparse", "cmlab.fixtures"}),
-    (["examples"], 0, {"argparse", "cmlab.ideals"}),
+    (["examples"], 0, {"argparse", "cmlab.ideals", "cmlab.homology", *CRITERIA}),
     (["--help"], 0, set()),
     (["check"], 3, set()),
 ]
@@ -130,7 +150,9 @@ def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unl
     # argparse is loaded only for help and usage errors
     doc = tmp_path / "path.json"
     doc.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4]]}')
-    argv = [arg.format(path=doc) for arg in argv]
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}')
+    argv = [arg.format(path=doc, cycle=cycle) for arg in argv]
     src = str(Path(cmlab.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -142,6 +164,17 @@ def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unl
     assert unloaded & set(loaded) == set()
     if not unloaded:
         assert "argparse" in loaded
+
+
+def test_cli_keeps_the_names_the_benchmark_tracer_wraps():
+    # perfbench/tracer.py wraps cli.main and cli.resolve_source; every
+    # other function the CLI runs is looked up in its own module per call
+    from cmlab import cli, cli_helpers
+
+    assert cli.resolve_source is cli_helpers.resolve_source
+    assert callable(cli.main)
+    for name in ("is_cm_ideal_oracle", "is_tree_satisfying", "classify", "facet_graph"):
+        assert not hasattr(cli, name), name
 
 
 def test_public_names_load_on_first_access():
