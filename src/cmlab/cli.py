@@ -261,7 +261,7 @@ def cmd_cross_validate(args) -> int:
     import random
 
     from .homology import FieldSpec, is_cm_ideal_oracle
-    from .satisfying import is_general_satisfying, is_quasitree_satisfying, is_tree_satisfying
+    from .satisfying import check_cm_tree_case, is_general_satisfying, is_quasitree_satisfying
 
     cx, _, char, label = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
@@ -292,7 +292,7 @@ def cmd_cross_validate(args) -> int:
         oracle_cm = is_cm_ideal_oracle(mult, field).is_cm
         cm_count += oracle_cm
         if tree_ok:
-            if is_tree_satisfying(mult, field).satisfied == oracle_cm:
+            if check_cm_tree_case(mult, field) == oracle_cm:
                 tree_agree += 1
             else:
                 tree_disagree += 1

@@ -1,7 +1,7 @@
 """Graphs whose nodes are facets: the adjacency graph of a pure
 complex, its per-vertex variants with a formal root, the rooted
-breadth-first walk behind every traversal and vertex restriction, leaf
-orders of quasi-forests, and relation trees of quasi-trees.
+breadth-first walk behind every traversal, leaf orders of
+quasi-forests, and relation trees of quasi-trees.
 
 Nodes are 1-based facet indices into the complex's canonical facet
 list; node 0 is reserved for the formal root of per-vertex graphs.

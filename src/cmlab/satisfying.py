@@ -60,50 +60,49 @@ def is_tree_satisfying(
     mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
 ) -> SatisfyingVerdict:
     """Per vertex, values must be non-increasing away from the root of
-    the vertex graph; root edges carry no constraint.  Exact criterion
-    when the facet graph is a tree and the complex is Cohen-Macaulay."""
+    the vertex graph (violations in rooted_walk's order); root edges
+    carry no constraint.  Exact criterion when the facet graph is a tree
+    and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
     e = mult.entries
-    violations = [
-        (i, (h, k), (e[p][2], e[c][2]))
-        for i, h, k, p, c in _facet_graph_edges(cx)
-        if e[p][2] < e[c][2]
+    grown = [
+        (e[p], e[c]) for _, edges, _ in _clique_masks(cx) for p, c in edges if e[p][2] < e[c][2]
     ]
-    return SatisfyingVerdict(not violations, tuple(violations))
+    by_child = {(i, k): (i, (h, k), (a, b)) for (h, i, a), (k, _, b) in grown}
+    # only the vertices with a violation are walked, to order them
+    violations = tuple(
+        by_child[i, k]
+        for i in sorted({i for i, _ in by_child})
+        for _, k in _vertex_walk(cx, i)
+        if (i, k) in by_child
+    )
+    return SatisfyingVerdict(not violations, violations)
 
 
-@lru_cache(maxsize=32)
-def _facet_graph_edges(cx: SimplicialComplex) -> tuple[tuple[int, int, int, int, int], ...]:
-    """The facet-facet edges (vertex i, parent, child) of the facet
-    graph's restrictions to the facets omitting i, vertex by vertex in
-    rooted_walk's order, each with the domain positions of (parent, i)
-    and (child, i).  Root edges are left out: a facet omitting i with no
-    parent here hangs from the root.  Raises when some restriction is
-    not a tree."""
-    # the rule of complexes._domain_index, inlined: on a large complex
-    # the inner loop runs once per pair of the domain
-    adjacency, index, facets = facet_graph(cx).adjacency, _domain_index(cx), cx.facets
-    out = []
-    for i in range(1, cx.n + 1):
-        kept = {j for j, f in enumerate(facets, start=1) if i not in f}
-        directed, ok = rooted_walk(adjacency, kept, ROOT)
-        if not ok:
-            raise RestrictionNotTree(f"restriction to vertex {i} is not a tree")
-        for h, k in directed:
-            if h != ROOT:
-                out.append((
-                    i, h, k,
-                    index[h - 1] + i - bisect_left(facets[h - 1], i),
-                    index[k - 1] + i - bisect_left(facets[k - 1], i),
-                ))
-    return tuple(out)
+def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONALS) -> bool:
+    """The verdict of is_tree_satisfying, without its violations."""
+    require_tree_case(mult.complex, field)
+    e = mult.entries
+    return not any(
+        e[p][2] < e[c][2] for _, edges, _ in _clique_masks(mult.complex) for p, c in edges
+    )
 
 
-def check_cm_tree_case(
-    mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
-) -> bool:
-    return is_tree_satisfying(mult, field).satisfied
+@lru_cache(maxsize=64)
+def _vertex_walk(cx: SimplicialComplex, i: int) -> tuple[tuple[int, int], ...]:
+    """The directed (parent, child) edges of the vertex graph of i, root
+    edges included, in rooted_walk's order."""
+    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
+    return rooted_walk(facet_graph(cx).adjacency, kept, ROOT)[0]
+
+
+def _require_covered(cx: SimplicialComplex) -> None:
+    """Raise at the lowest vertex in no facet, whose restriction is no tree."""
+    _, containing = _facet_masks(cx)
+    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
+    if uncovered:
+        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
 
 
 @lru_cache(maxsize=32)
@@ -120,13 +119,17 @@ def _clique_masks(
     subtree.  The facets containing i form a subtree of every relation
     tree, so the restriction to i orients p -> c when none of them lies
     on c's side and c -> p otherwise; with none at all it is no tree.
-    The bits are worked out once per distinct split (c, p, c's side)."""
+    The bits are worked out once per distinct split (c, p, c's side).
+
+    The tree criterion reads its orientations here too: a Cohen-Macaulay
+    complex with a tree facet graph is a quasi-tree whose ridge cliques
+    are single edges.  The facets holding a vertex are joined through
+    ridges, so a leaf F of the facet tree has a vertex in F alone, and
+    gluing F along a whole ridge keeps every link's homology."""
     cliques = clique_trees(cx)
     _, containing = _facet_masks(cx)
     index, facets = _domain_index(cx), cx.facets
-    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
-    if uncovered:
-        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
+    _require_covered(cx)
     walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
     parent = {c: p for p, c in walk}
     below = {j: 1 << (j - 1) for j in range(1, cx.m + 1)}
@@ -266,7 +269,7 @@ def check_cm_uniform_block(
     for i, a in levels.items():
         if not isinstance(a, int) or isinstance(a, bool) or a < 2:
             raise HypothesesViolated(f"level for vertex {i} must be an integer >= 2")
-    return is_tree_satisfying(uniform_block_assignment(cx, vs, fs, levels), field).satisfied
+    return check_cm_tree_case(uniform_block_assignment(cx, vs, fs, levels), field)
 
 
 def semigroup_generators(
@@ -282,16 +285,13 @@ def semigroup_generators(
     require_tree_case(cx, RATIONALS)
     if vertex is not None and not 1 <= vertex <= cx.n:
         raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
-    wanted = [vertex] if vertex is not None else list(range(1, cx.n + 1))
-    # per vertex, each facet's parent in the rooted vertex graph
-    parents = {i: {j: ROOT for j, f in enumerate(cx.facets, start=1) if i not in f} for i in wanted}
-    for i, h, k, _, _ in _facet_graph_edges(cx):
-        if i in parents:
-            parents[i][k] = h
+    _require_covered(cx)
+    wanted = [vertex] if vertex is not None else range(1, cx.n + 1)
     out: list[ExponentOffset] = []
     seen: set[tuple[tuple[int, int, int], ...]] = set()
     for i in wanted:
-        parent = parents[i]
+        # each facet's parent in the rooted vertex graph
+        parent = {k: h for h, k in _vertex_walk(cx, i)}
         nodes = sorted(parent)
         for size in range(len(nodes) + 1):
             for subset in combinations(nodes, size):
@@ -313,15 +313,13 @@ def decompose_into_generators(
     slicing each vertex's values into level sets; None exactly when
     some level set is not ancestor-closed, i.e. the table is not
     tree-satisfying."""
-    if not is_tree_satisfying(mult, RATIONALS).satisfied:
+    if not check_cm_tree_case(mult, RATIONALS):
         return None
     cx = mult.complex
     parts: list[ExponentOffset] = []
     for i in range(1, cx.n + 1):
         values = dict(mult.vertex_values(i))
-        if not values:
-            continue
-        for level in range(1, max(values.values())):
+        for level in range(1, max(values.values(), default=1)):
             chosen = {j for j, v in values.items() if v - 1 >= level}
             parts.append(ExponentOffset.indicator(cx, i, chosen))
     return tuple(parts)

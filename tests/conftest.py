@@ -84,6 +84,45 @@ def random_quasi_tree(
     return SimplicialComplex.from_facets(next_vertex - 1, facets)
 
 
+def random_ridge_tree(rng: random.Random, d: int, m: int) -> tuple[SimplicialComplex, bool]:
+    """Add facets one at a time, each a ridge plus one vertex: the ridge
+    taken from an old facet or drawn from the vertices so far and a few
+    new ones, the vertex new or reused.  A facet is kept when the old
+    facets sharing a ridge with it lie in distinct components, so the
+    facet graph stays a forest.  Returns the first such complex with m
+    facets and a connected facet graph, a tree that need not have been
+    grown along a leaf order, and whether some facet after the first
+    brought no new vertex."""
+    while True:
+        facets: list[frozenset[int]] = []
+        component: list[int] = []
+        n, reused = 0, False
+        for _ in range(20 * m):
+            if len(facets) == m:
+                break
+            if facets and rng.random() < 0.7:
+                ridge = set(rng.choice(facets))
+                ridge.discard(rng.choice(sorted(ridge)))
+            else:
+                ridge = set(rng.sample(range(1, n + d), d - 1))
+            old = [v for v in range(1, n + 1) if v not in ridge]
+            vertex = rng.choice(old) if old and rng.random() < 0.6 else max(ridge | {n}) + 1
+            new = frozenset(ridge | {vertex})
+            touched = [component[k] for k, f in enumerate(facets) if len(new & f) == d - 1]
+            if new in facets or len(set(touched)) < len(touched):
+                continue
+            component = [len(facets) if c in touched else c for c in component] + [len(facets)]
+            reused |= bool(facets) and max(new) <= n
+            facets.append(new)
+            n = max(n, max(new))
+        if len(facets) == m and len(set(component)) == 1:
+            labels = {v: k for k, v in enumerate(sorted(set().union(*facets)), start=1)}
+            cx = SimplicialComplex.from_facets(
+                len(labels), [sorted(labels[v] for v in f) for f in facets]
+            )
+            return cx, reused
+
+
 def random_tree_satisfying(
     rng: random.Random, cx: SimplicialComplex, max_exp: int, orientations=None
 ) -> MultiplicityAssignment:

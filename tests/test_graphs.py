@@ -27,7 +27,7 @@ from conftest import (
 )
 
 from cmlab import complexes, get_fixture, graphs, satisfying, structure
-from cmlab.complexes import SimplicialComplex
+from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -270,12 +270,18 @@ def test_restrictions_of_relation_trees_are_trees(star_fixture):
 
 def test_restriction_edges_reject_uncovered_vertex():
     # vertex 3 lies in no facet, so its restriction has no root edge;
-    # the tree criterion's walk of the facet graph raises as the reference does
+    # the tree criterion and the semigroup layer raise as the reference
+    # does, also when the vertex asked for is covered
     cx = SimplicialComplex(3, ((1, 2),))
     with pytest.raises(RestrictionNotTree, match="restriction to vertex 3 is not a tree"):
         next(restriction_edges_reference(cx, [facet_graph(cx)]))
-    with pytest.raises(RestrictionNotTree, match="restriction to vertex 3 is not a tree"):
-        satisfying._facet_graph_edges(cx)
+    for call in (
+        lambda: satisfying.is_tree_satisfying(MultiplicityAssignment.constant(cx)),
+        lambda: satisfying.semigroup_generators(cx),
+        lambda: satisfying.semigroup_generators(cx, 1),
+    ):
+        with pytest.raises(RestrictionNotTree, match="restriction to vertex 3 is not a tree"):
+            call()
 
 
 def test_restriction_edges_reject_a_vertex_split_by_a_spanning_tree():
@@ -427,7 +433,7 @@ def test_graph_caches_are_bounded(tree_fixture):
         complexes._domain_index,
         structure._tree_facet_graph,
         satisfying._clique_masks,
-        satisfying._facet_graph_edges,
+        satisfying._vertex_walk,
     ):
         assert cached.cache_info().maxsize is not None
     # a bounded cache still answers from memory

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from conftest import (
     random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
+    random_ridge_tree,
     random_tree_satisfying,
     restrict_relation_tree,
     restriction_edge_sets,
@@ -48,14 +50,16 @@ from cmlab.errors import (
 )
 from cmlab.graphs import (
     ROOT,
+    clique_trees,
     facet_graph,
+    find_leaf_order,
     is_tree,
     relation_trees,
     root_orientation,
     rooted_walk,
     vertex_graph,
 )
-from cmlab.homology import is_cm_complex, is_cm_ideal_oracle
+from cmlab.homology import FieldSpec, is_cm_complex, is_cm_ideal_oracle
 from cmlab.structure import _shelling
 from cmlab.satisfying import (
     check_cm_quasitree_sufficient,
@@ -786,8 +790,12 @@ def test_general_criterion_searches_the_tiers_the_weights_give(monkeypatch):
 
 
 def test_positional_edges_read_the_values_of_their_pairs():
-    # the domain positions the tree and quasi-tree criteria compare at
-    # hold the values value() reads for the edges' pairs
+    # the domain positions both criteria compare at hold the values
+    # value() reads for the edges' pairs: a clique edge's positions are
+    # the slots of (parent, i) and (child, i) for one vertex i, and
+    # test_tree_masks_match_restriction_edges checks that these edges
+    # are the restriction walk's; the strips and the triangle tree are
+    # tree-case complexes
     rng = random.Random(79)
     corpus = [random_quasi_tree(rng, max_m=6) for _ in range(40)]
     corpus += [random_attach_quasitree(rng, (3, 4, 2)) for _ in range(5)]
@@ -796,16 +804,6 @@ def test_positional_edges_read_the_values_of_their_pairs():
     checked = 0
     for cx in corpus:
         am = random_assignment(rng, cx, 4)
-        try:
-            tree_edges = satisfying._facet_graph_edges(cx)
-        except (NotPure, RestrictionNotTree):
-            tree_edges = ()
-        for i, h, k, p, c in tree_edges:
-            assert am.entries[p][2] == am.value(h, i) and am.entries[c][2] == am.value(k, i)
-            checked += 1
-        # a clique edge's positions are the slots of (parent, i) and
-        # (child, i) for one vertex i; test_tree_masks_match_restriction_edges
-        # checks that these edges are the restriction walk's
         domain = _exponent_domain(cx)
         for _, slots, _ in satisfying._clique_masks(cx):
             for p, c in slots:
@@ -816,35 +814,86 @@ def test_positional_edges_read_the_values_of_their_pairs():
     assert checked > 500
 
 
-def test_tree_criterion_walks_the_facet_graph_once_per_complex(monkeypatch, tree_fixture):
-    # one rooted walk per vertex restriction, shared by the tree
-    # criterion, the uniform-block criterion and the semigroup layer
+def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fixture):
+    # once the complex's clique masks are built, a satisfying table and
+    # every verdict-only call walk nothing; a violating table walks each
+    # violating vertex once per complex, to order its violations as the
+    # reference does, and the semigroup layer reads the same walks
     walks = []
 
     def counted(adjacency, kept, root):
-        walks.append((frozenset(kept), root))
+        walks.append(frozenset(kept))
         return rooted_walk(adjacency, kept, root)
 
-    satisfying._facet_graph_edges.cache_clear()
+    satisfying._vertex_walk.cache_clear()
+    satisfying._clique_masks(tree_fixture)
     monkeypatch.setattr(satisfying, "rooted_walk", counted)
     (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
     edges = [e for e in walk if e[1] != ROOT]
+    kept = {
+        i: frozenset(j for j, f in enumerate(tree_fixture.facets, start=1) if i not in f)
+        for i in range(1, tree_fixture.n + 1)
+    }
     rng = random.Random(103)
-    for _ in range(20):
-        am = random_assignment(rng, tree_fixture, 3)
+    walked: set[int] = set()
+    satisfied = 0
+    for t in range(40):
+        am = (random_tree_satisfying if t % 4 == 0 else random_assignment)(rng, tree_fixture, 3)
         expected = tuple(
             (i, (h, k), (am.value(h, i), am.value(k, i)))
             for i, h, k in edges
             if am.value(h, i) < am.value(k, i)
         )
-        assert is_tree_satisfying(am).violations == expected
+        before = len(walks)
+        assert check_cm_tree_case(am) == (not expected)
         assert (decompose_into_generators(am) is None) == bool(expected)
+        assert walks[before:] == []
+        assert is_tree_satisfying(am).violations == expected
+        new = {i for i, _, _ in expected} - walked
+        assert Counter(walks[before:]) == Counter(kept[i] for i in new)
+        walked |= new
+        satisfied += not expected
+    assert satisfied >= 5 and len(walked) >= 3
+    before = len(walks)
     assert check_cm_uniform_block(tree_fixture, [1], [3], {1: 2})
+    assert walks[before:] == []
     assert len(semigroup_generators(tree_fixture)) == 55
-    assert walks == [
-        (frozenset(j for j, f in enumerate(tree_fixture.facets, start=1) if i not in f), ROOT)
-        for i in range(1, tree_fixture.n + 1)
-    ]
+    assert Counter(walks) == Counter(kept.values())
+
+
+def test_cm_tree_case_complexes_are_quasi_trees_with_one_edge_cliques():
+    # the lemma behind the tree criterion reading the quasi-tree masks:
+    # a complex with a tree facet graph that is Cohen-Macaulay over the
+    # field has a leaf order, each facet-graph edge is a ridge clique
+    # with that edge as its only tree, and the tree criterion agrees with
+    # the quasi-tree criterion, whose witness is the facet graph
+    rng = random.Random(131)
+    pairs = reused_pairs = 0
+    verdicts = {True: 0, False: 0}
+    for _ in range(300):
+        cx, reused = random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 8))
+        graph = facet_graph(cx)
+        assert is_tree(graph)
+        for field in (RATIONALS, GF2, FieldSpec(3)):
+            if not is_cm_complex(cx, field):
+                continue
+            pairs += 1
+            reused_pairs += reused
+            assert find_leaf_order(cx) is not None
+            cliques = clique_trees(cx)
+            assert all(len(trees) == 1 and len(trees[0]) == 1 for trees in cliques)
+            assert sorted(trees[0][0] for trees in cliques) == list(graph.edges)
+            for t in range(4):
+                draw = random_tree_satisfying if t % 2 else random_assignment
+                am = draw(rng, cx, 3)
+                tree = check_cm_tree_case(am, field)
+                quasi = is_quasitree_satisfying(am)
+                assert quasi.satisfied == tree == is_tree_satisfying(am, field).satisfied
+                if tree:
+                    assert quasi.witness_tree == graph
+                verdicts[tree] += 1
+    assert pairs >= 500 and reused_pairs >= 100
+    assert min(verdicts.values()) >= 300
 
 
 def test_tree_criterion_reports_non_cm_before_uncovered_vertex():
