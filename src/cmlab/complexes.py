@@ -65,8 +65,10 @@ _set = object.__setattr__
 class Frozen:
     """Immutable base of the slotted value classes.  A subclass names its
     compared fields in _fields, and its __init__ stores their values
-    through _freeze, which also keeps them as the tuple _key and hashes
-    that tuple once.  Equality is same class and equal _key."""
+    through _freeze, which also keeps them as the tuple _key.  The hash
+    of _key is computed on the first call of hash() and kept, so a value
+    that is never hashed, as most exponent tables, never pays for it.
+    Equality is same class and equal _key."""
 
     __slots__ = ("_key", "_hash")
     _fields: tuple[str, ...] = ()
@@ -75,7 +77,6 @@ class Frozen:
         for name, value in zip(self._fields, values):
             _set(self, name, value)
         _set(self, "_key", values)
-        _set(self, "_hash", hash(values))
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -83,7 +84,11 @@ class Frozen:
         return self._key == other._key
 
     def __hash__(self) -> int:
-        return self._hash
+        try:
+            return self._hash
+        except AttributeError:
+            _set(self, "_hash", hash(self._key))
+            return self._hash
 
     def __repr__(self) -> str:
         body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key))

@@ -30,9 +30,7 @@ class Fixture(namedtuple("Fixture", "name description complex overrides char", d
 
 
 def _fx(name, description, n, facets, overrides=(), char=0):
-    return Fixture(
-        name, description, SimplicialComplex.from_facets(n, facets), tuple(overrides), char
-    )
+    return name, description, n, facets, tuple(overrides), char
 
 
 _TRIANGLE_TREE = [
@@ -63,9 +61,11 @@ _PROJECTIVE_PLANE = [
     (4, 5, 6),
 ]
 
-_CATALOG: dict[str, Fixture] = {
-    f.name: f
-    for f in [
+# Each fixture as its raw spec; get_fixture builds a Fixture and its
+# complex on first use, once.
+_SPECS = {
+    spec[0]: spec
+    for spec in [
         _fx(
             "triangle-tree",
             "six triangles on eight vertices whose facet graph is a tree;"
@@ -119,19 +119,25 @@ _CATALOG: dict[str, Fixture] = {
         ),
     ]
 }
+_BUILT: dict[str, Fixture] = {}
 
 
 def fixture_names() -> tuple[str, ...]:
-    return tuple(_CATALOG)
+    return tuple(_SPECS)
 
 
 def get_fixture(name: str) -> Fixture:
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise UnknownFixture(
-            f"unknown fixture {name!r}; available: {', '.join(_CATALOG)}"
-        ) from None
+    fx = _BUILT.get(name)
+    if fx is None:
+        try:
+            name, description, n, facets, overrides, char = _SPECS[name]
+        except KeyError:
+            raise UnknownFixture(
+                f"unknown fixture {name!r}; available: {', '.join(_SPECS)}"
+            ) from None
+        cx = SimplicialComplex.from_facets(n, facets)
+        fx = _BUILT[name] = Fixture(name, description, cx, overrides, char)
+    return fx
 
 
 def problem_json(name: str) -> dict:

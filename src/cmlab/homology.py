@@ -428,10 +428,12 @@ def is_cm_ideal_oracle(
 
     The walk is depth-first on an explicit stack over (coordinate,
     alive-facet mask) states, so n coordinates need no recursion; a
-    state from which every completion stays Cohen-Macaulay is
-    remembered for the call, a state with at most one facet (every
-    narrowing a simplex or void) is never entered, and each surviving
-    facet mask is decided once per complex and field.
+    state with at most one facet (every narrowing a simplex or void) is
+    never entered, and each surviving facet mask is decided once per
+    complex and field.  Per mask the walk remembers the lowest
+    coordinate from which every completion stayed Cohen-Macaulay, and
+    enters a state only below it: the cut 0 kills nothing, so a later
+    coordinate reaches a subset of the earlier one's completions.
     """
     cx = mult.complex
     n = cx.n
@@ -440,7 +442,9 @@ def is_cm_ideal_oracle(
     full_mask = (1 << cx.m) - 1
     if n == 0:
         return OracleVerdict(True, None) if cm(full_mask) else OracleVerdict(False, ())
-    dead: set[tuple[int, int]] = set()
+    # Per mask, the lowest coordinate from which it is known to stay
+    # Cohen-Macaulay.
+    dead: dict[int, int] = {}
     # Per open coordinate t: the alive mask before it and the next grid
     # position to try.
     alive = [full_mask]
@@ -449,7 +453,7 @@ def is_cm_ideal_oracle(
         t = len(nxt) - 1
         k = nxt[t]
         if k == len(cuts[t]):
-            dead.add((t, alive.pop()))
+            dead[alive.pop()] = t
             nxt.pop()
             continue
         nxt[t] = k + 1
@@ -460,7 +464,7 @@ def is_cm_ideal_oracle(
             if not cm(narrowed):
                 witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))
                 return OracleVerdict(False, witness)
-        elif (t + 1, narrowed) not in dead:
+        elif t + 1 < dead.get(narrowed, n):
             alive.append(narrowed)
             nxt.append(0)
     return OracleVerdict(True, None)

@@ -20,9 +20,7 @@ from .errors import (
     MultiplicityDomainMismatch,
     VertexOutOfRange,
 )
-from .graphs import facet_graph
 from .homology import RATIONALS, FieldSpec
-from .structure import is_shelling, require_tree_case
 
 __all__ = [
     "Monomial",
@@ -272,6 +270,9 @@ def splitting_witness(
     the largest monomial outside it, lies outside some earlier
     component.
     """
+    from .graphs import facet_graph
+    from .structure import is_shelling, require_tree_case
+
     cx = mult.complex
     require_tree_case(cx, field)
     if cx.m < 2:

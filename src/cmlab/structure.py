@@ -19,7 +19,7 @@ from .errors import (
     NotTreeFacetGraph,
 )
 from .graphs import LeafOrder, _ridge_groups, facet_graph, find_leaf_order, is_tree
-from .homology import RATIONALS, FieldSpec, is_cm_complex
+from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
 
 __all__ = [
     "is_shelling",
@@ -155,29 +155,49 @@ def _shelling(cx: SimplicialComplex, tiers: list[int]) -> tuple[int, ...] | None
     every facet of each tier, a facet mask, before any facet of a later
     one; the tiers cover all facets.  None when there is none.
 
-    The search is depth-first on an explicit stack, so a long shelling
-    needs no recursion.  Prefixes are facet bitmasks; only facets that
-    share a ridge with a placed one can extend a nonempty prefix, and
-    prefixes that extend to no shelling are remembered.
+    Whether a facet extends a prefix depends only on the set of facets
+    placed, and every order of a tier ends on the same set, the earlier
+    tiers and that tier.  So each tier is searched from that fixed set
+    alone, the first shelling is the concatenation of each tier's first
+    order, and a tier that cannot be completed ends the search.
     """
     if not cx.is_pure:
         raise NotPure("shellings are defined for pure complexes here")
-    m = cx.m
-    if m == 0:
-        return ()
+    order: list[int] = []
+    placed = 0
+    for tier in tiers:
+        tier &= ~placed
+        if tier:
+            part = _tier_order(cx, placed, tier)
+            if part is None:
+                return None
+            order += part
+            placed |= tier
+    return tuple(order) if placed == (1 << cx.m) - 1 else None
+
+
+@lru_cache(maxsize=1024)
+def _tier_order(cx: SimplicialComplex, placed: int, tier: int) -> tuple[int, ...] | None:
+    """The first order, facets tried in ascending index, in which the
+    facets of tier, a nonempty facet mask disjoint from placed, extend
+    one by one the shelling prefix whose facets are placed; None when
+    there is none.  Kept per complex, so every vertex, table and call
+    that reaches the same placed set and tier shares one search.
+
+    The search is depth-first on an explicit stack, so a long tier
+    needs no recursion.  Prefixes are facet bitmasks; only facets that
+    share a ridge with a placed one can extend a nonempty prefix, and
+    prefixes that extend to no order of the tier are remembered.
+    """
     neighbours, ridges = _ridge_masks(cx)
-    full = (1 << m) - 1
-
-    def allowed(used: int) -> int:
-        for tier in tiers:
-            if tier & ~used:
-                return tier & ~used
-        return 0
-
+    reach = 0
+    for j in _bits(placed):
+        reach |= neighbours[j]
+    full = placed | tier
     order: list[int] = []
     dead: set[int] = set()
     # Open prefixes as [placed facets, their ridge neighbours, untried].
-    stack = [[0, 0, allowed(0)]]
+    stack = [[placed, reach, tier & reach if placed else tier]]
     while stack:
         node = stack[-1]
         used, reach, untried = node
@@ -202,7 +222,7 @@ def _shelling(cx: SimplicialComplex, tiers: list[int]) -> tuple[int, ...] | None
             order.pop()
             continue
         reach |= neighbours[j]
-        stack.append([grown, reach, allowed(grown) & reach])
+        stack.append([grown, reach, full & ~grown & reach])
     return None
 
 

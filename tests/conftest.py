@@ -499,6 +499,61 @@ def find_shelling_reference(
     return tuple(order) if search(frozenset()) else None
 
 
+def shelling_reference(cx: SimplicialComplex, tiers: list[int]) -> tuple[int, ...] | None:
+    """Reference tiered shelling search: one depth-first search on one
+    explicit stack over all tiers at once, prefixes kept as facet masks
+    and remembered when dead, facets tried in ascending index; the first
+    shelling placing every facet of each tier before any of a later one,
+    or None.  It backtracks across tier boundaries, which
+    structure._shelling never needs to do."""
+    from cmlab.errors import NotPure
+    from cmlab.structure import _extends, _ridge_masks
+
+    if not cx.is_pure:
+        raise NotPure("shellings are defined for pure complexes here")
+    m = cx.m
+    if m == 0:
+        return ()
+    neighbours, ridges = _ridge_masks(cx)
+    full = (1 << m) - 1
+
+    def allowed(used: int) -> int:
+        for tier in tiers:
+            if tier & ~used:
+                return tier & ~used
+        return 0
+
+    order: list[int] = []
+    dead: set[int] = set()
+    stack = [[0, 0, allowed(0)]]
+    while stack:
+        node = stack[-1]
+        used, reach, untried = node
+        while untried:
+            low = untried & -untried
+            untried ^= low
+            j = low.bit_length() - 1
+            if not used or _extends(ridges[j], used):
+                break
+        else:
+            dead.add(used)
+            stack.pop()
+            if order:
+                order.pop()
+            continue
+        node[2] = untried
+        order.append(j + 1)
+        grown = used | low
+        if grown == full:
+            return tuple(order)
+        if grown in dead:
+            order.pop()
+            continue
+        reach |= neighbours[j]
+        stack.append([grown, reach, allowed(grown) & reach])
+    return None
+
+
 def oracle_reference(mult: MultiplicityAssignment, field: FieldSpec) -> tuple[bool, tuple[int, ...] | None]:
     """Reference threshold-grid walk: per coordinate the grid {0} union
     {table values} ascending, each value narrowing the alive facets by a

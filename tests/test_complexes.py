@@ -506,6 +506,20 @@ def test_value_classes_compare_and_hash_by_their_fields(name):
             assert a != _VALUES[other]()
 
 
+@pytest.mark.parametrize("name", _VALUES)
+def test_value_classes_hash_on_first_use(name):
+    # construction hashes nothing; the first hash() keeps its value, and
+    # equal values hash equal, one of them fresh from a pickle round trip
+    a, b = _VALUES[name](), _VALUES[name]()
+    back = pickle.loads(pickle.dumps(a))
+    for value in (a, b, back):
+        with pytest.raises(AttributeError):
+            value._hash
+    assert hash(back) == hash(a) == hash(b) == hash(a._key)
+    assert a._hash == hash(a._key)
+    assert {a: 1}[back] == 1
+
+
 def test_value_classes_with_equal_fields_differ_by_class():
     assert SimplicialComplex(2, ((1, 2),)) != MonomialIdeal(2, ((1, 2),))
     ones = MultiplicityAssignment.constant(_SQUARE, 1)

@@ -64,3 +64,26 @@ def test_fixture_alpha_records_are_sorted():
     doc = problem_json("star-alpha")
     keys = [(r["facet"], r["vertex"]) for r in doc["alpha"]]
     assert keys == sorted(keys)
+
+
+def test_examples_builds_no_complex(monkeypatch, capsys):
+    # the listing reads the raw specs; a fixture and its complex are
+    # built only when a request names it, and then once
+    from cmlab import cli, fixtures
+
+    class Refused:
+        @staticmethod
+        def from_facets(n, facets):
+            raise AssertionError("examples must not build a complex")
+
+    monkeypatch.setattr(fixtures, "_BUILT", {})
+    monkeypatch.setattr(fixtures, "SimplicialComplex", Refused)
+    assert cli.main(["examples"]) == 0
+    listed = capsys.readouterr().out.splitlines()
+    assert [line.partition(":")[0] for line in listed] == list(fixture_names())
+    assert fixtures._BUILT == {}
+    monkeypatch.undo()
+    monkeypatch.setattr(fixtures, "_BUILT", {})
+    assert cli.main(["check", "square", "--method", "oracle"]) == 0
+    assert list(fixtures._BUILT) == ["square"]
+    assert get_fixture("square") is fixtures._BUILT["square"]

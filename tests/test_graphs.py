@@ -432,6 +432,8 @@ def test_graph_caches_are_bounded(tree_fixture):
         graphs._ridge_groups,
         complexes._domain_index,
         structure._tree_facet_graph,
+        structure._ridge_masks,
+        structure._tier_order,
         satisfying._clique_masks,
         satisfying._vertex_walk,
     ):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -237,6 +238,39 @@ def test_oracle_matches_the_cut_loop_reference():
                     verdict = is_cm_ideal_oracle(mult, field)
                     assert tuple(verdict) == oracle_reference(mult, field)
                     assert verdict.is_cm == is_cm
+
+
+def test_oracle_matches_the_reference_on_long_paths():
+    # a long path reaches each alive mask at many coordinates, which the
+    # walk's dead map, keyed by mask alone, must not confuse: same
+    # verdict and witness as the reference walk memoized on (coordinate,
+    # mask), for constant, tree-satisfying and violated tables
+    rng = random.Random(89)
+    for path, fields in ((_stacked_path(60, 2), [RATIONALS]), (_stacked_path(30, 3), FIELDS)):
+        held = random_tree_satisfying(rng, path, 3)
+        tables = [MultiplicityAssignment.constant(path, 2), held, random_assignment(rng, path, 2)]
+        tables += [_raise_one_child(rng, held) for _ in range(3)]
+        for mult in tables:
+            for field in fields:
+                verdict = is_cm_ideal_oracle(mult, field)
+                assert tuple(verdict) == oracle_reference(mult, field)
+                assert verdict.is_cm == (mult in tables[:2])
+
+
+def test_oracle_keeps_one_dead_entry_per_mask():
+    # the constant table on a 300-edge path enters about 300 (coordinate,
+    # mask) states per mask, and remembering each of them as dead took
+    # about 7 MB of 300-bit masks; one entry per mask takes well under 1
+    path = _stacked_path(300, 2)
+    mult = MultiplicityAssignment.constant(path)
+    assert is_cm_ideal_oracle(mult)  # the sweep and the cuts are built once
+    tracemalloc.start()
+    try:
+        assert is_cm_ideal_oracle(mult)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_cuts_match_the_vertex_values_reference():

@@ -135,7 +135,7 @@ FOOTPRINT_CASES = [
     # neither the tree nor the quasi-tree criterion applies to a 4-cycle,
     # so auto goes straight to the oracle
     (["check", "{cycle}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures", "cmlab.satisfying"}),
-    (["ideal", "{path}", "--expand"], 0, {"argparse", "cmlab.fixtures"}),
+    (["ideal", "{path}", "--expand"], 0, {"argparse", "cmlab.fixtures", *CRITERIA}),
     (["examples"], 0, {"argparse", "cmlab.ideals", "cmlab.homology", *CRITERIA}),
     (["--help"], 0, set()),
     (["check"], 3, set()),

@@ -16,6 +16,7 @@ from conftest import (
     random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
+    shelling_reference,
 )
 
 from cmlab import GF2, RATIONALS, get_fixture, structure
@@ -110,6 +111,59 @@ def test_find_shelling_matches_the_set_based_reference():
         perm = rng.sample(range(1, cx.m + 1), cx.m)
         assert is_shelling(cx, perm) == is_shelling_reference(cx, perm)
     assert shellable > 1000 and 2000 - shellable > 250
+
+
+def _random_tiers(rng: random.Random, cx: SimplicialComplex) -> list[int]:
+    """The facets split into up to four tiers by random labels, a tier
+    with no label drawn being empty, or the tiers find_shelling builds
+    for a random prefix vertex and random weights."""
+    if rng.random() < 0.3:
+        weights = {j: rng.randint(1, 3) for j in range(1, cx.m + 1)}
+        return structure._tiers(cx, rng.randint(1, cx.n), weights)
+    labels = [rng.randrange(rng.randint(1, 4)) for _ in range(cx.m)]
+    return [
+        sum(1 << j for j, label in enumerate(labels) if label == tier)
+        for tier in range(max(labels) + 2)
+    ]
+
+
+def test_tier_search_matches_the_single_stack_reference():
+    # the first shelling is the concatenation of each tier's first
+    # order: same order, or None, as one search over all tiers at once,
+    # with empty tiers, one full tier and later tiers that fail
+    rng = random.Random(97)
+    seen = dict.fromkeys(("shelled", "none", "later tier fails", "empty tier"), 0)
+    for k in range(4000):
+        if k % 2:
+            cx = random_pure_complex(rng)
+        else:
+            cx = random_pure_strongly_connected(rng, max_n=7, max_m=7)
+        for tiers in ([(1 << cx.m) - 1], _random_tiers(rng, cx), _random_tiers(rng, cx)):
+            order = structure._shelling(cx, tiers)
+            assert order == shelling_reference(cx, tiers), (cx, tiers)
+            seen["none" if order is None else "shelled"] += 1
+            seen["empty tier"] += 0 in tiers
+            first = next(t for t in tiers if t)
+            if order is None and len(tiers) > 1 and structure._tier_order(cx, 0, first):
+                seen["later tier fails"] += 1
+            if order is not None:
+                assert is_shelling(cx, order)
+    assert min(seen.values()) > 800, seen
+
+
+def test_tier_searches_are_shared_across_calls(tree_fixture):
+    # the shelling condition searches one tier per vertex and value
+    # level; a tier reached again from the same placed facets is one
+    # cache hit, whichever call reaches it
+    structure._tier_order.cache_clear()
+    tiers = structure._tiers(tree_fixture, 4, None)
+    first = find_shelling(tree_fixture, prefix_vertex=4)
+    misses = structure._tier_order.cache_info().misses
+    assert misses == len(tiers)
+    assert structure._shelling(tree_fixture, tiers) == first
+    weights = {j: 1 for j in range(1, tree_fixture.m + 1)}
+    assert find_shelling(tree_fixture, prefix_vertex=4, weights=weights) == first
+    assert structure._tier_order.cache_info().misses == misses
 
 
 def test_shelling_search_remembers_dead_prefixes():
