@@ -541,12 +541,12 @@ def console_main() -> NoReturn:
     escaping main propagates as it would without this function.
 
     The process runs without the cyclic garbage collector.  A request
-    keeps what it builds in bounded caches until it exits, and what it
-    drops earlier holds no reference cycle, so a collection frees
-    nothing and only rescans live objects: on large inputs that was a
-    quarter of the run.  Reference counting still frees every object
-    that is not in a cycle, and main() itself keeps the collector, so
-    library callers and in-process tests are unaffected.
+    keeps what it works out on the complexes it holds until it exits,
+    and what it drops earlier holds no reference cycle, so a collection
+    frees nothing and only rescans live objects: on large inputs that
+    was a quarter of the run.  Reference counting still frees every
+    object that is not in a cycle, and main() itself keeps the
+    collector, so library callers and in-process tests are unaffected.
     """
     gc.disable()
     code = main()

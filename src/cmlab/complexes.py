@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from functools import lru_cache
+from collections import namedtuple
+from functools import update_wrapper
 from math import comb
 from operator import itemgetter, ne
 from typing import Iterable, Mapping, Sequence
@@ -104,6 +105,54 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
+_CacheInfo = namedtuple("CacheInfo", "hits misses")
+_KWD_MARK = (object(),)
+
+
+def _per_complex(fn=None, *, maxsize: int | None = None):
+    """Memoize fn(cx, *args, **kwargs) on the complex cx itself, in a dict
+    made on its first use and kept in the complex's _memo slot, so what is
+    worked out from a complex dies with it.  Nothing kept may refer back
+    to the complex, or the two would form a reference cycle.  An exception
+    is not kept.  With maxsize, a complex keeps at most that many results
+    of fn, dropping the least recently used first.  cache_info() counts
+    hits and misses over every complex, under functools' names."""
+
+    def decorate(fn):
+        hits = misses = 0
+
+        def memo(cx, *args, **kwargs):
+            nonlocal hits, misses
+            key = (*args, *_KWD_MARK, *kwargs.items()) if kwargs else args
+            try:
+                results = cx._memo[memo]
+                value = results[key]
+            except (AttributeError, KeyError):
+                pass
+            else:
+                hits += 1
+                if maxsize is not None:
+                    results[key] = results.pop(key)
+                return value
+            misses += 1
+            value = fn(cx, *args, **kwargs)
+            try:
+                store = cx._memo
+            except AttributeError:
+                store = {}
+                _set(cx, "_memo", store)
+            results = store.setdefault(memo, {})
+            if len(results) == maxsize:
+                del results[next(iter(results))]
+            results[key] = value
+            return value
+
+        memo.cache_info = lambda: _CacheInfo(hits, misses)
+        return update_wrapper(memo, fn)
+
+    return decorate if fn is None else decorate(fn)
+
+
 class SimplicialComplex(Frozen):
     """A simplicial complex on vertex set {1..n}, given by its facets.
 
@@ -114,7 +163,7 @@ class SimplicialComplex(Frozen):
     values (links, subcomplexes) that may leave vertices uncovered.
     """
 
-    __slots__ = ("n", "facets", "_pure")
+    __slots__ = ("n", "facets", "_pure", "_memo")
     _fields = ("n", "facets")
     n: int
     facets: tuple[Face, ...]
@@ -245,7 +294,7 @@ class SimplicialComplex(Frozen):
         return self.multiplicity() == 1 + self.n - (self.dim + 1)
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def _all_faces(cx: SimplicialComplex) -> tuple[Face, ...]:
     faces: set[Face] = set()
     for f in cx.facets:
@@ -254,7 +303,7 @@ def _all_faces(cx: SimplicialComplex) -> tuple[Face, ...]:
     return tuple(sorted(faces, key=lambda t: (len(t), t)))
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def _facet_masks(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """The bitmask index of a complex: per facet its vertex mask, vertex
     v being bit v, and per vertex 0..n the mask of the facets holding it,
@@ -285,7 +334,7 @@ def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
     return [(j, i) for j, f in enumerate(cx.facets, start=1) for i in vertices if i not in f]
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def _domain_index(cx: SimplicialComplex) -> tuple[int, ...]:
     """The domain index of a complex: the pair (facet j, vertex i) sits in
     a table's entries at index[j - 1] + i - bisect_left(cx.facets[j - 1], i),

@@ -10,11 +10,10 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from functools import lru_cache
 from itertools import chain, combinations, product
 from typing import Collection, Iterable, Mapping
 
-from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch
+from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch, _per_complex
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -122,7 +121,7 @@ def root_orientation(g: FacetLevelGraph, root: int) -> tuple[tuple[int, int], ..
     return directed
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def _ridge_groups(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Per ridge that two or more facets share, the pairs (facet j,
     vertex of facet j outside the ridge), facets ascending; ridges in
@@ -135,7 +134,7 @@ def _ridge_groups(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], .
     return tuple(tuple(pairs) for pairs in by_ridge.values() if len(pairs) > 1)
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     """Nodes 1..m; an edge joins two facets meeting in size dim, that
     is, sharing a ridge."""
@@ -189,7 +188,7 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
     return LeafOrder(order, branches)
 
 
-@lru_cache(maxsize=32)
+@_per_complex
 def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
     """Per ridge clique of a strongly connected quasi-tree, every spanning
     tree of the clique sorted by edges; anything else is rejected.  Each
@@ -233,7 +232,7 @@ def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
     return tuple(cliques)
 
 
-@lru_cache(maxsize=32)
+@_per_complex
 def relation_trees(cx: SimplicialComplex) -> tuple[FacetLevelGraph, ...]:
     """The relation trees of a strongly connected quasi-tree, sorted by
     edges; anything else is rejected.  They are the spanning trees of the

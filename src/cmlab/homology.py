@@ -24,11 +24,17 @@ verdicts.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
-from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex, _facet_masks, _leaf_branch
+from .complexes import (
+    Frozen,
+    MultiplicityAssignment,
+    SimplicialComplex,
+    _facet_masks,
+    _leaf_branch,
+    _per_complex,
+)
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 
 __all__ = [
@@ -171,7 +177,7 @@ def boundary_matrix(cx: SimplicialComplex, q: int, field: FieldSpec = RATIONALS)
     return ExactMatrix(field, len(cols), tuple(map(tuple, rows)))
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def reduced_homology_ranks(
     cx: SimplicialComplex, field: FieldSpec = RATIONALS
 ) -> tuple[int, ...]:
@@ -205,12 +211,16 @@ class _Sweep:
     subcomplex takes the keys S & A, and the verdict on a key K, the
     test of meet(K) in the complex on the facets K, serves every
     subcomplex.  Keys whose links are equal share one verdict.
+
+    The sweep is kept on its complex, per field, and keeps the complex's
+    n and facets rather than the complex, so that the two form no
+    reference cycle and the sweep dies with the complex.
     """
 
-    __slots__ = ("cx", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
+    __slots__ = ("n", "facets", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
 
     def __init__(self, cx: SimplicialComplex, field: FieldSpec) -> None:
-        self.cx, self.field = cx, field
+        self.n, self.facets, self.field = cx.n, cx.facets, field
         fb, incidence = _facet_masks(cx)
         self.facet_bits = fb
         # Every nonempty meet of facets is reached by meeting a closed
@@ -258,7 +268,7 @@ class _Sweep:
     def _decide(self, alive: int) -> bool:
         if not alive & (alive - 1):
             return True  # void, or a single simplex
-        facets = self.cx.facets
+        facets = self.facets
         d = len(facets[(alive & -alive).bit_length() - 1])
         if any(len(facets[j]) != d for j in _bits(alive)):
             return False  # Cohen-Macaulay implies pure
@@ -311,7 +321,7 @@ class _Sweep:
         link = _peeled(link)
         if len(link) == 1:
             return True
-        lk = SimplicialComplex._of_canonical(self.cx.n, tuple(tuple(_bits(x)) for x in link))
+        lk = SimplicialComplex._of_canonical(self.n, tuple(tuple(_bits(x)) for x in link))
         # An integer matrix has rank over Q at least its rank mod 2, so
         # homology that vanishes over GF(2) vanishes over Q, and the XOR
         # kernel is tried first.
@@ -368,12 +378,12 @@ def _connected_vanishes(lk: SimplicialComplex, top: int, field: FieldSpec) -> bo
     return True
 
 
-@lru_cache(maxsize=32)
+@_per_complex
 def _sweep(cx: SimplicialComplex, field: FieldSpec) -> _Sweep:
     return _Sweep(cx, field)
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def is_cm_complex(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     """Cohen-Macaulayness of the complex itself over the given field, by
     Reisner's criterion: every face's link has vanishing reduced
@@ -427,13 +437,21 @@ def is_cm_ideal_oracle(
     vector over the full box, or None when the ideal is Cohen-Macaulay.
 
     The walk is depth-first on an explicit stack over (coordinate,
-    alive-facet mask) states, so n coordinates need no recursion; a
-    state with at most one facet (every narrowing a simplex or void) is
-    never entered, and each surviving facet mask is decided once per
-    complex and field.  Per mask the walk remembers the lowest
-    coordinate from which every completion stayed Cohen-Macaulay, and
-    enters a state only below it: the cut 0 kills nothing, so a later
-    coordinate reaches a subset of the earlier one's completions.
+    alive-facet mask) states, grid positions ascending, so n coordinates
+    need no recursion; a state with at most one facet (every narrowing a
+    simplex or void) is never entered, and each surviving facet mask is
+    decided once per complex and field, by the sweep kept on the complex.
+
+    A mask whose state finished is never entered again, at any
+    coordinate.  At a coordinate t' >= t that is sound as the cut 0
+    kills nothing, so t' reaches a subset of t's completions.  At t' < t:
+    say A finished at t under the prefix p and is reached at t' under a
+    later prefix q.  Each coordinate's kill masks are nested, so a
+    completion of (t', A) is the mask of the grid point that keeps p's
+    first t' choices, takes the larger of p's and the completion's level
+    at coordinates t'..t-1, and the completion's after.  That point
+    extends p's first t' choices, and the walk is lexicographic, so it
+    had finished their whole subtree with no failure before it reached q.
     """
     cx = mult.complex
     n = cx.n
@@ -442,9 +460,8 @@ def is_cm_ideal_oracle(
     full_mask = (1 << cx.m) - 1
     if n == 0:
         return OracleVerdict(True, None) if cm(full_mask) else OracleVerdict(False, ())
-    # Per mask, the lowest coordinate from which it is known to stay
-    # Cohen-Macaulay.
-    dead: dict[int, int] = {}
+    # The masks known to stay Cohen-Macaulay from every coordinate.
+    dead: set[int] = set()
     # Per open coordinate t: the alive mask before it and the next grid
     # position to try.
     alive = [full_mask]
@@ -453,7 +470,7 @@ def is_cm_ideal_oracle(
         t = len(nxt) - 1
         k = nxt[t]
         if k == len(cuts[t]):
-            dead[alive.pop()] = t
+            dead.add(alive.pop())
             nxt.pop()
             continue
         nxt[t] = k + 1
@@ -464,7 +481,7 @@ def is_cm_ideal_oracle(
             if not cm(narrowed):
                 witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))
                 return OracleVerdict(False, witness)
-        elif t + 1 < dead.get(narrowed, n):
+        elif narrowed not in dead:
             alive.append(narrowed)
             nxt.append(0)
     return OracleVerdict(True, None)

@@ -6,10 +6,10 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from collections import namedtuple
-from functools import lru_cache
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Iterable, Mapping
 
 from .complexes import (
@@ -18,6 +18,7 @@ from .complexes import (
     SimplicialComplex,
     _domain_index,
     _facet_masks,
+    _per_complex,
 )
 from .errors import (
     FacetIndexOutOfRange,
@@ -74,7 +75,7 @@ def is_tree_satisfying(
     violations = tuple(
         by_child[i, k]
         for i in sorted({i for i, _ in by_child})
-        for _, k in _vertex_walk(cx, i)
+        for k in _vertex_walk(cx, i)[1::2]
         if (i, k) in by_child
     )
     return SatisfyingVerdict(not violations, violations)
@@ -89,12 +90,15 @@ def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONAL
     )
 
 
-@lru_cache(maxsize=64)
-def _vertex_walk(cx: SimplicialComplex, i: int) -> tuple[tuple[int, int], ...]:
-    """The directed (parent, child) edges of the vertex graph of i, root
-    edges included, in rooted_walk's order."""
+@_per_complex
+def _vertex_walk(cx: SimplicialComplex, i: int) -> array:
+    """The directed edges of the vertex graph of i, root edges included,
+    in rooted_walk's order, flat: parent, child, parent, child, ...  Kept
+    on the complex as machine ints, at most one walk per vertex, O(n * m)
+    ints in all, a few bytes per entry of a dense table."""
     kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    return rooted_walk(facet_graph(cx).adjacency, kept, ROOT)[0]
+    edges = rooted_walk(facet_graph(cx).adjacency, kept, ROOT)[0]
+    return array("i", chain.from_iterable(edges))
 
 
 def _require_covered(cx: SimplicialComplex) -> None:
@@ -105,7 +109,7 @@ def _require_covered(cx: SimplicialComplex) -> None:
         raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
 
 
-@lru_cache(maxsize=32)
+@_per_complex
 def _clique_masks(
     cx: SimplicialComplex,
 ) -> tuple[tuple[tuple[CliqueTree, ...], tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
@@ -291,7 +295,8 @@ def semigroup_generators(
     seen: set[tuple[tuple[int, int, int], ...]] = set()
     for i in wanted:
         # each facet's parent in the rooted vertex graph
-        parent = {k: h for h, k in _vertex_walk(cx, i)}
+        walk = _vertex_walk(cx, i)
+        parent = dict(zip(walk[1::2], walk[::2]))
         nodes = sorted(parent)
         for size in range(len(nodes) + 1):
             for subset in combinations(nodes, size):

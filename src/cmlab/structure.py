@@ -5,10 +5,9 @@ checks, and the minimal-multiplicity classification report.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from typing import Iterable
 
-from .complexes import SimplicialComplex, _facet_masks, _leaf_branch
+from .complexes import SimplicialComplex, _facet_masks, _leaf_branch, _per_complex
 from .errors import (
     FacetIndexOutOfRange,
     InternalInvariantViolation,
@@ -46,7 +45,7 @@ def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> 
         )
 
 
-@lru_cache(maxsize=256)
+@_per_complex
 def _tree_facet_graph(cx: SimplicialComplex) -> bool:
     """Whether the complex is pure with a tree facet graph."""
     return cx.is_pure and is_tree(facet_graph(cx))
@@ -59,7 +58,7 @@ def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int
     return seq
 
 
-@lru_cache(maxsize=32)
+@_per_complex
 def _ridge_masks(
     cx: SimplicialComplex,
 ) -> tuple[tuple[int, ...], tuple[tuple[tuple[int, int], ...], ...]]:
@@ -176,13 +175,15 @@ def _shelling(cx: SimplicialComplex, tiers: list[int]) -> tuple[int, ...] | None
     return tuple(order) if placed == (1 << cx.m) - 1 else None
 
 
-@lru_cache(maxsize=1024)
+@_per_complex(maxsize=1024)
 def _tier_order(cx: SimplicialComplex, placed: int, tier: int) -> tuple[int, ...] | None:
     """The first order, facets tried in ascending index, in which the
     facets of tier, a nonempty facet mask disjoint from placed, extend
     one by one the shelling prefix whose facets are placed; None when
-    there is none.  Kept per complex, so every vertex, table and call
-    that reaches the same placed set and tier shares one search.
+    there is none.  Kept on the complex, so every vertex, table and call
+    that reaches the same placed set and tier shares one search; the
+    searches grow with the tables decided, so a complex keeps at most
+    1,024 of them, the least recently used dropped first.
 
     The search is depth-first on an explicit stack, so a long tier
     needs no recursion.  Prefixes are facet bitmasks; only facets that

@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmlab
-from cmlab import cli, graphs, homology, satisfying
+from cmlab import cli, fixtures, graphs, homology, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
@@ -439,8 +439,9 @@ def test_no_table_decision_multiplies_relation_trees_out(monkeypatch, capsys, ar
 
     for module in (graphs, satisfying, cli):
         monkeypatch.setattr(module, "relation_trees", refuse, raising=False)
-    graphs.clique_trees.cache_clear()
-    satisfying._clique_masks.cache_clear()
+    # fixtures built anew, so their clique trees and masks are worked out
+    # under the patch
+    monkeypatch.setattr(fixtures, "_BUILT", {})
     case = GOLDEN[argv]
     assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import pickle
 import random
 import re
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -25,8 +27,10 @@ from cmlab.complexes import (
     MultiplicityAssignment,
     SimplicialComplex,
     _exponent_domain,
+    _per_complex,
 )
 from cmlab.errors import (
+    CmLabError,
     EmptyFacet,
     FaceNotInComplex,
     MultiplicityDomainMismatch,
@@ -35,9 +39,22 @@ from cmlab.errors import (
     VertexOutOfRange,
     VoidComplex,
 )
-from cmlab.graphs import FacetLevelGraph, facet_graph
-from cmlab.homology import ExactMatrix, FieldSpec
+from cmlab.graphs import FacetLevelGraph, facet_graph, relation_trees
+from cmlab.homology import (
+    GF2,
+    ExactMatrix,
+    FieldSpec,
+    is_cm_ideal_oracle,
+    reduced_homology_ranks,
+)
 from cmlab.ideals import MonomialIdeal
+from cmlab.satisfying import (
+    check_cm_tree_case,
+    is_general_satisfying,
+    is_quasitree_satisfying,
+    is_tree_satisfying,
+)
+from cmlab.structure import classify
 
 MAIN_FACETS = ((1, 2, 4), (2, 3, 5), (2, 4, 5), (4, 5, 7), (4, 6, 7), (5, 7, 8))
 
@@ -544,8 +561,94 @@ def test_value_class_repr_names_the_class_and_compared_fields(name):
     assert repr(a) == f"{name}({fields})"
 
 
-def test_equal_complex_built_anew_hits_the_reisner_cache():
-    is_cm_complex(SimplicialComplex(5, ((1, 2, 5), (2, 3, 5), (3, 4, 5))), RATIONALS)
-    hits = is_cm_complex.cache_info().hits
-    assert is_cm_complex(SimplicialComplex(5, ((3, 4, 5), (1, 2, 5), (2, 3, 5))), RATIONALS)
-    assert is_cm_complex.cache_info().hits == hits + 1
+def test_equal_complex_built_anew_shares_no_derived_data():
+    # what is worked out from a complex is kept on that complex: an equal
+    # complex built anew works it out again, and neither equality, hashing
+    # nor pickling sees it
+    first = SimplicialComplex(5, ((1, 2, 5), (2, 3, 5), (3, 4, 5)))
+    assert is_cm_complex(first, RATIONALS)
+    hits, misses = is_cm_complex.cache_info()
+    again = SimplicialComplex(5, ((3, 4, 5), (1, 2, 5), (2, 3, 5)))
+    assert again == first and hash(again) == hash(first)
+    assert is_cm_complex(again, RATIONALS)
+    assert is_cm_complex.cache_info() == (hits, misses + 1)
+    assert is_cm_complex(first, RATIONALS)
+    assert is_cm_complex.cache_info() == (hits + 1, misses + 1)
+    copied = pickle.loads(pickle.dumps(first))
+    assert copied == first and not hasattr(copied, "_memo")
+
+
+def _decide_every_route(cx: SimplicialComplex) -> None:
+    """Run each route that keeps data on a complex: the tree criterion
+    with the walks that order its violations, the quasi-tree, shelling
+    and oracle criteria, classify, relation trees and homology."""
+    ones = MultiplicityAssignment.constant(cx)
+    grown = MultiplicityAssignment.from_overrides(cx, {(cx.m, 1): 2})
+    assert check_cm_tree_case(ones) and not is_tree_satisfying(grown)
+    assert is_quasitree_satisfying(ones) and is_general_satisfying(ones)
+    assert is_cm_ideal_oracle(ones) and is_cm_ideal_oracle(ones, GF2)
+    assert not is_cm_ideal_oracle(grown)
+    assert classify(cx).facet_graph_is_tree and len(relation_trees(cx)) == 1
+    assert reduced_homology_ranks(cx)[-1] == 0 and cx.f_vector()[0] == cx.n
+
+
+def test_a_bounded_memo_drops_the_least_recently_used():
+    calls = []
+
+    @_per_complex(maxsize=2)
+    def square(cx, k):
+        calls.append(k)
+        return k * k
+
+    cx = SimplicialComplex(2, ((1, 2),))
+    for k in (1, 2, 1, 3, 1, 2):
+        assert square(cx, k) == k * k
+    # the hit on 1 keeps it past the miss on 3, which drops 2 instead
+    assert calls == [1, 2, 3, 2]
+    assert square.cache_info() == (2, 4)
+
+
+def _decide_every_fixture() -> None:
+    """Run the tree, quasi-tree, shelling and oracle routes and classify
+    on each fixture, built anew, as the registry keeps its own."""
+    routes = (is_tree_satisfying, is_quasitree_satisfying, is_general_satisfying, is_cm_ideal_oracle)
+    for name in fixture_names():
+        fx = get_fixture(name)
+        cx = SimplicialComplex(fx.complex.n, fx.complex.facets)
+        mult = MultiplicityAssignment.from_overrides(cx, {(j, i): v for j, i, v in fx.overrides})
+        for route in routes:
+            try:
+                route(mult)
+            except CmLabError:
+                pass
+        classify(cx, FieldSpec(fx.char))
+
+
+def test_derived_data_dies_with_its_complex():
+    # deciding a few distinct paths and the fixtures and dropping them
+    # leaves traced memory where it was and no cyclic garbage: the facet
+    # masks, ridge groups, facet graph, clique trees and masks, walks,
+    # sweeps, verdicts and shelling searches of a complex are kept on it
+    # and go with it, by reference counting alone.  A full collection
+    # empties the interpreter's free lists, which would otherwise keep a
+    # few hundred kilobytes of tuples.
+    def path(m):
+        return SimplicialComplex.from_facets(m + 1, [(k, k + 1) for k in range(1, m + 1)])
+
+    _decide_every_route(path(29))
+    _decide_every_fixture()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        for m in (30, 31, 32):
+            _decide_every_route(path(m))
+        _decide_every_fixture()
+        found = gc.collect()
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    assert found == 0, found
+    assert left < 10_000, left

@@ -14,6 +14,7 @@ import pytest
 
 from conftest import (
     book_chain,
+    built_anew,
     prufer_trees_reference,
     random_attach_quasitree,
     random_pure_complex,
@@ -425,19 +426,25 @@ def test_clique_trees_decode_as_the_quadratic_reference():
 
 
 def test_graph_caches_are_bounded(tree_fixture):
-    for cached in (
-        facet_graph,
-        clique_trees,
-        relation_trees,
-        graphs._ridge_groups,
-        complexes._domain_index,
-        structure._tree_facet_graph,
-        structure._ridge_masks,
-        structure._tier_order,
-        satisfying._clique_masks,
-        satisfying._vertex_walk,
-    ):
-        assert cached.cache_info().maxsize is not None
+    # each cache is kept on the complex it was worked out from, so it holds
+    # no more than the complexes alive, and an equal complex shares none
+    cx = built_anew(tree_fixture)
+    kept = {
+        facet_graph: (),
+        clique_trees: (),
+        relation_trees: (),
+        graphs._ridge_groups: (),
+        complexes._domain_index: (),
+        structure._tree_facet_graph: (),
+        structure._ridge_masks: (),
+        structure._tier_order: (0, (1 << cx.m) - 1),
+        satisfying._clique_masks: (),
+        satisfying._vertex_walk: (1,),
+    }
+    for cached, args in kept.items():
+        value = cached(cx, *args)
+        assert cx._memo[cached][args] is value
+    assert not hasattr(built_anew(cx), "_memo")
     # a bounded cache still answers from memory
     before = facet_graph.cache_info().hits
     assert facet_graph(tree_fixture) is facet_graph(tree_fixture)

@@ -12,6 +12,7 @@ from math import isqrt
 import pytest
 
 from conftest import (
+    built_anew,
     dense_boundary,
     dense_entries,
     dense_homology_ranks,
@@ -189,6 +190,18 @@ def test_is_cm_projective_plane_by_characteristic():
     assert not is_cm_complex(rp, GF2)
 
 
+def test_field_can_be_passed_by_keyword():
+    # the memo on the complex takes keyword arguments as the functions
+    # it wraps do, and keeps each call's answer under its own key
+    rp = built_anew(get_fixture("projective-plane").complex)
+    assert reduced_homology_ranks(rp, field=GF2) == (0, 0, 1, 1)
+    assert reduced_homology_ranks(rp, field=RATIONALS) == (0, 0, 0, 0)
+    assert not is_cm_complex(rp, field=GF2) and is_cm_complex(rp, field=RATIONALS)
+    hits = is_cm_complex.cache_info().hits
+    assert not is_cm_complex(rp, field=GF2) and not is_cm_complex(rp, GF2)
+    assert is_cm_complex.cache_info().hits == hits + 1
+
+
 def test_oracle_all_ones_matches_complex_check():
     rng = random.Random(5)
     for _ in range(12):
@@ -255,6 +268,27 @@ def test_oracle_matches_the_reference_on_long_paths():
                 verdict = is_cm_ideal_oracle(mult, field)
                 assert tuple(verdict) == oracle_reference(mult, field)
                 assert verdict.is_cm == (mult in tables[:2])
+
+
+def test_oracle_enters_no_finished_mask_at_an_earlier_coordinate():
+    # on each table the walk reaches a mask again at a coordinate below
+    # the one where it finished; the dead set enters it no more, where a
+    # rule keyed by the lowest finished coordinate entered it again.  The
+    # verdict and witness stay the reference walk's, in chars 0 and 2
+    cases = (
+        (4, ((1, 2), (2, 3), (2, 4)), {(1, 3): 2, (2, 1): 2}, (True, None)),
+        (
+            4,
+            ((1, 2), (1, 4), (2, 3), (3, 4)),
+            {(1, 3): 2, (1, 4): 3, (3, 1): 2, (3, 4): 3, (4, 1): 3, (4, 2): 2},
+            (False, (2, 0, 1, 0)),
+        ),
+    )
+    for n, facets, overrides, expected in cases:
+        cx = SimplicialComplex.from_facets(n, facets)
+        mult = MultiplicityAssignment.from_overrides(cx, overrides)
+        for field in (RATIONALS, GF2):
+            assert tuple(is_cm_ideal_oracle(mult, field)) == oracle_reference(mult, field) == expected
 
 
 def test_oracle_keeps_one_dead_entry_per_mask():
@@ -479,11 +513,11 @@ def test_shared_reisner_sweep_matches_full_sweep_on_facet_subsets(name, cx):
             sum(1 << j for j in rng.sample(range(cx.m), rng.randint(0, cx.m))) for _ in range(400)
         ]
     for field in FIELDS:
-        homology._sweep.cache_clear()
+        sweep = homology._sweep(built_anew(cx), field)
         verdicts = set()
         for mask in masks:
             expected = unpruned_is_cm(_on_facets(cx, mask), field)
-            assert homology._sweep(cx, field).is_cm(mask) == expected, (name, field, mask)
+            assert sweep.is_cm(mask) == expected, (name, field, mask)
             verdicts.add(expected)
         assert verdicts == {True, False}, (name, field)
 
@@ -493,7 +527,8 @@ def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypat
     # each verdict and witness equals the reference walk, whose leaves
     # are decided on freshly built complexes
     rng = random.Random(77)
-    corpus = [get_fixture("projective-plane").complex, _octahedra_wedge(), _cross_polytope(4)]
+    corpus = [built_anew(get_fixture("projective-plane").complex)]
+    corpus += [_octahedra_wedge(), _cross_polytope(4)]
     corpus += [_stacked_path(7, 3), _stacked_path(6, 4)]
     tables = [
         (random_assignment(rng, cx, rng.randint(1, 3)), rng.choice(FIELDS))
@@ -501,7 +536,6 @@ def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypat
         for _ in range(12)
     ]
     rng.shuffle(tables)
-    homology._sweep.cache_clear()
     expected = [oracle_reference(mult, field) for mult, field in tables]
     assert {is_cm for is_cm, _ in expected} == {True, False}
 
@@ -620,8 +654,7 @@ def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
     for d, m in ((4, 12), (5, 10)):
         path = _stacked_path(m, d)
         cases += [(path, random_tree_satisfying(rng, path, 3), field) for field in FIELDS]
-    homology._sweep.cache_clear()
-    is_cm_complex.cache_clear()
+    # the paths are built here, so no sweep on them predates the patch
 
     def no_matrix(*args):
         raise AssertionError("a peeled link needs no boundary matrix")
@@ -633,17 +666,21 @@ def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
 
 
 def test_homology_caches_are_bounded():
-    for cached in (
-        complexes._all_faces,
-        complexes._facet_masks,
-        reduced_homology_ranks,
-        is_cm_complex,
-        homology._sweep,
-    ):
-        assert cached.cache_info().maxsize is not None
+    # each cache is kept on the complex it was worked out from, so it holds
+    # no more than the complexes alive, and an equal complex shares none
+    rp = built_anew(get_fixture("projective-plane").complex)
+    kept = {
+        complexes._all_faces: (),
+        complexes._facet_masks: (),
+        reduced_homology_ranks: (GF2,),
+        is_cm_complex: (GF2,),
+        homology._sweep: (GF2,),
+    }
+    for cached, args in kept.items():
+        value = cached(rp, *args)
+        assert rp._memo[cached][args] is value
+    assert not hasattr(built_anew(rp), "_memo")
     # a bounded cache still answers from memory
-    rp = get_fixture("projective-plane").complex
-    is_cm_complex(rp, GF2)
     before = is_cm_complex.cache_info().hits
     assert not is_cm_complex(rp, GF2)
     assert is_cm_complex.cache_info().hits == before + 1

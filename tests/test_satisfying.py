@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     book_chain,
+    built_anew,
     check_cm_uniform_block_reference,
     decompose_into_generators_reference,
     general_satisfying_reference,
@@ -648,7 +649,6 @@ def test_tree_masks_match_restriction_edges(corpus):
     # oriented edges the restriction walk finds, and raise as it does
     seen = set()
     for cx in _mask_corpus(corpus):
-        satisfying._clique_masks.cache_clear()
         expected = _outcome(lambda: restriction_edge_sets(cx, relation_trees(cx)))
         assert _outcome(lambda: _mask_edge_sets(cx)) == expected
         seen.add(expected if isinstance(expected, tuple) else "masks")
@@ -789,6 +789,22 @@ def test_general_criterion_searches_the_tiers_the_weights_give(monkeypatch):
     assert searched > 300
 
 
+def test_tier_searches_kept_on_a_complex_are_bounded():
+    # the tier searches are the one memo that grows with the tables
+    # decided rather than with the complex, so a complex keeps at most
+    # 1,024 of them, whatever the number of searches
+    cx = SimplicialComplex.from_facets(14, [range(k, k + 3) for k in range(1, 13)])
+    rng = random.Random(1)
+    misses = structure._tier_order.cache_info().misses
+    for t in range(3000):
+        mult = random_assignment(rng, cx, 3)
+        held = is_general_satisfying(mult)
+        if t % 100 == 0:
+            assert held == general_satisfying_reference(mult)
+    assert structure._tier_order.cache_info().misses - misses > 1024
+    assert len(cx._memo[structure._tier_order]) == 1024
+
+
 def test_positional_edges_read_the_values_of_their_pairs():
     # the domain positions both criteria compare at hold the values
     # value() reads for the edges' pairs: a clique edge's positions are
@@ -825,7 +841,8 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
         walks.append(frozenset(kept))
         return rooted_walk(adjacency, kept, root)
 
-    satisfying._vertex_walk.cache_clear()
+    # built anew, so that no walk of it predates the count
+    tree_fixture = built_anew(tree_fixture)
     satisfying._clique_masks(tree_fixture)
     monkeypatch.setattr(satisfying, "rooted_walk", counted)
     (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
@@ -859,6 +876,26 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
     assert walks[before:] == []
     assert len(semigroup_generators(tree_fixture)) == 55
     assert Counter(walks) == Counter(kept.values())
+
+
+def test_a_second_report_walks_no_vertex_again(monkeypatch):
+    # the walks that order violations are kept on the complex, one per
+    # vertex, so a second report of a table violated at more than 64
+    # vertices of a path walks nothing
+    m = 100
+    path = SimplicialComplex.from_facets(m + 1, [(k, k + 1) for k in range(1, m + 1)])
+    mult = random_assignment(random.Random(5), path, 3)
+    first = is_tree_satisfying(mult)
+    assert len({i for i, _, _ in first.violations}) > 64
+    walks = []
+
+    def counted(adjacency, kept, root):
+        walks.append(root)
+        return rooted_walk(adjacency, kept, root)
+
+    monkeypatch.setattr(satisfying, "rooted_walk", counted)
+    assert is_tree_satisfying(mult) == first
+    assert walks == []
 
 
 def test_cm_tree_case_complexes_are_quasi_trees_with_one_edge_cliques():

@@ -9,6 +9,7 @@ import time
 import pytest
 
 from conftest import (
+    built_anew,
     find_shelling_reference,
     is_shelling_reference,
     leaf_branches_reference,
@@ -155,15 +156,17 @@ def test_tier_searches_are_shared_across_calls(tree_fixture):
     # the shelling condition searches one tier per vertex and value
     # level; a tier reached again from the same placed facets is one
     # cache hit, whichever call reaches it
-    structure._tier_order.cache_clear()
-    tiers = structure._tiers(tree_fixture, 4, None)
-    first = find_shelling(tree_fixture, prefix_vertex=4)
+    cx = built_anew(tree_fixture)
+    start = structure._tier_order.cache_info().misses
+    tiers = structure._tiers(cx, 4, None)
+    first = find_shelling(cx, prefix_vertex=4)
     misses = structure._tier_order.cache_info().misses
-    assert misses == len(tiers)
-    assert structure._shelling(tree_fixture, tiers) == first
-    weights = {j: 1 for j in range(1, tree_fixture.m + 1)}
-    assert find_shelling(tree_fixture, prefix_vertex=4, weights=weights) == first
+    assert misses - start == len(tiers)
+    assert structure._shelling(cx, tiers) == first
+    weights = {j: 1 for j in range(1, cx.m + 1)}
+    assert find_shelling(cx, prefix_vertex=4, weights=weights) == first
     assert structure._tier_order.cache_info().misses == misses
+
 
 
 def test_shelling_search_remembers_dead_prefixes():
