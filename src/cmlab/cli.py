@@ -25,7 +25,11 @@ and fixtures when the source is a fixture name:
   load homology, graphs, structure and satisfying;
 - ideal loads homology and ideals.
 
-Package attributes load on first access.
+A problem file is read by json's C scanner (the _json module), so no
+request imports json itself, except examples show, which prints with
+json.dumps, and a file the scan does not accept whole, which json.loads
+reads again to give its own value or error.  Package attributes load on
+first access.
 """
 
 from __future__ import annotations

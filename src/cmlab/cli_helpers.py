@@ -24,6 +24,52 @@ def _require_int(value, minimum: int | None, label: str, *index: int) -> int:
     return value
 
 
+class _JsonDefaults:
+    """json.loads's settings, as the C scanner reads them: strict
+    strings, no hooks, and the plain int and float types, which it
+    converts with its own fast paths.  float("NaN"), float("Infinity")
+    and float("-Infinity") are the values json gives those constants."""
+
+    strict = True
+    object_hook = object_pairs_hook = None
+    parse_float = parse_constant = float
+    parse_int = int
+
+
+_BLANK = " \t\n\r"  # JSON's whitespace, which JSONDecoder.decode skips
+
+
+def _read_json(text: str):
+    """json.loads(text), read by json's own C scanner so that a valid
+    file costs no ``import json`` (four modules and six regexes, none of
+    which the scan uses).  Only a scan that covers the whole text is
+    taken; anything else, including a text json.loads rejects, goes to
+    json.loads, which returns or raises what it always has.  A BOM is no
+    JSON value, so the scan stops at it and json.loads reports it.  The
+    scan runs two Python frames shallower than in json.loads, so under a
+    recursion limit that counts both (Python 3.11 and older) it reads
+    arrays and objects nested two levels deeper than json.loads can."""
+    try:
+        from _json import make_scanner
+
+        # index by index: stripping would copy the text, which can run to
+        # 50 MB; past the scan, only the tail is copied
+        start, end = 0, len(text)
+        while start < end and text[start] in _BLANK:
+            start += 1
+        doc, stop = make_scanner(_JsonDefaults)(text, start)
+        if not text[stop:].lstrip(_BLANK):
+            return doc
+    except (ImportError, ValueError, StopIteration, RecursionError):
+        pass
+    import json
+
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+
+
 def parse_problem_file(
     text: str,
 ) -> tuple[SimplicialComplex, MultiplicityAssignment | None, int]:
@@ -32,12 +78,7 @@ def parse_problem_file(
     The returned assignment is None when the file has no alpha field so
     callers can distinguish a stated all-ones table from an absent one.
     """
-    import json  # only problem files need it, not fixtures or examples
-
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _read_json(text)
     if not isinstance(doc, dict):
         raise ParseError("top level: expected a JSON object")
     for key in doc:

@@ -454,17 +454,22 @@ class MultiplicityAssignment(_Table):
     def from_overrides(
         cls, cx: SimplicialComplex, overrides: Mapping[tuple[int, int], int] | None = None
     ) -> MultiplicityAssignment:
-        """Constant 1 table with the given (facet index, vertex) -> value overrides."""
+        """Constant 1 table with the given (facet index, vertex) -> value
+        overrides.  Only the overrides are checked: each key names a pair
+        of the domain, and the first bad value in domain order is named,
+        as the validating constructor names it."""
         overrides = dict(overrides or {})
-        domain = set(_exponent_domain(cx))
+        domain = _exponent_domain(cx)
+        slots = set(domain)
         for j, i in overrides:
-            if (j, i) not in domain:
+            if (j, i) not in slots:
                 raise MultiplicityDomainMismatch(
                     f"no exponent slot at facet {j}, vertex {i}"
                 )
-        return cls(
-            cx,
-            tuple((j, i, overrides.get((j, i), 1)) for j, i in _exponent_domain(cx)),
+        for pair in sorted(overrides):  # the domain's order
+            _check_value(*pair, overrides[pair], 1, "exponent table")
+        return cls._of_canonical(
+            cx, tuple((j, i, overrides.get((j, i), 1)) for j, i in domain)
         )
 
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:

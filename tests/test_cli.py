@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cmlab
-from cmlab import cli, fixtures, graphs, homology, satisfying
+from cmlab import cli, cli_helpers, fixtures, graphs, homology, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
 from cmlab.errors import ParseError
@@ -94,6 +95,77 @@ def test_parse_errors_carry_context(text, fragment):
     with pytest.raises(ParseError) as err:
         parse_problem_file(text)
     assert fragment in str(err.value)
+
+
+def _parse_through_json_loads(text):
+    """parse_problem_file as it read every file through json.loads."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    with mock.patch.object(cli_helpers, "_read_json", lambda _: doc):
+        return parse_problem_file(text)
+
+
+def _outcome(parse, text):
+    try:
+        return "parsed", parse(text)
+    except (ParseError, ValueError, RecursionError) as exc:
+        return type(exc), str(exc)
+
+
+def _json_corpus():
+    problem = json.dumps(
+        {"n": 4, "facets": [[1, 2], [2, 3], [3, 4]],
+         "alpha": [{"facet": 1, "vertex": 3, "value": 2}], "char": 2}
+    )
+    texts = [problem, json.dumps(json.loads(problem), indent=2), '{"n": 2, "facets": [[1, 2]]}']
+    # JSON's whitespace is " \t\n\r"; form feed, vertical tab and
+    # no-break space are not
+    for blank in (" ", "\t", "\n", "\r", " \t\n\r\n", "\f", "\v", "\xa0", "\u2028"):
+        texts += [blank + problem, problem + blank, blank + problem + blank]
+    texts += [problem.replace(", ", "," + blank) for blank in (" \t", "\n\r", "\f")]
+    texts += [
+        "\ufeff" + problem, "\ufeff", "", " ", "\n\n", "{", "}", "[", "{}", "[]", "null",
+        problem + "x", problem + " {}", problem + "\n\n0", problem + "\x00", "1 2",
+        "NaN", "-Infinity", "Infinity", "1e400", "-1e400", "1.5", "-0", "0.0", "01", "1.", ".5",
+        '{"n": NaN, "facets": [[1]]}', '{"n": Infinity, "facets": [[1]]}',
+        '{"n": 1e400, "facets": [[1]]}', '{"n": 1.5, "facets": [[1]]}',
+        '{"n": 2, "facets": [[1, 2]], "char": 2.0}', '{"n": 2, "facets": [[1, 2.0]]}',
+        '{"n": 9, "n": 2, "facets": [[1, 2]]}', '{"n": 2, "facets": [[1]], "facets": [[1, 2]]}',
+        '{"n": "a\x01b", "facets": [[1]]}', '{"n\x1f": 2}', '{"n": "\t"}',
+        '{"n": "\ud800", "facets": [[1]]}', '{"n": "\\ud800", "facets": [[1]]}',
+        '{"n": "\\udc00\\ud800", "facets": [[1]]}', '{"n": "\\x41"}', '{"n": "\\u12"}',
+        '{"n": 2, "facets": [[1, 2]],}', '{"n": 2, "facets": [[1, 2],]}', "{'n': 2}",
+        '{"n": true, "facets": [[1]]}', '{"n": 2 "facets": [[1, 2]]}', '"unterminated',
+        "[" * 5000 + "]" * 5000, '{"n": ' + "[" * 5000 + "]" * 5000 + "}",
+        "7" * 5000, '{"n": ' + "7" * 5000 + ', "facets": [[1]]}', "9" * 4300,
+    ]
+    # text drawn from JSON's own characters, and problems cut or spliced
+    rng = random.Random(25)
+    alphabet = '{}[]:,"\\ \t\n\r\f0123456789-+.eEntrufalsNIiy\ufeff\x01\ud800'
+    for _ in range(1500):
+        texts.append("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 12))))
+        cut = rng.randrange(len(problem) + 1)
+        texts.append(problem[:cut] + rng.choice(alphabet) + problem[cut + rng.randint(0, 2):])
+    return texts
+
+
+@pytest.mark.parametrize("scanner", ["c", "unimportable"])
+def test_problem_files_read_as_json_loads_reads_them(monkeypatch, scanner):
+    # valid files are read by json's C scanner without importing json;
+    # each text must give what json.loads gave: the same problem, or the
+    # same exception type and message
+    if scanner == "unimportable":
+        monkeypatch.setitem(sys.modules, "_json", None)
+    seen = set()
+    for text in _json_corpus():
+        want = _outcome(_parse_through_json_loads, text)
+        assert _outcome(parse_problem_file, text) == want, repr(text[:80])
+        seen.add(want[0])
+    # the corpus reaches every outcome: a problem, a ParseError, the
+    # digit limit's ValueError and the nesting's RecursionError
+    assert seen == {"parsed", ParseError, ValueError, RecursionError}
 
 
 # -- exit codes --------------------------------------------------------------
@@ -378,8 +450,6 @@ def test_cross_validate_deterministic(capsys):
 def test_cross_validate_draws_values_as_randint_does():
     # the same stream and values as randint(1, top) at each pair of a
     # full domain, table after table, so every tally stays the same
-    import random
-
     from cmlab.complexes import _exponent_domain
 
     domain = _exponent_domain(cmlab.get_fixture("triangle-tree").complex)

@@ -297,6 +297,34 @@ def test_from_overrides_rejects_bad_keys(tree_fixture):
         MultiplicityAssignment.from_overrides(tree_fixture, {(2, 1): 0})
 
 
+def test_from_overrides_equals_the_validated_table(tree_fixture, monkeypatch):
+    # the table, or the first bad value in domain order, is what the
+    # validating constructor gives; the overrides are drawn in random
+    # order, so a check in their own order would name another pair
+    def outcome(build):
+        try:
+            return build()
+        except MultiplicityDomainMismatch as exc:
+            return str(exc)
+
+    rng = random.Random(58)
+    domain = _exponent_domain(tree_fixture)
+    for _ in range(200):
+        picks = rng.sample(domain, rng.randint(0, 6))
+        overrides = {pair: rng.choice((1, 2, 5, 0, -1, True, 2.0, "3")) for pair in picks}
+        full = [(j, i, overrides.get((j, i), 1)) for j, i in domain]
+        assert outcome(
+            lambda: MultiplicityAssignment.from_overrides(tree_fixture, overrides)
+        ) == outcome(lambda: MultiplicityAssignment(tree_fixture, full))
+
+    def no_validation(*args):
+        raise AssertionError("a table from overrides is built without validating every entry")
+
+    monkeypatch.setattr(complexes, "_validated_entries", no_validation)
+    am = MultiplicityAssignment.from_overrides(tree_fixture, {(3, 1): 2})
+    assert am.overrides() == {(3, 1): 2}
+
+
 def test_threshold_subcomplex_at_zero_is_identity():
     fx = get_fixture("square-alpha")
     am = fx.assignment()

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import ast
 import importlib
-import json
 import os
 import subprocess
 import sys
@@ -115,27 +114,31 @@ def test_no_record_is_a_typing_namedtuple():
     assert found == []
 
 
+# imports nothing that a request might load, json included, before it
+# takes `before`
 FOOTPRINT = """\
-import contextlib, io, json, sys
+import contextlib, io, sys
 before = set(sys.modules)
 from cmlab.cli import main
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps([code, sorted(set(sys.modules) - before)]))
+print(repr([code, sorted(set(sys.modules) - before)]))
 """
 
 
 # the modules that only some methods run
 CRITERIA = {"cmlab.graphs", "cmlab.structure", "cmlab.satisfying"}
 
+# a problem file is read by json's C scanner, without importing json
 FOOTPRINT_CASES = [
-    (["check", "{path}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures"}),
+    (["check", "{path}"], 0, {"argparse", "json", "cmlab.ideals", "cmlab.fixtures"}),
     (["check", "{path}", "--method", "oracle"], 0,
-     {"argparse", "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+     {"argparse", "json", "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
     # neither the tree nor the quasi-tree criterion applies to a 4-cycle,
     # so auto goes straight to the oracle
-    (["check", "{cycle}"], 0, {"argparse", "cmlab.ideals", "cmlab.fixtures", "cmlab.satisfying"}),
-    (["ideal", "{path}", "--expand"], 0, {"argparse", "cmlab.fixtures", *CRITERIA}),
+    (["check", "{cycle}"], 0,
+     {"argparse", "json", "cmlab.ideals", "cmlab.fixtures", "cmlab.satisfying"}),
+    (["ideal", "{path}", "--expand"], 0, {"argparse", "json", "cmlab.fixtures", *CRITERIA}),
     (["examples"], 0, {"argparse", "cmlab.ideals", "cmlab.homology", *CRITERIA}),
     (["--help"], 0, set()),
     (["check"], 3, set()),
@@ -159,7 +162,7 @@ def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unl
         [sys.executable, "-c", FOOTPRINT, *argv],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
     )
-    got, loaded = json.loads(out.stdout)
+    got, loaded = ast.literal_eval(out.stdout)
     assert got == code
     assert unloaded & set(loaded) == set()
     if not unloaded:
