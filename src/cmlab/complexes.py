@@ -281,12 +281,12 @@ class SimplicialComplex(Frozen):
         )
 
     def multiplicity(self) -> int:
-        """The number of top-dimensional faces."""
+        """The number of top-dimensional faces, which are the facets of
+        dim + 1 vertices."""
         if self.is_void:
             raise VoidComplex("multiplicity undefined for the void complex")
-        if self.is_irrelevant:
-            return 1
-        return self.f_vector()[-1]
+        top = self.dim + 1
+        return sum(len(f) == top for f in self.facets)
 
     def has_minimal_multiplicity(self) -> bool:
         if self.is_void:

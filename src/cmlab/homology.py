@@ -213,40 +213,33 @@ class _Sweep:
     subcomplex.  Keys whose links are equal share one verdict.
 
     The sweep is kept on its complex, per field, and keeps the complex's
-    n and facets rather than the complex, so that the two form no
-    reference cycle and the sweep dies with the complex.
+    n rather than the complex, so that the two form no reference cycle
+    and the sweep dies with the complex.
     """
 
-    __slots__ = ("n", "facets", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
+    __slots__ = ("n", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
 
     def __init__(self, cx: SimplicialComplex, field: FieldSpec) -> None:
-        self.n, self.facets, self.field = cx.n, cx.facets, field
+        self.n, self.field = cx.n, field
         fb, incidence = _facet_masks(cx)
         self.facet_bits = fb
-        # Every nonempty meet of facets is reached by meeting a closed
-        # face with a facet that shares a vertex with it; the meet of
-        # all facets is the one that may be empty.
-        faces = set(fb)
-        frontier = list(faces)
-        while frontier:
-            grown = []
-            for x in frontier:
-                near = 0
-                for v in _bits(x):
-                    near |= incidence[v]
-                for j in _bits(near):
-                    y = x & fb[j]
-                    if y not in faces:
-                        faces.add(y)
-                        grown.append(y)
-            frontier = grown
-        bottom = fb[0] if fb else 0
+        # A nonempty meet of facets holds some vertex v, so it is a meet
+        # of the facets that hold v: each vertex star is closed under
+        # meets on its own, and the meet of all facets is the one meet
+        # that may be empty.
+        bottom = -1 if fb else 0
         for x in fb:
             bottom &= x
-        faces.add(bottom)
+        faces = {bottom}
+        for star in incidence:
+            meets = set()
+            for j in _bits(star):
+                meets |= {x & fb[j] for x in meets}
+                meets.add(fb[j])
+            faces |= meets
         # Per closed face, the facets containing it.  Faces of top - 1 or
         # more vertices have links of dimension <= 0 in every subcomplex.
-        top = max(map(len, cx.facets), default=0)
+        top = max((x.bit_count() for x in fb), default=0)
         self.closed = []
         for x in faces:
             if x.bit_count() <= top - 2:
@@ -268,9 +261,9 @@ class _Sweep:
     def _decide(self, alive: int) -> bool:
         if not alive & (alive - 1):
             return True  # void, or a single simplex
-        facets = self.facets
-        d = len(facets[(alive & -alive).bit_length() - 1])
-        if any(len(facets[j]) != d for j in _bits(alive)):
+        fb = self.facet_bits
+        d = fb[(alive & -alive).bit_length() - 1].bit_count()
+        if any(fb[j].bit_count() != d for j in _bits(alive)):
             return False  # Cohen-Macaulay implies pure
         keys = self._keys
         for key in {s & alive for s in self.closed}:

@@ -267,11 +267,7 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     shellable = cm and find_shelling(cx) is not None
     mm = cx.has_minimal_multiplicity()
     qt = find_leaf_order(cx) is not None
-    try:
-        require_tree_case(cx)
-        tree = True
-    except NotTreeFacetGraph:
-        tree = False
+    tree = _tree_facet_graph(cx)
     report = ClassificationReport(
         field=field,
         pure=pure,

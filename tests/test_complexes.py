@@ -189,6 +189,21 @@ def test_multiplicity(tree_fixture, square_fixture):
         SimplicialComplex(0, ()).multiplicity()
 
 
+def test_multiplicity_counts_top_facets_without_listing_faces():
+    # only the facets of dim + 1 vertices are top-dimensional faces
+    mixed = SimplicialComplex.from_facets(6, [[1, 2, 3], [3, 4, 5], [5, 6], [1, 6]])
+    assert mixed.multiplicity() == 2
+    assert SimplicialComplex(3, ((),)).multiplicity() == 1
+    with pytest.raises(VoidComplex):
+        SimplicialComplex(3, ()).multiplicity()
+    # the 18-vertex simplex has 2^18 faces, and classify lists none of them
+    simplex = SimplicialComplex.from_facets(18, [range(1, 19)])
+    misses = complexes._all_faces.cache_info().misses
+    report = classify(simplex)
+    assert report.minimal_multiplicity and report.cohen_macaulay
+    assert complexes._all_faces.cache_info().misses == misses
+
+
 def test_strongly_connected(tree_fixture):
     assert facet_graph(tree_fixture).is_connected()
     split = SimplicialComplex.from_facets(4, [[1, 2], [3, 4]])

@@ -522,6 +522,55 @@ def test_shared_reisner_sweep_matches_full_sweep_on_facet_subsets(name, cx):
         assert verdicts == {True, False}, (name, field)
 
 
+def _closed_reference(cx: SimplicialComplex) -> list[int]:
+    """Per closed face with at most top - 2 vertices, the mask of the
+    facets containing it, over the meets of every nonempty set of
+    facets, the meet of all of them included, on vertex sets."""
+    facets = [frozenset(f) for f in cx.facets]
+    everything = frozenset(range(1, cx.n + 1))
+    meets = [everything]  # meets[mask]: the meet of the facets in mask
+    for mask in range(1, 1 << cx.m):
+        low = (mask & -mask).bit_length() - 1
+        meets.append(meets[mask ^ 1 << low] & facets[low])
+    faces = set(meets[1:])
+    top = max(map(len, facets), default=0)
+    return [
+        sum(1 << j for j, f in enumerate(facets) if face <= f)
+        for face in faces
+        if len(face) <= top - 2
+    ]
+
+
+def test_closed_faces_match_the_meets_of_every_facet_subset():
+    # every nonempty meet of facets, and the empty meet of all facets of
+    # a complex whose facets share no vertex, is found one vertex star at
+    # a time
+    rng = random.Random(53)
+    corpus = [SimplicialComplex(4, ()), SimplicialComplex(4, ((),)), SimplicialComplex(5, ((1, 3, 5),))]
+    corpus += [SimplicialComplex(m + 1, [(k, m + 1) for k in range(1, m + 1)]) for m in (3, 8)]
+    corpus += [_cross_polytope(d) for d in range(1, 5)]
+    corpus += [SimplicialComplex(6, [(1, 2, 3), (4, 5), (5, 6)]), _octahedra_wedge()]
+    while len(corpus) < 2000:
+        n = rng.randint(1, 9)
+        facets = [
+            rng.sample(range(1, n + 1), rng.randint(1, n)) for _ in range(rng.randint(1, 8))
+        ]
+        corpus.append(SimplicialComplex(n, facets))
+    kinds = set()
+    for cx in corpus:
+        closed = homology._sweep(cx, GF2).closed
+        reference = _closed_reference(cx)
+        assert sorted(closed) == sorted(reference), cx.facets
+        if cx.m:
+            bottom = set(cx.facets[0]).intersection(*cx.facets)
+            kinds.add((cx.is_pure, not bottom and (1 << cx.m) - 1 in reference))
+    # pure and non-pure complexes, some of whose closed faces tested
+    # include the empty meet of all facets
+    assert kinds == {(p, e) for p in (True, False) for e in (True, False)}
+    # d = 6: the 3^6 faces, less the 2^6 facets and the 6 * 2^5 ridges
+    assert len(homology._sweep(_cross_polytope(6), GF2).closed) == 473
+
+
 def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypatch):
     # many tables on each complex in one process, fields interleaved:
     # each verdict and witness equals the reference walk, whose leaves
