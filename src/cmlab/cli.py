@@ -108,7 +108,7 @@ def cmd_analyze(args) -> int:
     if mult is None:
         return 0
     print("alpha: " + " ".join(
-        f"({j},{i})={v}" for j, i, v in sorted(mult.entries) if v != 1
+        f"({j},{i})={v}" for j, i, v in mult.raised
     ))
     try:
         verdict = is_tree_satisfying(mult, field)
@@ -248,9 +248,9 @@ def cmd_check(args) -> int:
 
 
 def _random_entries(rng, top: int, domain) -> tuple[tuple[int, int, int], ...]:
-    """An entry (j, i, value) per domain pair, each value drawn as
-    rng.randint(1, top) draws it: getrandbits(top.bit_length()) until
-    the draw is below top, plus one."""
+    """The entries (j, i, value) above 1 of a table drawn at every domain
+    pair as rng.randint(1, top) draws: getrandbits(top.bit_length())
+    until the draw is below top, plus one."""
     getrandbits = rng.getrandbits
     bits = top.bit_length()
     entries = []
@@ -258,7 +258,8 @@ def _random_entries(rng, top: int, domain) -> tuple[tuple[int, int, int], ...]:
         r = getrandbits(bits)
         while r >= top:
             r = getrandbits(bits)
-        entries.append((j, i, r + 1))
+        if r:
+            entries.append((j, i, r + 1))
     return tuple(entries)
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .complexes import MultiplicityAssignment, SimplicialComplex, _exponent_domain
+from .complexes import MultiplicityAssignment, SimplicialComplex
 from .errors import CmLabError, InvalidCharacteristic, ParseError, UnknownFixture
 
 __all__ = ["parse_problem_file", "resolve_source"]
@@ -139,9 +139,8 @@ def parse_problem_file(
                 raise ParseError(f"alpha[{k}]: duplicate pair (facet {j}, vertex {i})")
             overrides[(j, i)] = v
         # every record is checked above, so the table needs no second pass
-        mult = MultiplicityAssignment._of_canonical(
-            cx, tuple((j, i, overrides.get((j, i), 1)) for j, i in _exponent_domain(cx))
-        )
+        raised = sorted((j, i, v) for (j, i), v in overrides.items() if v > 1)
+        mult = MultiplicityAssignment._of_canonical(cx, tuple(raised))
 
     char = 0
     if "char" in doc:

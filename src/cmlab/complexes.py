@@ -334,30 +334,18 @@ def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
     return [(j, i) for j, f in enumerate(cx.facets, start=1) for i in vertices if i not in f]
 
 
-@_per_complex
-def _domain_index(cx: SimplicialComplex) -> tuple[int, ...]:
-    """The domain index of a complex: the pair (facet j, vertex i) sits in
-    a table's entries at index[j - 1] + i - bisect_left(cx.facets[j - 1], i),
-    the position of facet j's first pair plus the vertices below i that
-    the facet misses, less one."""
-    index, start = [], 0
-    for f in cx.facets:
-        index.append(start - 1)
-        start += cx.n - len(f)
-    return tuple(index)
+def _is_slot(cx: SimplicialComplex, j: object, i: object) -> bool:
+    """Whether (facet j, vertex i) is a pair of the exponent domain of cx."""
+    return (
+        isinstance(j, int) and isinstance(i, int) and 1 <= j <= cx.m and 1 <= i <= cx.n
+        and i not in cx.facets[j - 1]
+    )
 
 
-def _position(cx: SimplicialComplex, j: int, i: int) -> int | None:
-    """The position of the pair (facet j, vertex i) in the entries of a
-    table on cx, or None when vertex i lies in facet j or either is out
-    of range."""
-    if not (isinstance(j, int) and isinstance(i, int) and 1 <= j <= cx.m and 1 <= i <= cx.n):
-        return None
-    f = cx.facets[j - 1]
-    below = bisect_left(f, i)
-    if below < len(f) and f[below] == i:
-        return None
-    return _domain_index(cx)[j - 1] + i - below
+def _pair_id(cx: SimplicialComplex, j: int, i: int) -> int:
+    """The id of the pair (facet j, vertex i) of a table on cx: ids ascend
+    in the domain's order, and divmod(id, _pair_id(cx, 1, 0)) is (j, i)."""
+    return j * (cx.n + 1) + i
 
 
 def _validated_entries(
@@ -395,42 +383,64 @@ class _Table(Frozen):
 
     Entry (j, i, v) gives vertex i the value v at the j-th facet
     (1-based, canonical facet order), defined exactly when vertex i lies
-    outside that facet.  Entries are kept in that order, so the value of
-    a pair sits at the position that the complex's domain index gives.
+    outside that facet.  Only the raised entries are kept, those whose
+    value is above _minimum, sorted by pair; every other pair of the
+    domain takes _minimum, as in a problem file every omitted pair is 1.
     """
 
-    __slots__ = _fields = ("complex", "entries")
+    __slots__ = ("complex", "raised", "_values", "_levels")
+    _fields = ("complex", "raised")
     _minimum, _kind = 1, "exponent table"
     complex: SimplicialComplex
-    entries: tuple[tuple[int, int, int], ...]
+    raised: tuple[tuple[int, int, int], ...]
 
     def __init__(
         self, complex: SimplicialComplex, entries: Iterable[tuple[int, int, int]]
     ) -> None:
+        # raised holds every entry until __post_init__ checks them and keeps the raised
         _set(self, "complex", complex)
-        _set(self, "entries", entries)
+        _set(self, "raised", entries)
         self.__post_init__()
 
     def __post_init__(self) -> None:
         entries = _validated_entries(
-            self.complex, tuple(self.entries), self._minimum, self._kind
+            self.complex, tuple(self.raised), self._minimum, self._kind
         )
-        self._freeze(self.complex, entries)
+        self._freeze(self.complex, tuple(e for e in entries if e[2] > self._minimum))
 
     @classmethod
-    def _of_canonical(cls, cx: SimplicialComplex, entries: tuple[tuple[int, int, int], ...]):
-        """The table with these entries, already known to be valid and
-        sorted: ints of at least the minimum over the exponent domain of
-        cx, in its order."""
+    def _of_canonical(cls, cx: SimplicialComplex, raised: tuple[tuple[int, int, int], ...]):
+        """The table with these raised entries, already known to be valid:
+        ints above the minimum at pairs of the domain of cx, sorted."""
         table = cls.__new__(cls)
-        table._freeze(cx, entries)
+        table._freeze(cx, raised)
         return table
 
+    def _freeze(self, *values: object) -> None:
+        super()._freeze(*values)
+        _set(self, "_values", None)  # what is worked out from the table, on first use
+        _set(self, "_levels", None)
+
+    def __reduce__(self):
+        return type(self)._of_canonical, self._key
+
+    @property
+    def entries(self) -> tuple[tuple[int, int, int], ...]:
+        """Every entry (j, i, v), in the domain's order."""
+        cx, get, low = self.complex, self._pair_values().get, self._minimum
+        return tuple((j, i, get(_pair_id(cx, j, i), low)) for j, i in _exponent_domain(cx))
+
+    def _pair_values(self) -> dict[int, int]:
+        """The raised values by pair id; built on first use."""
+        if self._values is None:
+            stride = _pair_id(self.complex, 1, 0)
+            _set(self, "_values", {j * stride + i: v for j, i, v in self.raised})
+        return self._values
+
     def value(self, j: int, i: int) -> int:
-        p = _position(self.complex, j, i)
-        if p is None:
+        if not _is_slot(self.complex, j, i):
             raise MultiplicityDomainMismatch(f"no exponent slot at facet {j}, vertex {i}")
-        return self.entries[p][2]
+        return self._pair_values().get(_pair_id(self.complex, j, i), self._minimum)
 
 
 class MultiplicityAssignment(_Table):
@@ -439,16 +449,18 @@ class MultiplicityAssignment(_Table):
     intersection monomial ideal.
     """
 
-    __slots__ = ("_levels",)
+    __slots__ = ()
 
     @classmethod
     def constant(cls, cx: SimplicialComplex, value: int = 1) -> MultiplicityAssignment:
         """The table with this value at every pair; the value is checked
         once, named at the first pair, and not at all with no pairs."""
-        domain = _exponent_domain(cx)
-        if domain:
-            _check_value(*domain[0], value, 1, "exponent table")
-        return cls._of_canonical(cx, tuple((j, i, value) for j, i in domain))
+        j = next((j for j, f in enumerate(cx.facets, start=1) if len(f) < cx.n), None)
+        if j is not None:
+            i = next(i for i in range(1, cx.n + 1) if i not in cx.facets[j - 1])
+            _check_value(j, i, value, 1, cls._kind)
+        raised = () if value == 1 else tuple((j, i, value) for j, i in _exponent_domain(cx))
+        return cls._of_canonical(cx, raised)
 
     @classmethod
     def from_overrides(
@@ -459,52 +471,50 @@ class MultiplicityAssignment(_Table):
         of the domain, and the first bad value in domain order is named,
         as the validating constructor names it."""
         overrides = dict(overrides or {})
-        domain = _exponent_domain(cx)
-        slots = set(domain)
         for j, i in overrides:
-            if (j, i) not in slots:
-                raise MultiplicityDomainMismatch(
-                    f"no exponent slot at facet {j}, vertex {i}"
-                )
-        for pair in sorted(overrides):  # the domain's order
-            _check_value(*pair, overrides[pair], 1, "exponent table")
-        return cls._of_canonical(
-            cx, tuple((j, i, overrides.get((j, i), 1)) for j, i in domain)
-        )
+            if not _is_slot(cx, j, i):
+                raise MultiplicityDomainMismatch(f"no exponent slot at facet {j}, vertex {i}")
+        raised = sorted((j, i, v) for (j, i), v in overrides.items())
+        for j, i, v in raised:
+            _check_value(j, i, v, 1, cls._kind)
+        return cls._of_canonical(cx, tuple(e for e in raised if e[2] > 1))
 
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:
         """(facet index, value) pairs for one vertex, facet order."""
-        cx, entries = self.complex, self.entries
-        slots = (_position(cx, j, i) for j in range(1, cx.m + 1))
-        return tuple((entries[p][0], entries[p][2]) for p in slots if p is not None)
+        cx = self.complex
+        return tuple((j, self.value(j, i)) for j in range(1, cx.m + 1) if _is_slot(cx, j, i))
 
     @property
     def levels(self) -> tuple[tuple[tuple[int, int], ...], ...]:
         """Per vertex 0..n, the pairs (value, mask of the facets taking
         that value at the vertex, facet j being bit j - 1), values
         ascending; built on first use.  They are the oracle's threshold
-        cuts and the shelling condition's weight tiers."""
-        try:
+        cuts and the shelling condition's weight tiers.  The facets
+        missing a vertex and raising no value there take the value 1."""
+        if self._levels is not None:
             return self._levels
-        except AttributeError:
-            pass
-        at_vertex: list[dict[int, int]] = [{} for _ in range(self.complex.n + 1)]
-        for j, i, v in self.entries:
+        holders = _facet_masks(self.complex)[1]
+        at_vertex: list[dict[int, int]] = [{} for _ in holders]
+        for j, i, v in self.raised:
             at = at_vertex[i]
             at[v] = at.get(v, 0) | 1 << (j - 1)
-        levels = tuple(tuple(sorted(at.items())) for at in at_vertex)
+        full, levels = (1 << self.complex.m) - 1, [()]
+        for held, at in zip(holders[1:], at_vertex[1:]):
+            one = full - held - sum(at.values())  # the facets missing i that raise nothing
+            levels.append(((1, one), *sorted(at.items())) if one else tuple(sorted(at.items())))
+        levels = tuple(levels)
         _set(self, "_levels", levels)
         return levels
 
     def max_value(self) -> int:
-        return max((v for _, _, v in self.entries), default=1)
+        return max((v for _, _, v in self.raised), default=1)
 
     def overrides(self) -> dict[tuple[int, int], int]:
-        return {(j, i): v for j, i, v in self.entries if v != 1}
+        return {(j, i): v for j, i, v in self.raised}
 
     def offset(self) -> ExponentOffset:
-        return ExponentOffset(
-            self.complex, tuple((j, i, v - 1) for j, i, v in self.entries)
+        return ExponentOffset._of_canonical(
+            self.complex, tuple((j, i, v - 1) for j, i, v in self.raised)
         )
 
     def threshold_subcomplex(self, a: Iterable[int]) -> SimplicialComplex:
@@ -520,13 +530,10 @@ class MultiplicityAssignment(_Table):
                 raise MultiplicityDomainMismatch(
                     f"threshold coordinates must be integers >= 0, got {x!r}"
                 )
-        alive = [True] * self.complex.m
-        for j, i, v in self.entries:
-            if avec[i - 1] >= v:
-                alive[j - 1] = False
-        surviving = tuple(
-            f for j, f in enumerate(self.complex.facets) if alive[j]
-        )
+        dead = 0
+        for x, levels in zip(avec, self.levels[1:]):
+            dead |= sum(mask for v, mask in levels if v <= x)  # one vertex's masks are disjoint
+        surviving = tuple(f for j, f in enumerate(self.complex.facets) if not dead >> j & 1)
         return SimplicialComplex._of_canonical(self.complex.n, surviving)
 
 
@@ -539,7 +546,7 @@ class ExponentOffset(_Table):
 
     @classmethod
     def zero(cls, cx: SimplicialComplex) -> ExponentOffset:
-        return cls._of_canonical(cx, tuple((j, i, 0) for j, i in _exponent_domain(cx)))
+        return cls._of_canonical(cx, ())
 
     @classmethod
     def indicator(
@@ -547,33 +554,25 @@ class ExponentOffset(_Table):
     ) -> ExponentOffset:
         """Offset 1 at (j, vertex) for the given facet indices, 0 elsewhere."""
         marked = set(facet_indices)
-        return cls(
-            cx,
-            tuple(
-                (j, i, 1 if i == vertex and j in marked else 0)
-                for j, i in _exponent_domain(cx)
-            ),
-        )
+        slots = (j for j in range(1, cx.m + 1) if j in marked and _is_slot(cx, j, vertex))
+        return cls._of_canonical(cx, tuple((j, vertex, 1) for j in slots))
 
     def __add__(self, other: ExponentOffset) -> ExponentOffset:
         if not isinstance(other, ExponentOffset):
             return NotImplemented
         if other.complex != self.complex:
             raise MultiplicityDomainMismatch("offsets live on different complexes")
-        # both entry lists are in the complex's domain order
-        pairs = zip(self.entries, other.entries)
-        return ExponentOffset(
-            self.complex, tuple((j, i, v + w) for (j, i, v), (_, _, w) in pairs)
-        )
+        runs = itertools.groupby(sorted(self.raised + other.raised), key=itemgetter(0, 1))
+        raised = tuple((j, i, sum(e[2] for e in run)) for (j, i), run in runs)
+        return ExponentOffset._of_canonical(self.complex, raised)
 
     def scale(self, k: int) -> ExponentOffset:
-        if k < 0:
-            raise MultiplicityDomainMismatch("offset scale factor must be >= 0")
-        return ExponentOffset(
-            self.complex, tuple((j, i, v * k) for j, i, v in self.entries)
-        )
+        if not isinstance(k, int) or k < 0:
+            raise MultiplicityDomainMismatch("offset scale factor must be an integer >= 0")
+        raised = tuple((j, i, v * k) for j, i, v in self.raised) if k else ()
+        return ExponentOffset._of_canonical(self.complex, raised)
 
     def plus_one(self) -> MultiplicityAssignment:
-        return MultiplicityAssignment(
-            self.complex, tuple((j, i, v + 1) for j, i, v in self.entries)
+        return MultiplicityAssignment._of_canonical(
+            self.complex, tuple((j, i, v + 1) for j, i, v in self.raised)
         )

@@ -8,7 +8,6 @@ and containment of finitely generated monomial ideals.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from typing import Iterable
 
 from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
@@ -219,13 +218,10 @@ def irreducible_component(mult: MultiplicityAssignment, j: int) -> MonomialIdeal
     cx = mult.complex
     if not 1 <= j <= cx.m:
         raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
-    # the table's entries are sorted and positive, so facet j's run of
-    # them gives distinct pure powers, minimal and in display order
-    entries = mult.entries
-    lo = bisect_left(entries, (j,))
+    # one pure power per vertex facet j misses: distinct, minimal and in display order
+    missing = (i for i in range(1, cx.n + 1) if i not in cx.facets[j - 1])
     gens = tuple(
-        tuple(v if k == i else 0 for k in range(1, cx.n + 1))
-        for _, i, v in entries[lo : bisect_left(entries, (j + 1,), lo)]
+        tuple(mult.value(j, i) if k == i else 0 for k in range(1, cx.n + 1)) for i in missing
     )
     return MonomialIdeal._of_minimal(cx.n, gens)
 
@@ -299,9 +295,9 @@ def splitting_witness(
     # b - 1 at each pure power x^b of the right side, and past every
     # exponent in play elsewhere
     corner = [mult.max_value() + 1] * cx.n
-    for j, k, v in mult.entries:
-        if j == last:
-            corner[k - 1] = v - 1
+    for k in range(1, cx.n + 1):
+        if k not in cx.facets[last - 1]:
+            corner[k - 1] = mult.value(last, k) - 1
     corner[i - 1] = s - 1
     if all(q.contains_monomial(tuple(corner)) for q in earlier):
         return None

@@ -7,17 +7,17 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from collections import namedtuple
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
+from operator import itemgetter
 from typing import Iterable, Mapping
 
 from .complexes import (
     ExponentOffset,
     MultiplicityAssignment,
     SimplicialComplex,
-    _domain_index,
     _facet_masks,
+    _pair_id,
     _per_complex,
 )
 from .errors import (
@@ -66,11 +66,11 @@ def is_tree_satisfying(
     and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
-    e = mult.entries
-    grown = [
-        (e[p], e[c]) for _, edges, _ in _clique_masks(cx) for p, c in edges if e[p][2] < e[c][2]
-    ]
-    by_child = {(i, k): (i, (h, k), (a, b)) for (h, i, a), (k, _, b) in grown}
+    s, get = _pair_id(cx, 1, 0), mult._pair_values().get
+    _, parents, children = _clique_masks(cx)
+    values = ((p, c, get(p, 1), get(c, 1)) for p, c in zip(parents, children))
+    grown = [(*divmod(p, s), c // s, a, b) for p, c, a, b in values if a < b]
+    by_child = {(i, k): (i, (h, k), (a, b)) for h, i, k, a, b in grown}
     # only the vertices with a violation are walked, to order them
     violations = tuple(
         by_child[i, k]
@@ -84,10 +84,9 @@ def is_tree_satisfying(
 def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONALS) -> bool:
     """The verdict of is_tree_satisfying, without its violations."""
     require_tree_case(mult.complex, field)
-    e = mult.entries
-    return not any(
-        e[p][2] < e[c][2] for _, edges, _ in _clique_masks(mult.complex) for p, c in edges
-    )
+    get = mult._pair_values().get
+    _, parents, children = _clique_masks(mult.complex)
+    return not any(get(p, 1) < get(c, 1) for p, c in zip(parents, children))
 
 
 @_per_complex
@@ -112,12 +111,13 @@ def _require_covered(cx: SimplicialComplex) -> None:
 @_per_complex
 def _clique_masks(
     cx: SimplicialComplex,
-) -> tuple[tuple[tuple[CliqueTree, ...], tuple[tuple[int, int], ...], tuple[int, ...]], ...]:
-    """Per ridge clique: its trees in clique_trees' order, the oriented
-    facet-facet edges (vertex i, parent, child) they put into the vertex
-    restrictions of a relation tree, each as the domain positions of
-    (parent, i) and (child, i), and per tree the mask of its edges: bit b
-    stands for the clique's edge b.
+) -> tuple[tuple[tuple[tuple[CliqueTree, ...], tuple[int, ...], int, int], ...], array, array]:
+    """Per ridge clique: its trees in clique_trees' order, per tree the
+    mask of the oriented facet-facet edges (vertex i, parent, child) it
+    puts into the vertex restrictions of a relation tree, bit b standing
+    for the clique's edge b, and the range start:stop of its edges; and
+    every clique's edges in turn, as the pair ids of (parent, i) and
+    (child, i) in two arrays.
 
     A clique-tree edge p-c has on c's side the facets hanging from c's
     subtree.  The facets containing i form a subtree of every relation
@@ -132,14 +132,13 @@ def _clique_masks(
     gluing F along a whole ridge keeps every link's homology."""
     cliques = clique_trees(cx)
     _, containing = _facet_masks(cx)
-    index, facets = _domain_index(cx), cx.facets
     _require_covered(cx)
     walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
     parent = {c: p for p, c in walk}
     below = {j: 1 << (j - 1) for j in range(1, cx.m + 1)}
     for p, c in reversed(walk):
         below[p] |= below[c]
-    out = []
+    out, parents, children = [], array("q"), array("q")
     for trees in cliques:
         # hang[j]: the facets left with j when a relation tree drops the clique's
         # edges, j's walk subtree (all facets at the clique's top) minus its clique children's
@@ -157,21 +156,21 @@ def _clique_masks(
                 split = splits.get((c, p, side[c]))
                 if split is None:
                     split, ends = 0, 1 << (p - 1) | 1 << (c - 1)
-                    fp, fc = facets[p - 1], facets[c - 1]
+                    # the ids of (p, i) and (c, i) are a + i and b + i
+                    a, b = _pair_id(cx, p, 0), _pair_id(cx, c, 0)
                     for i in range(1, cx.n + 1):
                         held = containing[i]
                         if not held & ends:
-                            # the positions of (p, i) and (c, i), as above
-                            a = index[p - 1] + i - bisect_left(fp, i)
-                            b = index[c - 1] + i - bisect_left(fc, i)
-                            edge = (b, a) if held & side[c] else (a, b)
+                            edge = (b + i, a + i) if held & side[c] else (a + i, b + i)
                             split |= 1 << bits.setdefault(edge, len(bits))
                     splits[c, p, side[c]] = split
                 mask |= split
                 side[p] |= side[c]
             masks.append(mask)
-        out.append((trees, tuple(bits), tuple(masks)))
-    return tuple(out)
+        parents.extend(map(itemgetter(0), bits))
+        children.extend(map(itemgetter(1), bits))
+        out.append((trees, tuple(masks), len(parents) - len(bits), len(parents)))
+    return tuple(out), parents, children
 
 
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
@@ -181,12 +180,14 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     exactly when its tree in every ridge clique does, so each clique
     takes its first tree whose mask misses the edges along which the
     table grows, and the witness is the union of those trees."""
+    get = mult._pair_values().get
+    cliques, parents, children = _clique_masks(mult.complex)
+    edges = zip(parents, children)  # each clique takes its own run of them
     chosen: list[tuple[int, int]] = []
-    e = mult.entries
-    for trees, edges, masks in _clique_masks(mult.complex):
+    for trees, masks, start, stop in cliques:
         grown = 0
-        for b, (p, c) in enumerate(edges):
-            if e[p][2] < e[c][2]:
+        for b, (p, c) in enumerate(islice(edges, stop - start)):
+            if get(p, 1) < get(c, 1):
                 grown |= 1 << b
         tree = next((t for t, mask in zip(trees, masks) if not mask & grown), None)
         if tree is None:
@@ -292,7 +293,7 @@ def semigroup_generators(
     _require_covered(cx)
     wanted = [vertex] if vertex is not None else range(1, cx.n + 1)
     out: list[ExponentOffset] = []
-    seen: set[tuple[tuple[int, int, int], ...]] = set()
+    seen: set[ExponentOffset] = set()
     for i in wanted:
         # each facet's parent in the rooted vertex graph
         walk = _vertex_walk(cx, i)
@@ -305,8 +306,8 @@ def semigroup_generators(
                     offset = ExponentOffset.indicator(cx, i, chosen)
                     if vertex is not None:
                         out.append(offset)
-                    elif offset.entries not in seen:
-                        seen.add(offset.entries)
+                    elif offset not in seen:
+                        seen.add(offset)
                         out.append(offset)
     return tuple(out)
 

@@ -268,12 +268,13 @@ def test_from_overrides_roundtrip(tree_fixture):
 
 
 def test_trusted_table_equals_the_validated_one():
-    # the per-vertex index answers as a scan of the entries would
+    # the table built from the raised entries alone answers as a scan of
+    # the validated table's entries would
     rng = random.Random(47)
     for _ in range(30):
         cx = random_pure_strongly_connected(rng)
         am = random_assignment(rng, cx, 4)
-        trusted = MultiplicityAssignment._of_canonical(cx, am.entries)
+        trusted = MultiplicityAssignment._of_canonical(cx, am.raised)
         assert trusted == am and hash(trusted) == hash(am)
         for i in range(cx.n + 2):
             expected = tuple((j, v) for j, i2, v in am.entries if i2 == i)
@@ -405,17 +406,6 @@ def test_value_outside_the_domain_names_the_pair(tree_fixture):
         assert table.value(1, 3) == table.entries[0][2]
 
 
-def test_domain_index_gives_each_pair_its_entry_position():
-    rng = random.Random(83)
-    corpus = [random_complex(rng, 7, 4, cone=rng.randint(0, 2)) for _ in range(80)]
-    corpus += [SimplicialComplex(3, [()]), SimplicialComplex(2, [])]
-    for cx in corpus:
-        domain = _exponent_domain(cx)
-        assert [complexes._position(cx, j, i) for j, i in domain] == list(range(len(domain)))
-        pairs = {(j, i) for j in range(cx.m + 2) for i in range(cx.n + 2)}
-        assert all(complexes._position(cx, j, i) is None for j, i in pairs - set(domain))
-
-
 def test_levels_group_each_vertex_values_by_value():
     # per vertex, the facets taking each value, as vertex_values lists
     # them; vertex 0 and vertices inside every facet have none
@@ -433,13 +423,145 @@ def test_levels_group_each_vertex_values_by_value():
                 expected.append(tuple(sorted(masks.items())))
             assert am.levels == tuple(expected)
             assert am.levels is am.levels
-            trusted = MultiplicityAssignment._of_canonical(cx, am.entries)
+            trusted = MultiplicityAssignment._of_canonical(cx, am.raised)
             assert trusted.levels == am.levels
 
 
 def test_offset_of_assignment_roundtrip(tree_fixture):
     am = MultiplicityAssignment.from_overrides(tree_fixture, {(3, 1): 4})
     assert am.offset().plus_one() == am
+
+
+class _DenseTable:
+    """Reference table: every entry (j, i, v) of the domain, in its order,
+    read by scans."""
+
+    def __init__(self, cx, entries):
+        self.cx, self.entries = cx, tuple(sorted(entries))
+
+    def value(self, j, i):
+        return next((v for j2, i2, v in self.entries if (j2, i2) == (j, i)), None)
+
+    def vertex_values(self, i):
+        return tuple((j, v) for j, i2, v in self.entries if i2 == i)
+
+    def levels(self):
+        out = []
+        for i in range(self.cx.n + 1):
+            masks: dict[int, int] = {}
+            for j, v in self.vertex_values(i):
+                masks[v] = masks.get(v, 0) | 1 << (j - 1)
+            out.append(tuple(sorted(masks.items())))
+        return tuple(out)
+
+    def threshold_facets(self, a):
+        return tuple(
+            f for j, f in enumerate(self.cx.facets, start=1)
+            if all(a[i - 1] < v for j2, i, v in self.entries if j2 == j)
+        )
+
+    def mapped(self, fn):
+        return [(j, i, fn(v)) for j, i, v in self.entries]
+
+
+def _table_complexes(rng):
+    """Every fixture, random complexes, one with no exponent slots, one
+    with a single facet, and the irrelevant and void complexes."""
+    corpus = [get_fixture(name).complex for name in fixture_names()]
+    corpus += [random_pure_strongly_connected(rng) for _ in range(15)]
+    corpus += [random_complex(rng, 6, 4, cone=rng.randint(0, 1)) for _ in range(15)]
+    corpus += [
+        SimplicialComplex.from_facets(3, [[1, 2, 3]]),
+        SimplicialComplex(4, ((1, 3),)),
+        SimplicialComplex(3, [()]),
+        SimplicialComplex(2, []),
+    ]
+    return corpus
+
+
+def _dense_tables(rng, cx):
+    """Entry lists for constant 1, constant 2 and random values, and each
+    fixture's own table on its complex."""
+    domain = _exponent_domain(cx)
+    tables = [[(j, i, 1) for j, i in domain], [(j, i, 2) for j, i in domain]]
+    tables += [[(j, i, rng.randint(1, 4)) for j, i in domain] for _ in range(2)]
+    for name in fixture_names():
+        fx = get_fixture(name)
+        if fx.complex == cx and fx.overrides:
+            values = {(j, i): v for j, i, v in fx.overrides}
+            tables.append([(j, i, values.get((j, i), 1)) for j, i in domain])
+    return tables
+
+
+def test_tables_keeping_raised_entries_answer_as_dense_tables():
+    # a table keeps only its entries above the minimum; every reader
+    # answers as a scan of the whole domain's entries does
+    rng = random.Random(97)
+    built = 0
+    for cx in _table_complexes(rng):
+        domain = set(_exponent_domain(cx))
+        for entries in _dense_tables(rng, cx):
+            shuffled = rng.sample(entries, len(entries))
+            am, ref = MultiplicityAssignment(cx, shuffled), _DenseTable(cx, entries)
+            assert am.entries == ref.entries
+            assert am.raised == tuple(e for e in ref.entries if e[2] > 1)
+            for j in range(cx.m + 2):
+                for i in range(cx.n + 2):
+                    if (j, i) in domain:
+                        assert am.value(j, i) == ref.value(j, i)
+                    else:
+                        with pytest.raises(MultiplicityDomainMismatch) as info:
+                            am.value(j, i)
+                        assert str(info.value) == f"no exponent slot at facet {j}, vertex {i}"
+            for i in range(-1, cx.n + 2):
+                assert am.vertex_values(i) == ref.vertex_values(i)
+            assert am.levels == ref.levels()
+            for a in [(0,) * cx.n] + [[rng.randint(0, 4) for _ in range(cx.n)] for _ in range(5)]:
+                assert am.threshold_subcomplex(a).facets == ref.threshold_facets(a)
+            assert am.max_value() == max((v for _, _, v in ref.entries), default=1)
+            assert am.overrides() == {(j, i): v for j, i, v in ref.entries if v != 1}
+            offset = am.offset()
+            assert offset == ExponentOffset(cx, ref.mapped(lambda v: v - 1))
+            assert offset.entries == tuple(ref.mapped(lambda v: v - 1))
+            # equal exactly when the entries are, also through the other constructors
+            trusted = MultiplicityAssignment._of_canonical(cx, am.raised)
+            from_overrides = MultiplicityAssignment.from_overrides(cx, am.overrides())
+            for other in (trusted, from_overrides, copy.deepcopy(am), pickle.loads(pickle.dumps(am))):
+                assert other == am and hash(other) == hash(am) and other.entries == ref.entries
+            if entries and {v for _, _, v in entries} != {1}:
+                assert am != MultiplicityAssignment.constant(cx)
+            built += 1
+    assert built > 150
+
+
+def test_offsets_keeping_raised_entries_add_and_scale_as_dense_offsets():
+    # ExponentOffset keeps the entries above 0; its arithmetic and
+    # constructors give what entrywise arithmetic on the domain gives
+    rng = random.Random(98)
+    checked = 0
+    for cx in _table_complexes(rng):
+        domain = _exponent_domain(cx)
+        zero = ExponentOffset.zero(cx)
+        assert zero.entries == tuple((j, i, 0) for j, i in domain) and zero.raised == ()
+        dense = [[(j, i, rng.randint(0, 2)) for j, i in domain] for _ in range(3)]
+        for first, second in zip(dense, dense[1:]):
+            a, b = ExponentOffset(cx, first), ExponentOffset(cx, second)
+            assert (a + b).entries == tuple((j, i, v + w) for (j, i, v), (_, _, w) in zip(first, second))
+            assert a + zero == a and a.scale(0) == zero and a.scale(1) == a
+            for bad in (-1, 1.5):
+                with pytest.raises(MultiplicityDomainMismatch, match="offset scale factor"):
+                    a.scale(bad)
+            for k in (2, 3):
+                assert a.scale(k).entries == tuple((j, i, v * k) for j, i, v in first)
+            assert a.plus_one().entries == tuple((j, i, v + 1) for j, i, v in first)
+            for copied in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert copied == a and hash(copied) == hash(a)
+            checked += 1
+        for vertex in range(0, cx.n + 2):
+            marked = set(rng.sample(range(0, cx.m + 2), rng.randint(0, cx.m + 2)))
+            expected = tuple((j, i, int(i == vertex and j in marked)) for j, i in domain)
+            assert ExponentOffset.indicator(cx, vertex, marked).entries == expected
+    assert checked > 50
 
 
 # -- property tests ----------------------------------------------------------

@@ -434,7 +434,7 @@ def test_graph_caches_are_bounded(tree_fixture):
         clique_trees: (),
         relation_trees: (),
         graphs._ridge_groups: (),
-        complexes._domain_index: (),
+        complexes._facet_masks: (),
         structure._tree_facet_graph: (),
         structure._ridge_masks: (),
         structure._tier_order: (0, (1 << cx.m) - 1),

@@ -35,7 +35,7 @@ from cmlab.complexes import (
     ExponentOffset,
     MultiplicityAssignment,
     SimplicialComplex,
-    _exponent_domain,
+    _pair_id,
 )
 from cmlab.errors import (
     CmLabError,
@@ -599,15 +599,21 @@ def _outcome(compute):
 def _mask_edge_sets(cx):
     """Per relation tree, the union of the edges held by the masks of its
     trees in the ridge cliques."""
-    domain = _exponent_domain(cx)
+    per_clique, parents, children = satisfying._clique_masks(cx)
+    # (vertex, parent, child) from the ids of (parent, i) and (child, i)
+    stride = _pair_id(cx, 1, 0)
+    edges = [(p % stride, p // stride, c // stride) for p, c in zip(parents, children)]
+    assert all(p % stride == c % stride for p, c in zip(parents, children))
+    # the cliques' edge ranges cover the arrays one after another
+    stops = [stop for *_, stop in per_clique]
+    assert [start for _, _, start, _ in per_clique] == ([0] + stops)[:-1]
+    assert len(edges) == (stops[-1] if stops else 0)
     cliques = []
-    for trees, slots, masks in satisfying._clique_masks(cx):
-        # (vertex, parent, child) from the positions of (parent, i) and (child, i)
-        edges = [(domain[p][1], domain[p][0], domain[c][0]) for p, c in slots]
+    for trees, masks, start, stop in per_clique:
         by_edges = {
             frozenset((min(a, b), max(a, b)) for a, b in t): mask for t, mask in zip(trees, masks)
         }
-        cliques.append((by_edges, frozenset().union(*by_edges), edges))
+        cliques.append((by_edges, frozenset().union(*by_edges), edges[start:stop]))
     sets = []
     for tree in relation_trees(cx):
         held = set()
@@ -805,10 +811,10 @@ def test_tier_searches_kept_on_a_complex_are_bounded():
     assert len(cx._memo[structure._tier_order]) == 1024
 
 
-def test_positional_edges_read_the_values_of_their_pairs():
-    # the domain positions both criteria compare at hold the values
-    # value() reads for the edges' pairs: a clique edge's positions are
-    # the slots of (parent, i) and (child, i) for one vertex i, and
+def test_clique_edges_read_the_values_of_their_pairs():
+    # the values both criteria compare at a clique edge's pair ids are
+    # the values value() reads for the edge's pairs: its ids are those
+    # of (parent, i) and (child, i) for one vertex i, and
     # test_tree_masks_match_restriction_edges checks that these edges
     # are the restriction walk's; the strips and the triangle tree are
     # tree-case complexes
@@ -820,14 +826,40 @@ def test_positional_edges_read_the_values_of_their_pairs():
     checked = 0
     for cx in corpus:
         am = random_assignment(rng, cx, 4)
-        domain = _exponent_domain(cx)
-        for _, slots, _ in satisfying._clique_masks(cx):
-            for p, c in slots:
-                (h, i), (k, i2) = domain[p], domain[c]
-                assert i == i2 and h != k
-                assert am.entries[p][2] == am.value(h, i) and am.entries[c][2] == am.value(k, i)
-                checked += 1
+        stride = _pair_id(cx, 1, 0)
+        _, parents, children = satisfying._clique_masks(cx)
+        get = am._pair_values().get
+        for p, c in zip(parents, children):
+            (h, i), (k, i2) = divmod(p, stride), divmod(c, stride)
+            assert i == i2 and h != k
+            assert get(p, 1) == am.value(h, i) and get(c, 1) == am.value(k, i)
+            checked += 1
     assert checked > 500
+
+
+def test_all_ones_table_on_a_long_path_lists_no_domain(monkeypatch):
+    # the table of a 1,100-edge path with every value 1 keeps no entry,
+    # and building it, its levels and every criterion that decides it
+    # never list the 1.2 million pairs of its exponent domain
+    from cmlab import complexes
+
+    listed = []
+    domain = complexes._exponent_domain
+
+    def counted(cx):
+        listed.append(cx)
+        return domain(cx)
+
+    monkeypatch.setattr(complexes, "_exponent_domain", counted)
+    m = 1100
+    path = SimplicialComplex.from_facets(m + 1, [(k, k + 1) for k in range(1, m + 1)])
+    ones = MultiplicityAssignment.constant(path)
+    assert len(ones.raised) == 0
+    assert len(ones.levels) == m + 2 and all(len(level) == 1 for level in ones.levels[1:])
+    assert check_cm_tree_case(ones)
+    assert is_quasitree_satisfying(ones)
+    assert is_cm_ideal_oracle(ones)
+    assert listed == []
 
 
 def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fixture):
