@@ -198,14 +198,14 @@ def _check_oracle(mult, field) -> int:
 def _applies(method: str, cx, field) -> bool:
     """Whether the hypotheses of the tree, quasitree or general method
     hold on the complex, so that its answer means something."""
-    from .graphs import clique_trees
+    from .graphs import require_quasi_tree
     from .structure import find_shelling, require_tree_case
 
     try:
         if method == "tree":
             require_tree_case(cx, field)
         elif method == "quasitree":
-            clique_trees(cx)
+            require_quasi_tree(cx)
         else:
             return find_shelling(cx) is not None
     except (HypothesesViolated, NotQuasiTree, NotPure):
@@ -267,7 +267,7 @@ def cmd_cross_validate(args) -> int:
     import random
 
     from .homology import FieldSpec, is_cm_ideal_oracle
-    from .satisfying import check_cm_tree_case, is_general_satisfying, is_quasitree_satisfying
+    from .satisfying import check_cm_quasitree_sufficient, check_cm_tree_case, is_general_satisfying
 
     cx, _, char, label = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
@@ -303,7 +303,7 @@ def cmd_cross_validate(args) -> int:
             else:
                 tree_disagree += 1
         if quasi_ok:
-            if is_quasitree_satisfying(mult).satisfied:
+            if check_cm_quasitree_sufficient(mult):
                 qt_sat += 1
                 if not oracle_cm:
                     qt_violation += 1

@@ -33,6 +33,7 @@ __all__ = [
     "rooted_walk",
     "LeafOrder",
     "find_leaf_order",
+    "require_quasi_tree",
     "clique_trees",
     "relation_trees",
 ]
@@ -189,15 +190,23 @@ def find_leaf_order(cx: SimplicialComplex) -> LeafOrder | None:
 
 
 @_per_complex
+def require_quasi_tree(cx: SimplicialComplex) -> None:
+    """Raise unless the complex is pure, strongly connected and has a
+    leaf order: the hypotheses of relation trees and of the quasi-tree
+    criterion."""
+    if not cx.is_pure or not facet_graph(cx).is_connected():
+        raise NotQuasiTree("relation trees need a pure, strongly connected complex")
+    if find_leaf_order(cx) is None:
+        raise NotQuasiTree("no leaf order exists")
+
+
+@_per_complex
 def clique_trees(cx: SimplicialComplex) -> tuple[tuple[CliqueTree, ...], ...]:
     """Per ridge clique of a strongly connected quasi-tree, every spanning
     tree of the clique sorted by edges; anything else is rejected.  Each
     tree is its Pruefer decoding, (leaf, neighbour) pairs that list the
     edges bottom-up as (child, parent) under the clique's last facet."""
-    if not cx.is_pure or not facet_graph(cx).is_connected():
-        raise NotQuasiTree("relation trees need a pure, strongly connected complex")
-    if find_leaf_order(cx) is None:
-        raise NotQuasiTree("no leaf order exists")
+    require_quasi_tree(cx)
     cliques = []
     for group in _ridge_groups(cx):
         nodes = [j for j, _ in group]

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 from array import array
 from collections import namedtuple
-from itertools import chain, combinations, islice
-from operator import itemgetter
+from itertools import chain, combinations, compress, permutations, repeat
+from operator import lt
 from typing import Iterable, Mapping
 
 from .complexes import (
@@ -27,8 +27,15 @@ from .errors import (
     RestrictionNotTree,
     VertexOutOfRange,
 )
-from .graphs import ROOT, CliqueTree, FacetLevelGraph, clique_trees, facet_graph, rooted_walk
-from .homology import RATIONALS, FieldSpec, is_cm_complex
+from .graphs import (
+    ROOT,
+    FacetLevelGraph,
+    _ridge_groups,
+    facet_graph,
+    require_quasi_tree,
+    rooted_walk,
+)
+from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
 from .structure import _shelling, require_tree_case
 
 __all__ = [
@@ -111,95 +118,209 @@ def _require_covered(cx: SimplicialComplex) -> None:
 @_per_complex
 def _clique_masks(
     cx: SimplicialComplex,
-) -> tuple[tuple[tuple[tuple[CliqueTree, ...], tuple[int, ...], int, int], ...], array, array]:
-    """Per ridge clique: its trees in clique_trees' order, per tree the
-    mask of the oriented facet-facet edges (vertex i, parent, child) it
-    puts into the vertex restrictions of a relation tree, bit b standing
-    for the clique's edge b, and the range start:stop of its edges; and
-    every clique's edges in turn, as the pair ids of (parent, i) and
-    (child, i) in two arrays.
+) -> tuple[tuple[tuple[tuple[int, ...], int, int, tuple | None], ...], array, array]:
+    """Per ridge clique: its facets, ascending, and its oriented edges
+    x -> y at the vertices i in neither facet.  A clique of two facets
+    keeps them as its run start:stop of two flat arrays, the pair ids of
+    (x, i) and (y, i).  A larger clique keeps them as split: the pair ids
+    of each of its facets with each vertex anchored at it, and per edge
+    the positions of its two pairs there, its slot x * k + y and its
+    anchor.
 
-    A clique-tree edge p-c has on c's side the facets hanging from c's
-    subtree.  The facets containing i form a subtree of every relation
-    tree, so the restriction to i orients p -> c when none of them lies
-    on c's side and c -> p otherwise; with none at all it is no tree.
-    The bits are worked out once per distinct split (c, p, c's side).
+    Dropping the clique's edges splits a relation tree into one part per
+    clique facet j, hang[j]: j's walk subtree (every facet, at the
+    clique's top) minus its clique children's.  The facets containing a
+    vertex i outside the clique's ridge form a subtree of every relation
+    tree, so they lie in one part, that of i's anchor.  A clique-tree
+    edge x-y orients the restriction to i as x -> y exactly when i's
+    anchor is on x's side, so x -> y is kept at each vertex anchored
+    anywhere but at y.  A vertex in no facet leaves no tree.
 
-    The tree criterion reads its orientations here too: a Cohen-Macaulay
-    complex with a tree facet graph is a quasi-tree whose ridge cliques
-    are single edges.  The facets holding a vertex are joined through
+    The tree criterion reads the flat arrays: a Cohen-Macaulay complex
+    with a tree facet graph is a quasi-tree whose ridge cliques are
+    single edges.  The facets holding a vertex are joined through
     ridges, so a leaf F of the facet tree has a vertex in F alone, and
     gluing F along a whole ridge keeps every link's homology."""
-    cliques = clique_trees(cx)
-    _, containing = _facet_masks(cx)
+    require_quasi_tree(cx)
+    masks, _ = _facet_masks(cx)
     _require_covered(cx)
     walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
     parent = {c: p for p, c in walk}
-    below = {j: 1 << (j - 1) for j in range(1, cx.m + 1)}
+    # reach[j]: the vertices of the facets in j's walk subtree
+    reach = [0, *masks]
     for p, c in reversed(walk):
-        below[p] |= below[c]
+        reach[p] |= reach[c]
     out, parents, children = [], array("q"), array("q")
-    for trees in cliques:
-        # hang[j]: the facets left with j when a relation tree drops the clique's
-        # edges, j's walk subtree (all facets at the clique's top) minus its clique children's
-        nodes = {j for edge in trees[0] for j in edge}
-        hang = {j: below[j] if parent.get(j) in nodes else below[1] for j in nodes}
-        for k in nodes:
-            if parent.get(k) in nodes:
-                hang[parent[k]] &= ~below[k]
-        bits: dict[tuple[int, int], int] = {}
-        splits: dict[tuple[int, int, int], int] = {}
-        masks = []
-        for tree in trees:
-            side, mask = dict(hang), 0
-            for c, p in tree:
-                split = splits.get((c, p, side[c]))
-                if split is None:
-                    split, ends = 0, 1 << (p - 1) | 1 << (c - 1)
-                    # the ids of (p, i) and (c, i) are a + i and b + i
-                    a, b = _pair_id(cx, p, 0), _pair_id(cx, c, 0)
-                    for i in range(1, cx.n + 1):
-                        held = containing[i]
-                        if not held & ends:
-                            edge = (b + i, a + i) if held & side[c] else (a + i, b + i)
-                            split |= 1 << bits.setdefault(edge, len(bits))
-                    splits[c, p, side[c]] = split
-                mask |= split
-                side[p] |= side[c]
-            masks.append(mask)
-        parents.extend(map(itemgetter(0), bits))
-        children.extend(map(itemgetter(1), bits))
-        out.append((trees, tuple(masks), len(parents) - len(bits), len(parents)))
+    for group in _ridge_groups(cx):
+        nodes = tuple(j for j, _ in group)
+        k = len(nodes)
+        ridge = masks[nodes[0] - 1] ^ 1 << group[0][1]
+        # the vertices anchored at each clique facet: those of hang[j] off the ridge
+        anchored = {j: reach[j if parent.get(j) in nodes else 1] & ~ridge for j in nodes}
+        for j in nodes:
+            if parent.get(j) in nodes:
+                anchored[parent[j]] &= ~reach[j]
+        # per anchor, its vertices; at x itself, without x's own vertex
+        away = [list(_bits(anchored[j])) for j in nodes]
+        home = [[i for i in at if i != v] for at, (_, v) in zip(away, group)]
+        ids = [_pair_id(cx, j, 0) for j in nodes]
+        start = len(parents)
+        if k == 2:
+            for x, y in ((0, 1), (1, 0)):
+                parents.extend(ids[x] + i for i in home[x])
+                children.extend(ids[y] + i for i in home[x])
+            out.append((nodes, start, len(parents), None))
+            continue
+        held = [i for at in away for i in at]
+        spot = {i: q for q, i in enumerate(held)}
+        w = len(held)
+        ups, downs, slots, anchors = array("i"), array("i"), array("i"), array("i")
+        for x, y in permutations(range(k), 2):
+            for a in range(k):
+                if a != y:
+                    at = [spot[i] for i in (home[a] if a == x else away[a])]
+                    ups.extend(x * w + q for q in at)
+                    downs.extend(y * w + q for q in at)
+                    slots.extend(repeat(x * k + y, len(at)))
+                    anchors.extend(repeat(a, len(at)))
+        pairs = tuple(ids[x] + i for x in range(k) for i in held)
+        out.append((nodes, start, start, (pairs, ups, downs, slots, anchors)))
     return tuple(out), parents, children
+
+
+def _tree_exists(k: int, bad: list[int], forced: tuple[int, ...] = (), floor: int = -1) -> bool:
+    """Whether some spanning tree of a ridge clique on positions 0..k-1
+    passes the split test at each of its edges, holds every forced edge
+    and no other edge with an id up to floor; x-y, x < y, has id x*k + y.
+
+    Edge x-y passes when x's side X misses bad[x*k + y] and holds
+    bad[y*k + x].  A tree rooted at r on the node set U is a subtree T,
+    holding the lowest node of U but r and hung from r by its root c,
+    beside a tree rooted at r on U minus T.  T is c's whole side, so the
+    test of c-r bounds T alone: T holds c, that lowest node and
+    bad[r*k + c], and misses bad[c*k + r].  Memoized on (U, r): at most
+    k * 2^k problems and O(k^2 * 3^k) steps, depth first.  A problem's
+    state is the roots c left, the current c, T's least value, the free
+    nodes T may add and the submask s of them taken (-1: next c); the
+    stack holds the states of the problems waiting on the current one."""
+    full = (1 << k) - 1
+    cuts = [(e, 1 << e // k | 1 << e % k) for e in forced]
+    known: dict[int, bool] = {}
+    stack = []
+    u, r, roots, c, base, free, s = full, 0, full ^ 1, 0, 0, 0, -1
+    while True:
+        rest = u ^ 1 << r
+        low = rest & -rest
+        found = None
+        while found is None:
+            if s < 0:
+                if not roots:
+                    found = False
+                    break
+                bit = roots & -roots
+                roots ^= bit
+                c = bit.bit_length() - 1
+                base = bad[r * k + c] | bit | low
+                miss = bad[c * k + r]
+                if base & miss or base & ~rest:
+                    continue
+                if floor >= 0:
+                    e = min(c, r) * k + max(c, r)
+                    if e <= floor and e not in forced:
+                        continue
+                free, s = rest & ~(base | miss), 0
+            t = base | s
+            # a forced edge is the one edge across its own cut
+            if cuts and any(
+                f != min(c, r) * k + max(c, r) and t & ends not in (0, ends) for f, ends in cuts
+            ):
+                inner = outer = False
+            else:
+                inner = True if t == 1 << c else known.get(t * k + c)
+                outer = True if u ^ t == 1 << r else known.get((u ^ t) * k + r)
+            if inner is None and outer is not False or outer is None and inner:
+                # decide the open part first, then come back to this choice
+                stack.append((u, r, roots, c, base, free, s))
+                u, r = (t, c) if inner is None else (u ^ t, r)
+                roots, s = u ^ 1 << r, -1
+                break
+            if inner and outer:
+                found = True
+            else:
+                s = -1 if s == free else (s - free) & free
+        if found is None:
+            continue
+        known[u * k + r] = found
+        if not stack:
+            return found
+        u, r, roots, c, base, free, s = stack.pop()
+
+
+def _first_tree(k: int, bad: list[int]) -> list[tuple[int, int]]:
+    """The first passing tree of the clique in clique_trees' order, by
+    edges ascending: each edge in turn is the lowest with which some
+    passing tree holds the edges already taken and otherwise only
+    higher ones."""
+    taken: list[int] = []
+    floor = -1
+    for _ in range(k - 1):
+        floor = next(
+            e
+            for e in range(floor + 1, k * k)
+            if e // k < e % k and _tree_exists(k, bad, (*taken, e), e)
+        )
+        taken.append(floor)
+    return [divmod(e, k) for e in taken]
+
+
+def _passing_cliques(mult: MultiplicityAssignment) -> list[tuple[tuple[int, ...], list]] | None:
+    """Per ridge clique its facets and, per slot x*k + y, the mask of
+    the anchors of the vertices at which the table grows along x -> y;
+    None at the first clique with no passing tree.  A clique of two
+    facets has one tree, which passes unless some edge grows."""
+    get = mult._pair_values().get
+    cliques, parents, children = _clique_masks(mult.complex)
+    ones = repeat(1)
+    passing = []
+    for nodes, start, stop, split in cliques:
+        k = len(nodes)
+        bad = [0] * (k * k)
+        if split is None:
+            ps, cs = parents[start:stop], children[start:stop]
+            if any(map(lt, map(get, ps, ones), map(get, cs, ones))):
+                return None
+        else:
+            pairs, ups, downs, slots, anchors = split
+            value = list(map(get, pairs, ones)).__getitem__
+            grows = map(lt, map(value, ups), map(value, downs))
+            for s, a in compress(zip(slots, anchors), grows):
+                bad[s] |= 1 << a
+            if not _tree_exists(k, bad):
+                return None
+        passing.append((nodes, bad))
+    return passing
 
 
 def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     """Search for one relation tree whose every vertex restriction
     satisfies the non-increase condition; the first such tree in
     canonical order is returned as witness.  A relation tree passes
-    exactly when its tree in every ridge clique does, so each clique
-    takes its first tree whose mask misses the edges along which the
-    table grows, and the witness is the union of those trees."""
-    get = mult._pair_values().get
-    cliques, parents, children = _clique_masks(mult.complex)
-    edges = zip(parents, children)  # each clique takes its own run of them
-    chosen: list[tuple[int, int]] = []
-    for trees, masks, start, stop in cliques:
-        grown = 0
-        for b, (p, c) in enumerate(islice(edges, stop - start)):
-            if get(p, 1) < get(c, 1):
-                grown |= 1 << b
-        tree = next((t for t, mask in zip(trees, masks) if not mask & grown), None)
-        if tree is None:
-            return SatisfyingVerdict(False, (), None)
-        chosen += tree
+    exactly when its tree in every ridge clique does, so the witness is
+    the union of each clique's first passing tree."""
+    passing = _passing_cliques(mult)
+    if passing is None:
+        return SatisfyingVerdict(False, (), None)
+    chosen = [
+        (nodes[x], nodes[y]) for nodes, bad in passing for x, y in _first_tree(len(nodes), bad)
+    ]
     return SatisfyingVerdict(True, (), FacetLevelGraph(range(1, mult.complex.m + 1), chosen))
 
 
 def check_cm_quasitree_sufficient(mult: MultiplicityAssignment) -> bool | None:
     """True means Cohen-Macaulay; None means the criterion is silent.
-    Never returns False: the condition is sufficient only."""
-    return True if is_quasitree_satisfying(mult).satisfied else None
+    Never returns False: the condition is sufficient only.  Builds no
+    witness."""
+    return True if _passing_cliques(mult) is not None else None
 
 
 def is_general_satisfying(mult: MultiplicityAssignment) -> bool:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations, product
 from typing import Iterator
 
@@ -299,6 +299,83 @@ def random_spanning_tree(rng: random.Random, g: FacetLevelGraph) -> FacetLevelGr
             edges.append((a, b))
             frontier += [(b, k) for k in g.neighbors(b)]
     return FacetLevelGraph(g.nodes, edges)
+
+
+@lru_cache(maxsize=8)
+def clique_masks_reference(cx: SimplicialComplex):
+    """Per ridge clique, every tree of clique_trees with the mask of the
+    oriented edges (parent, i) -> (child, i), as pair-id pairs, that it
+    puts into the vertex restrictions of a relation tree; and the
+    clique's edges, bit b standing for edge b.  A clique-tree edge p-c
+    orients the restriction to a vertex i in neither facet as p -> c when
+    no facet containing i hangs on c's side, else c -> p.  Raises as the
+    criterion does: outside the quasi-tree gate, or at a vertex in no
+    facet."""
+    from cmlab.complexes import _facet_masks, _pair_id
+    from cmlab.errors import RestrictionNotTree
+    from cmlab.graphs import clique_trees, facet_graph, rooted_walk
+
+    cliques = clique_trees(cx)
+    _, containing = _facet_masks(cx)
+    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
+    if uncovered:
+        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
+    walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
+    parent = {c: p for p, c in walk}
+    below = {j: 1 << (j - 1) for j in range(1, cx.m + 1)}
+    for p, c in reversed(walk):
+        below[p] |= below[c]
+    out = []
+    for trees in cliques:
+        # hang[j]: the facets left with j when the clique's edges go
+        nodes = {j for edge in trees[0] for j in edge}
+        hang = {j: below[j] if parent.get(j) in nodes else below[1] for j in nodes}
+        for k in nodes:
+            if parent.get(k) in nodes:
+                hang[parent[k]] &= ~below[k]
+        bits: dict[tuple[int, int], int] = {}
+        masks = []
+        for tree in trees:
+            side, mask = dict(hang), 0
+            for c, p in tree:
+                ends = 1 << (p - 1) | 1 << (c - 1)
+                for i in range(1, cx.n + 1):
+                    held = containing[i]
+                    if not held & ends:
+                        a, b = _pair_id(cx, p, i), _pair_id(cx, c, i)
+                        edge = (b, a) if held & side[c] else (a, b)
+                        mask |= 1 << bits.setdefault(edge, len(bits))
+                side[p] |= side[c]
+            masks.append(mask)
+        out.append((trees, tuple(masks), tuple(bits)))
+    return tuple(out)
+
+
+def quasitree_reference(mult: MultiplicityAssignment):
+    """The quasi-tree criterion by a scan of every clique tree: each
+    ridge clique takes its first tree, in clique_trees' order, whose mask
+    misses the edges along which the table grows.  Returns whether every
+    clique has one, and the edges of the union of those trees (or None)."""
+    get = mult._pair_values().get
+    chosen: list[tuple[int, int]] = []
+    for trees, masks, edges in clique_masks_reference(mult.complex):
+        grown = sum(1 << b for b, (p, c) in enumerate(edges) if get(p, 1) < get(c, 1))
+        tree = next((t for t, mask in zip(trees, masks) if not mask & grown), None)
+        if tree is None:
+            return False, None
+        chosen += tree
+    return True, FacetLevelGraph(range(1, mult.complex.m + 1), chosen).edges
+
+
+def random_sparse_assignment(
+    rng: random.Random, cx: SimplicialComplex, max_exp: int, most: int = 3
+) -> MultiplicityAssignment:
+    """Value 1 at all but 1..most random pairs, which take 2..max_exp."""
+    domain = [(j, i) for j, i, _ in MultiplicityAssignment.constant(cx).entries]
+    raised = rng.sample(domain, min(len(domain), rng.randint(1, most)))
+    return MultiplicityAssignment.from_overrides(
+        cx, {pair: rng.randint(2, max_exp) for pair in raised}
+    )
 
 
 def restriction_edges_reference(

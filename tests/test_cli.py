@@ -18,6 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import quasitree_reference, random_attach_quasitree, random_sparse_assignment
+
 import cmlab
 from cmlab import cli, cli_helpers, fixtures, graphs, homology, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
@@ -514,6 +516,66 @@ def test_no_table_decision_multiplies_relation_trees_out(monkeypatch, capsys, ar
     monkeypatch.setattr(fixtures, "_BUILT", {})
     case = GOLDEN[argv]
     assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])
+
+
+def _refuse_clique_trees(monkeypatch):
+    def refuse(cx):
+        raise RuntimeError("clique_trees lists every tree of every ridge clique")
+
+    for module in (graphs, satisfying, cli):
+        monkeypatch.setattr(module, "clique_trees", refuse, raising=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        argv
+        for fixture in ("star", "triangle-tree")
+        for argv in (
+            ("analyze", fixture, "--char", "0"),
+            ("analyze", fixture, "--char", "2"),
+            ("check", fixture, "--method", "auto"),
+            ("check", fixture, "--method", "quasitree"),
+            ("cross-validate", fixture, "--samples", "20", "--seed", "3"),
+        )
+    ],
+    ids=" ".join,
+)
+def test_no_table_decision_enumerates_clique_trees(monkeypatch, capsys, argv):
+    # the quasi-tree criterion searches the splits of each ridge clique,
+    # and auto's applicability gate checks the hypotheses alone, so no
+    # command lists the k^(k-2) trees of a clique of k facets
+    _refuse_clique_trees(monkeypatch)
+    monkeypatch.setattr(fixtures, "_BUILT", {})
+    case = GOLDEN[argv]
+    assert run(capsys, *argv) == (case["code"], case["stdout"], case["stderr"])
+
+
+def test_no_attach_quasitree_decision_enumerates_clique_trees(monkeypatch, capsys, tmp_path):
+    # triangles glued in ridge cliques of 4, 3 and 2 facets with a table
+    # the criterion accepts: its witness is the clique-tree scan's, and
+    # no command's output changes when clique_trees refuses to run
+    rng = random.Random(19)
+    cx = random_attach_quasitree(rng, (4, 3, 2))
+    mult = next(
+        am for am in (random_sparse_assignment(rng, cx, 3) for _ in range(100))
+        if quasitree_reference(am)[0]
+    )
+    doc = tmp_path / "attach.json"
+    alpha = [{"facet": j, "vertex": i, "value": v} for j, i, v in mult.raised]
+    doc.write_text(json.dumps({"n": cx.n, "facets": [list(f) for f in cx.facets], "alpha": alpha}))
+    requests = [
+        ("analyze", str(doc)),
+        ("check", str(doc), "--method", "auto"),
+        ("check", str(doc), "--method", "quasitree"),
+        ("cross-validate", str(doc), "--samples", "20", "--seed", "3"),
+    ]
+    expected = [run(capsys, *argv) for argv in requests]
+    witness = " ".join(f"{a}-{b}" for a, b in quasitree_reference(mult)[1])
+    verdict = f"method: quasitree\nverdict: Cohen-Macaulay\nwitness tree edges: {witness}\n"
+    assert expected[2] == (0, verdict, "")
+    _refuse_clique_trees(monkeypatch)
+    assert [run(capsys, *argv) for argv in requests] == expected
 
 
 # -- argument parsing --------------------------------------------------------

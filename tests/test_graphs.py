@@ -431,6 +431,7 @@ def test_graph_caches_are_bounded(tree_fixture):
     cx = built_anew(tree_fixture)
     kept = {
         facet_graph: (),
+        graphs.require_quasi_tree: (),
         clique_trees: (),
         relation_trees: (),
         graphs._ridge_groups: (),

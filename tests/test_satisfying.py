@@ -15,6 +15,7 @@ from conftest import (
     decompose_into_generators_reference,
     general_satisfying_reference,
     parent_maps_reference,
+    quasitree_reference,
     random_assignment,
     random_attach_quasitree,
     random_complex,
@@ -22,6 +23,7 @@ from conftest import (
     random_pure_strongly_connected,
     random_quasi_tree,
     random_ridge_tree,
+    random_sparse_assignment,
     random_tree_satisfying,
     restrict_relation_tree,
     restriction_edge_sets,
@@ -553,6 +555,32 @@ def test_quasitree_witness_is_first_tree_with_monotone_restrictions():
     assert verdicts == {(False, True), (False, False), (True, True), (True, False)}
 
 
+def test_split_search_matches_the_clique_tree_scan():
+    # per table, the split search in each ridge clique gives the verdict
+    # and the witness of the scan of every clique tree; half the tables
+    # raise one to three entries, so that many of them pass
+    rng = random.Random(137)
+    complexes = [_star(m) for m in range(2, 8)]
+    complexes += [book_chain(t, extra) for t, extra in ((3, 1), (4, 1), (3, 2), (2, 3), (3, 3))]
+    profiles = ((5, 3), (4, 4, 2), (3, 3), (4, 3), (3, 3, 3), (2, 4, 3))
+    complexes += [random_attach_quasitree(rng, p) for p in profiles]
+    complexes += [random_quasi_tree(rng, max_m=7) for _ in range(60)]
+    counts = Counter()
+    for cx in complexes:
+        for t in range(44):
+            if t % 2:
+                am = random_sparse_assignment(rng, cx, 3)
+            else:
+                am = random_assignment(rng, cx, rng.choice((2, 3)))
+            satisfied, witness = quasitree_reference(am)
+            verdict = is_quasitree_satisfying(am)
+            assert verdict.satisfied == satisfied
+            assert (verdict.witness_tree and verdict.witness_tree.edges) == witness
+            assert check_cm_quasitree_sufficient(am) is (True if satisfied else None)
+            counts[satisfied] += 1
+    assert counts[True] >= 1500 and counts[False] >= 1000
+
+
 def test_quasitree_orientation_depends_on_hanging_facets():
     # Removing leaf 1 (branch 2) and then leaf 2 (branch 3) builds the
     # only relation tree.  Facet 2 omits vertex 1 but facet 1 hanging
@@ -596,30 +624,68 @@ def _outcome(compute):
         return type(exc), str(exc)
 
 
-def _mask_edge_sets(cx):
-    """Per relation tree, the union of the edges held by the masks of its
-    trees in the ridge cliques."""
+def _stored_edges(cx):
+    """Per ridge clique of the store, its facets and per kept edge the
+    tuple (vertex i, facet x, facet y, anchor position or None, pair id
+    of (x, i), pair id of (y, i)).  Checks on the way that the runs of
+    the two-facet cliques cover the flat arrays one after another, that
+    larger cliques keep no run, and that each edge's pair ids and slot
+    agree with its facets and vertex."""
     per_clique, parents, children = satisfying._clique_masks(cx)
-    # (vertex, parent, child) from the ids of (parent, i) and (child, i)
     stride = _pair_id(cx, 1, 0)
-    edges = [(p % stride, p // stride, c // stride) for p, c in zip(parents, children)]
-    assert all(p % stride == c % stride for p, c in zip(parents, children))
-    # the cliques' edge ranges cover the arrays one after another
-    stops = [stop for *_, stop in per_clique]
-    assert [start for _, _, start, _ in per_clique] == ([0] + stops)[:-1]
-    assert len(edges) == (stops[-1] if stops else 0)
-    cliques = []
-    for trees, masks, start, stop in per_clique:
-        by_edges = {
-            frozenset((min(a, b), max(a, b)) for a, b in t): mask for t, mask in zip(trees, masks)
-        }
-        cliques.append((by_edges, frozenset().union(*by_edges), edges[start:stop]))
+    runs = [(start, stop) for _, start, stop, split in per_clique if split is None]
+    assert [start for start, _ in runs] == ([0] + [stop for _, stop in runs])[:-1]
+    assert len(parents) == len(children) == (runs[-1][1] if runs else 0)
+    out = []
+    for nodes, start, stop, split in per_clique:
+        k = len(nodes)
+        if split is None:
+            ids, anchors = zip(parents[start:stop], children[start:stop]), itertools.repeat(None)
+        else:
+            assert start == stop
+            pairs, ups, downs, slots, anchors = split
+            ids = [(pairs[u], pairs[d]) for u, d in zip(ups, downs)]
+        edges = []
+        for (p, c), a in zip(ids, anchors):
+            (x, i), (y, i2) = divmod(p, stride), divmod(c, stride)
+            assert i == i2 and x != y and {x, y} <= set(nodes)
+            edges.append((i, x, y, a, p, c))
+        if split is not None:
+            assert list(slots) == [nodes.index(x) * k + nodes.index(y) for _, x, y, *_ in edges]
+        out.append((nodes, edges))
+    return out
+
+
+def _side(edges, x, y):
+    """The nodes reachable from x along the edges other than x-y."""
+    seen, todo = {x}, [x]
+    while todo:
+        h = todo.pop()
+        for a, b in edges:
+            for u, v in ((a, b), (b, a)):
+                if u == h and v not in seen and {u, v} != {x, y}:
+                    seen.add(v)
+                    todo.append(v)
+    return seen
+
+
+def _mask_edge_sets(cx):
+    """Per relation tree, the kept edges (vertex, parent, child) that it
+    selects: every edge of a two-facet clique, whose one tree holds its
+    one edge, and in a larger clique x -> y for a tree edge x-y at each
+    vertex whose anchor lies on x's side of it."""
+    cliques = _stored_edges(cx)
     sets = []
     for tree in relation_trees(cx):
         held = set()
-        for by_edges, span, edges in cliques:
-            mask = by_edges[frozenset(span.intersection(tree.edges))]
-            held.update(e for b, e in enumerate(edges) if mask >> b & 1)
+        for nodes, edges in cliques:
+            inside = [
+                (nodes.index(a), nodes.index(b)) for a, b in tree.edges if {a, b} <= set(nodes)
+            ]
+            for i, x, y, a, _, _ in edges:
+                ex, ey = nodes.index(x), nodes.index(y)
+                if a is None or (min(ex, ey), max(ex, ey)) in inside and a in _side(inside, ex, ey):
+                    held.add((i, x, y))
         sets.append(frozenset(held))
     return sets
 
@@ -826,14 +892,11 @@ def test_clique_edges_read_the_values_of_their_pairs():
     checked = 0
     for cx in corpus:
         am = random_assignment(rng, cx, 4)
-        stride = _pair_id(cx, 1, 0)
-        _, parents, children = satisfying._clique_masks(cx)
         get = am._pair_values().get
-        for p, c in zip(parents, children):
-            (h, i), (k, i2) = divmod(p, stride), divmod(c, stride)
-            assert i == i2 and h != k
-            assert get(p, 1) == am.value(h, i) and get(c, 1) == am.value(k, i)
-            checked += 1
+        for _, edges in _stored_edges(cx):
+            for i, x, y, _, p, c in edges:
+                assert get(p, 1) == am.value(x, i) and get(c, 1) == am.value(y, i)
+                checked += 1
     assert checked > 500
 
 
@@ -875,7 +938,12 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
 
     # built anew, so that no walk of it predates the count
     tree_fixture = built_anew(tree_fixture)
-    satisfying._clique_masks(tree_fixture)
+    # a tree facet graph has two-facet cliques only, kept in the flat
+    # arrays, one edge per vertex in neither facet of the clique
+    for nodes, start, stop, split in satisfying._clique_masks(tree_fixture)[0]:
+        facets = [tree_fixture.facets[j - 1] for j in nodes]
+        outside = set(range(1, tree_fixture.n + 1)).difference(*facets)
+        assert split is None and stop - start == len(outside)
     monkeypatch.setattr(satisfying, "rooted_walk", counted)
     (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
     edges = [e for e in walk if e[1] != ROOT]
