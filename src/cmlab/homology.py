@@ -2,23 +2,29 @@
 field, and the Cohen-Macaulayness oracles built on it.
 
 Everything here is exact.  Ranks come from one sparse elimination
-kernel: XOR on integer bitsets in characteristic 2, residues mod p in an
-odd characteristic p, and fraction-free integer elimination with content
-division in characteristic 0.  No floating point is involved anywhere,
+kernel: XOR on integer bitsets in characteristic 2, residues mod p with
+each pivot row scaled to lead with 1 in an odd characteristic p, and
+fraction-free integer elimination with content division in
+characteristic 0.  No floating point is involved anywhere,
 so rank decisions are never approximate.
 
 Reisner's test works on facet bitmasks.  Only closed faces, the
 intersections of facets, are tested: any other face's link is a cone
 and so acyclic.  A link has no reduced homology in degree 0 exactly
 when it is connected, which bitmasks decide, so a link of dimension L
-needs boundary ranks in degrees 2..L only, and over Q those are first
-tried mod 2, which can only confirm vanishing.  Before any rank, a
+needs boundary ranks in degrees 2..L only.  Before any rank, a
 connected link sheds the facets that meet the rest in a cone or in one
 simplex, which keeps its homotopy type.  A quasi-tree's leaves are
 such facets, and the links met on tree-satisfying stacked paths peel
-down to one simplex; spheres shed nothing.  Each complex finds its
-closed faces once, and every threshold subcomplex of it shares the link
-verdicts.
+down to one simplex; spheres shed nothing.  What is left is ranked on
+boundary rows built straight from the vertex masks of its faces, with
+no complex built; over Q the same rows are first ranked mod 2, which
+can only confirm vanishing.  Each complex finds its closed faces once,
+and every threshold subcomplex of it shares the link verdicts.
+
+The oracle walks the threshold grid and decides a state with two
+facets on the spot: no later cut can split it otherwise than into at
+most one facet.
 """
 
 from __future__ import annotations
@@ -103,8 +109,29 @@ def _rank(rows: tuple[tuple[tuple[int, int], ...], ...], p: int) -> int:
                 bit_pivots[lead] = bits
         return len(bit_pivots)
     pivots: dict[int, dict[int, int]] = {}
+    if p:
+        # each pivot row is scaled to lead with 1 and kept without its
+        # lead, so a row with lead f drops it and subtracts f * pivot
+        for pairs in rows:
+            row = {c: x % p for c, x in pairs if x % p}
+            while row:
+                lead = min(row)
+                pivot = pivots.get(lead)
+                if pivot is None:
+                    unit = pow(row.pop(lead), -1, p)
+                    pivots[lead] = {c: x * unit % p for c, x in row.items()}
+                    break
+                f = row.pop(lead)
+                for c, x in pivot.items():
+                    # f * x is a unit mod p, so a residue 0 was an entry
+                    x = (row.get(c, 0) - f * x) % p
+                    if x:
+                        row[c] = x
+                    else:
+                        del row[c]
+        return len(pivots)
     for pairs in rows:
-        row = _reduced(dict(pairs), p)
+        row = _primitive(dict(pairs))
         while row:
             lead = min(row)
             pivot = pivots.get(lead)
@@ -117,15 +144,12 @@ def _rank(rows: tuple[tuple[tuple[int, int], ...], ...], p: int) -> int:
             row = {c: a * x for c, x in row.items()}
             for c, x in pivot.items():
                 row[c] = row.get(c, 0) - b * x
-            row = _reduced(row, p)
+            row = _primitive(row)
     return len(pivots)
 
 
-def _reduced(row: dict[int, int], p: int) -> dict[int, int]:
-    """The nonzero entries of a row as residues mod p or, when p is 0,
-    divided by their gcd."""
-    if p:
-        return {c: x % p for c, x in row.items() if x % p}
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """The nonzero entries of an integer row divided by their gcd."""
     content = gcd(*row.values())
     return {c: x // content for c, x in row.items() if x}
 
@@ -212,15 +236,16 @@ class _Sweep:
     test of meet(K) in the complex on the facets K, serves every
     subcomplex.  Keys whose links are equal share one verdict.
 
-    The sweep is kept on its complex, per field, and keeps the complex's
-    n rather than the complex, so that the two form no reference cycle
-    and the sweep dies with the complex.
+    The sweep is kept on its complex, per field, and keeps no reference
+    to the complex, so that the two form no reference cycle and the
+    sweep dies with the complex.  Whether the complex is pure is decided
+    once: on a pure complex every subcomplex is pure.
     """
 
-    __slots__ = ("n", "field", "facet_bits", "closed", "_keys", "_links", "_verdicts")
+    __slots__ = ("field", "facet_bits", "pure", "closed", "_keys", "_links", "_verdicts")
 
     def __init__(self, cx: SimplicialComplex, field: FieldSpec) -> None:
-        self.n, self.field = cx.n, field
+        self.field = field
         fb, incidence = _facet_masks(cx)
         self.facet_bits = fb
         # A nonempty meet of facets holds some vertex v, so it is a meet
@@ -240,6 +265,7 @@ class _Sweep:
         # Per closed face, the facets containing it.  Faces of top - 1 or
         # more vertices have links of dimension <= 0 in every subcomplex.
         top = max((x.bit_count() for x in fb), default=0)
+        self.pure = all(x.bit_count() == top for x in fb)
         self.closed = []
         for x in faces:
             if x.bit_count() <= top - 2:
@@ -263,7 +289,7 @@ class _Sweep:
             return True  # void, or a single simplex
         fb = self.facet_bits
         d = fb[(alive & -alive).bit_length() - 1].bit_count()
-        if any(fb[j].bit_count() != d for j in _bits(alive)):
+        if not self.pure and any(fb[j].bit_count() != d for j in _bits(alive)):
             return False  # Cohen-Macaulay implies pure
         keys = self._keys
         for key in {s & alive for s in self.closed}:
@@ -296,7 +322,7 @@ class _Sweep:
         vertex masks, in canonical order, has no reduced homology below
         dimension top.  Being nonempty, it has none in degree -1; it has
         none in degree 0 exactly when it is connected, and then d_1 has
-        rank (vertices - 1), so only d_2 .. d_top need a matrix, and only
+        rank (vertices - 1), so only d_2 .. d_top need ranks, and only
         for what peeling leaves when that is more than one simplex."""
         reach, rest = link[0], link[1:]
         while rest:
@@ -314,13 +340,17 @@ class _Sweep:
         link = _peeled(link)
         if len(link) == 1:
             return True
-        lk = SimplicialComplex._of_canonical(self.n, tuple(tuple(_bits(x)) for x in link))
+        vertices = 0
+        for x in link:
+            vertices |= x
+        chain = _chain_rows(link, top)
         # An integer matrix has rank over Q at least its rank mod 2, so
         # homology that vanishes over GF(2) vanishes over Q, and the XOR
-        # kernel is tried first.
-        if self.field == RATIONALS and _connected_vanishes(lk, top, GF2):
+        # kernel is tried first on the same rows.
+        p = self.field.characteristic
+        if p == 0 and _acyclic(chain, vertices.bit_count(), 2):
             return True
-        return _connected_vanishes(lk, top, self.field)
+        return _acyclic(chain, vertices.bit_count(), p)
 
 
 def _peeled(facets: tuple[int, ...]) -> tuple[int, ...]:
@@ -359,13 +389,46 @@ def _peeled(facets: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(kept)
 
 
-def _connected_vanishes(lk: SimplicialComplex, top: int, field: FieldSpec) -> bool:
-    """Whether the connected complex lk of dimension top has no reduced
-    homology in degrees 1..top - 1 over the field."""
-    rank = len(lk.faces_of_dim(0)) - 1  # of d_1, lk being connected
-    for q in range(1, top):
-        after = boundary_matrix(lk, q + 1, field).rank()
-        if len(lk.faces_of_dim(q)) != rank + after:
+def _chain_rows(facets: tuple[int, ...], top: int) -> list[tuple[int, list[tuple]]]:
+    """Per q = 1..top - 1 ascending, the number of q-faces of the pure
+    complex of dimension top with these facet vertex masks, and the rows
+    of d_{q+1}: one per (q+1)-face, listing its q-faces with alternating
+    signs in ascending vertex order, columns ascending.  That is the
+    transpose of boundary_matrix's d_{q+1}, so it has the same rank.
+    Each layer of faces comes from the one above by dropping a vertex
+    and is indexed in ascending mask order, so dropping a higher vertex
+    gives a lower column."""
+    chain = []
+    layer = sorted(facets)
+    for _ in range(top - 1):
+        below = sorted({x ^ (1 << v) for x in layer for v in _bits(x)})
+        index = {x: c for c, x in enumerate(below)}
+        rows = []
+        for x in layer:
+            row = []
+            sign = 1
+            y = x
+            while y:
+                b = y & -y
+                row.append((index[x ^ b], sign))
+                sign = -sign
+                y ^= b
+            row.reverse()
+            rows.append(tuple(row))
+        chain.append((len(below), rows))
+        layer = below
+    chain.reverse()
+    return chain
+
+
+def _acyclic(chain: list[tuple[int, list[tuple]]], vertices: int, p: int) -> bool:
+    """Whether a connected complex with this many vertices and these
+    _chain_rows has no reduced homology in degrees 1..top - 1 over GF(p),
+    or over Q when p is 0."""
+    rank = vertices - 1  # of d_1, the complex being connected
+    for faces, rows in chain:
+        after = _rank(rows, p)
+        if faces != rank + after:
             return False
         rank = after
     return True
@@ -431,9 +494,18 @@ def is_cm_ideal_oracle(
 
     The walk is depth-first on an explicit stack over (coordinate,
     alive-facet mask) states, grid positions ascending, so n coordinates
-    need no recursion; a state with at most one facet (every narrowing a
-    simplex or void) is never entered, and each surviving facet mask is
-    decided once per complex and field, by the sweep kept on the complex.
+    need no recursion, and each surviving facet mask is decided once per
+    complex and field, by the sweep kept on the complex.
+
+    A state with at most one facet is never entered: every narrowing of
+    it is a simplex or void, and so Cohen-Macaulay.  A coordinate's kill
+    masks are nested, so once a cut leaves at most one facet, so does
+    every later cut at that coordinate, which ends there.  A state with
+    exactly two facets is not entered either but decided on the spot:
+    every later cut keeps both facets or leaves at most one, so the only
+    completion that can fail is the mask itself, which the completion by
+    zeros reaches first in lexicographic order.  A failure there has the
+    prefix followed by zeros as its lex-least witness.
 
     A mask whose state finished is never entered again, at any
     coordinate.  At a coordinate t' >= t that is sound as the cut 0
@@ -468,12 +540,14 @@ def is_cm_ideal_oracle(
             continue
         nxt[t] = k + 1
         narrowed = alive[t] & ~cuts[t][k][1]
-        if not narrowed & (narrowed - 1):
+        rest = narrowed & (narrowed - 1)
+        if not rest:
+            nxt[t] = len(cuts[t])  # the later cuts kill at least as much
             continue
-        if t + 1 == n:
+        if t + 1 == n or not rest & (rest - 1):
             if not cm(narrowed):
                 witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))
-                return OracleVerdict(False, witness)
+                return OracleVerdict(False, witness + (0,) * (n - t - 1))
         elif narrowed not in dead:
             alive.append(narrowed)
             nxt.append(0)

@@ -36,6 +36,7 @@ def commands() -> list[list[str]]:
                 for method in ("auto", "tree", "quasitree", "general", "oracle")
             ),
             ["check", name, "--method", "oracle", "--char", "2"],
+            ["check", name, "--method", "oracle", "--char", "3"],
             ["ideal", name, "--expand"],
             ["cross-validate", name, "--samples", "20", "--seed", "3"],
         ]

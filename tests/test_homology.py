@@ -26,6 +26,7 @@ from conftest import (
     random_complex,
     random_pure_complex,
     random_pure_strongly_connected,
+    random_sparse_assignment,
     random_tree_satisfying,
     unpruned_is_cm,
 )
@@ -307,6 +308,59 @@ def test_oracle_keeps_one_dead_entry_per_mask():
     assert peak < 1_000_000
 
 
+def _first_state_of_two(mult: MultiplicityAssignment, witness: tuple[int, ...]):
+    """The first coordinate t after which the thresholds witness[:t + 1]
+    leave at most two facets, and how many they leave, or None."""
+    alive = (1 << mult.complex.m) - 1
+    for t, a in enumerate(witness):
+        for j, i, v in mult.entries:
+            if i == t + 1 and v <= a:
+                alive &= ~(1 << (j - 1))
+        if alive.bit_count() <= 2:
+            return t, alive.bit_count()
+    return None
+
+
+def test_oracle_decides_two_facet_states_on_the_spot():
+    # a cut that leaves at most one facet ends its coordinate, and a state
+    # with two facets is decided at once: same verdict and witness as the
+    # reference walk on edge and triangle paths, stars and complete
+    # graphs.  Two disjoint edges are not Cohen-Macaulay, so on complete
+    # graphs many failures are first met at a state of two facets with
+    # coordinates left after it; their witnesses end in zeros
+    rng = random.Random(29)
+    corpus = [(_stacked_path(m, 2), 6) for m in (8, 15, 30)] + [(_stacked_path(12, 3), 6)]
+    corpus += [
+        (SimplicialComplex.from_facets(m + 1, [(k, m + 1) for k in range(1, m + 1)]), 6)
+        for m in (3, 7, 11)
+    ]
+    corpus += [
+        (SimplicialComplex.from_facets(n, list(itertools.combinations(range(1, n + 1), 2))), 20)
+        for n in (4, 5)
+    ]
+    met_at_two = verdicts = 0
+    for cx, tables in corpus:
+        for k in range(tables):
+            # mostly ones: a cut at a vertex keeps its star and the
+            # raised facets
+            if k % 2:
+                mult = random_assignment(rng, cx, 3)
+            else:
+                mult = random_sparse_assignment(rng, cx, 3, most=6)
+            for field in (RATIONALS, GF2):
+                verdict = is_cm_ideal_oracle(mult, field)
+                assert tuple(verdict) == oracle_reference(mult, field), (cx.facets, field)
+                verdicts |= 1 << verdict.is_cm
+                if verdict.is_cm:
+                    continue
+                state = _first_state_of_two(mult, verdict.witness)
+                if state and state[1] == 2 and state[0] < cx.n - 1:
+                    assert not any(verdict.witness[state[0] + 1 :]), verdict.witness
+                    met_at_two += 1
+    assert verdicts == 3
+    assert met_at_two >= 10, met_at_two
+
+
 def test_cuts_match_the_vertex_values_reference():
     # per coordinate the grid {0} and the table values, each with the
     # facets whose value at the vertex is at most it, read by value()
@@ -433,6 +487,30 @@ def test_sparse_kernel_matches_dense_reference_on_random_matrices():
                 mx = exact_matrix(field, ncols, entries)
                 assert (mx.nrows, dense_entries(mx)) == (nrows, entries)
                 assert mx.rank() == dense_rank(field, entries)
+
+
+def test_unit_pivot_kernel_matches_dense_reference_mod_p():
+    # each pivot row is scaled to lead with 1 and rows are reduced in
+    # place; small entries give pivots of every residue
+    rng = random.Random(37)
+    fields = [FieldSpec(p) for p in (3, 5, 7, 2**61 - 1)]
+
+    def entry():
+        return rng.randint(-3, 3)
+
+    full = set()
+    for _ in range(120):
+        nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+        for entries in (
+            _random_low_rank(rng, nrows, ncols, entry),
+            [[entry() for _ in range(ncols)] for _ in range(nrows)],
+        ):
+            rows = tuple(tuple((c, x) for c, x in enumerate(r) if x) for r in entries)
+            for field in fields:
+                rank = homology._rank(rows, field.characteristic)
+                assert rank == dense_rank(field, entries), (entries, field)
+                full.add(rank == min(nrows, ncols))
+    assert full == {True, False}
 
 
 def test_exact_matrix_rejects_fraction_values():
@@ -670,6 +748,36 @@ def test_peeling_keeps_reduced_homology_on_random_pure_complexes():
     assert min(outcomes.values()) >= 20, outcomes
 
 
+def test_mask_built_links_match_the_dense_reference():
+    # a link is ranked on rows built from the vertex masks of its faces:
+    # per degree each map's rank and face count equal the dense
+    # reference's, and the verdict "no reduced homology below the top"
+    # equals dense homology's, on random pure complexes, cross-polytope
+    # links and the projective plane, in characteristics 0, 2, 3 and 5
+    rng = random.Random(61)
+    corpus = [random_pure_complex(rng, max_n=7, max_m=9) for _ in range(50)]
+    corpus += [_random_connected_pure(rng) for _ in range(12)]
+    cross = _cross_polytope(4)
+    corpus += [cross, cross.link((1,)), cross.link((1, 3))]
+    corpus.append(get_fixture("projective-plane").complex)
+    fields = (RATIONALS, GF2, FieldSpec(3), FieldSpec(5))
+    outcomes = set()
+    for cx in corpus:
+        if cx.dim < 1:
+            continue
+        masks = _masks(cx)
+        chain = homology._chain_rows(masks, cx.dim)
+        assert [faces for faces, _ in chain] == [len(cx.faces_of_dim(q)) for q in range(1, cx.dim)]
+        for field in fields:
+            p = field.characteristic
+            for q, (_, rows) in enumerate(chain, 1):
+                assert homology._rank(rows, p) == dense_rank(field, dense_boundary(cx, q + 1))
+            expected = not any(dense_homology_ranks(cx, field)[:-1])
+            assert homology._sweep(cx, field)._link_is_cm(masks, cx.dim) == expected
+            outcomes.add((cx.dim > 1, p == 2, expected))
+    assert len(outcomes) == 8, outcomes
+
+
 def test_peeling_keeps_homology_where_it_stops_early():
     octahedron = _cross_polytope(3)
     # an octahedron is a sphere: no facet of it peels
@@ -697,7 +805,7 @@ def test_peeling_keeps_homology_where_it_stops_early():
 
 def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
     # every link in every threshold subcomplex of a stacked path peels
-    # down to one facet, so no boundary matrix is built
+    # down to one facet, so no boundary rows are built
     rng = random.Random(4)
     cases = []
     for d, m in ((4, 12), (5, 10)):
@@ -706,9 +814,9 @@ def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
     # the paths are built here, so no sweep on them predates the patch
 
     def no_matrix(*args):
-        raise AssertionError("a peeled link needs no boundary matrix")
+        raise AssertionError("a peeled link needs no boundary rows")
 
-    monkeypatch.setattr(homology, "boundary_matrix", no_matrix)
+    monkeypatch.setattr(homology, "_chain_rows", no_matrix)
     for path, mult, field in cases:
         assert is_cm_complex(path, field)
         assert is_cm_ideal_oracle(mult, field).is_cm
