@@ -22,9 +22,9 @@ no complex built; over Q the same rows are first ranked mod 2, which
 can only confirm vanishing.  Each complex finds its closed faces once,
 and every threshold subcomplex of it shares the link verdicts.
 
-The oracle walks the threshold grid and decides a state with two
-facets on the spot: no later cut can split it otherwise than into at
-most one facet.
+The oracle cuts each vertex's levels in turn and decides a state with
+two facets on the spot: no later cut can split it otherwise than into
+at most one facet.
 """
 
 from __future__ import annotations
@@ -466,21 +466,6 @@ class OracleVerdict(namedtuple("OracleVerdict", "is_cm witness")):
         return self.is_cm
 
 
-def _cuts(mult: MultiplicityAssignment) -> list[tuple[tuple[int, int], ...]]:
-    """Per coordinate, the grid {0} union {table values} ascending, each
-    value a paired with the mask of the facets that threshold a removes:
-    those whose value at that vertex is at most a."""
-    cuts = []
-    for levels in mult.levels[1:]:
-        kill = 0
-        cut = [(0, 0)]
-        for v, mask in levels:
-            kill |= mask
-            cut.append((v, kill))
-        cuts.append(tuple(cut))
-    return cuts
-
-
 def is_cm_ideal_oracle(
     mult: MultiplicityAssignment, field: FieldSpec = RATIONALS
 ) -> OracleVerdict:
@@ -493,62 +478,64 @@ def is_cm_ideal_oracle(
     vector over the full box, or None when the ideal is Cohen-Macaulay.
 
     The walk is depth-first on an explicit stack over (coordinate,
-    alive-facet mask) states, grid positions ascending, so n coordinates
-    need no recursion, and each surviving facet mask is decided once per
-    complex and field, by the sweep kept on the complex.
+    alive-facet mask) states, so n coordinates need no recursion, and
+    each surviving facet mask is decided once per complex and field, by
+    the sweep kept on the complex.  The threshold a at vertex i removes
+    the facets of i's levels up to a, whose masks are disjoint and ascend
+    in value, so a coordinate cuts its levels in turn, each from the mask
+    its cuts so far left, the cut 0 first; those masks are nested.
 
     A state with at most one facet is never entered: every narrowing of
-    it is a simplex or void, and so Cohen-Macaulay.  A coordinate's kill
-    masks are nested, so once a cut leaves at most one facet, so does
-    every later cut at that coordinate, which ends there.  A state with
-    exactly two facets is not entered either but decided on the spot:
-    every later cut keeps both facets or leaves at most one, so the only
-    completion that can fail is the mask itself, which the completion by
-    zeros reaches first in lexicographic order.  A failure there has the
-    prefix followed by zeros as its lex-least witness.
+    it is a simplex or void, and so Cohen-Macaulay.  Once a cut leaves
+    at most one facet, so does every later cut at that coordinate, which
+    ends there.  A state with exactly two facets is not entered either
+    but decided on the spot: every later cut keeps both facets or leaves
+    at most one, so the only completion that can fail is the mask
+    itself, which the completion by zeros reaches first in lexicographic
+    order.  A failure there has the values of the open cuts followed by
+    zeros as its lex-least witness.
 
     A mask whose state finished is never entered again, at any
     coordinate.  At a coordinate t' >= t that is sound as the cut 0
-    kills nothing, so t' reaches a subset of t's completions.  At t' < t:
-    say A finished at t under the prefix p and is reached at t' under a
-    later prefix q.  Each coordinate's kill masks are nested, so a
-    completion of (t', A) is the mask of the grid point that keeps p's
-    first t' choices, takes the larger of p's and the completion's level
-    at coordinates t'..t-1, and the completion's after.  That point
+    removes nothing, so t' reaches a subset of t's completions.  At
+    t' < t: say A finished at t under the prefix p and is reached at t'
+    under a later prefix q.  Each coordinate's cuts leave nested masks,
+    so a completion of (t', A) is the mask of the grid point that keeps
+    p's first t' choices, takes the larger of p's and the completion's
+    value at coordinates t'..t-1, and the completion's after.  That point
     extends p's first t' choices, and the walk is lexicographic, so it
     had finished their whole subtree with no failure before it reached q.
     """
     cx = mult.complex
     n = cx.n
-    cuts = _cuts(mult)
+    levels = mult.levels
     cm = _sweep(cx, field).is_cm
     full_mask = (1 << cx.m) - 1
     if n == 0:
         return OracleVerdict(True, None) if cm(full_mask) else OracleVerdict(False, ())
     # The masks known to stay Cohen-Macaulay from every coordinate.
     dead: set[int] = set()
-    # Per open coordinate t: the alive mask before it and the next grid
-    # position to try.
-    alive = [full_mask]
-    nxt = [0]
-    while nxt:
-        t = len(nxt) - 1
-        k = nxt[t]
-        if k == len(cuts[t]):
-            dead.add(alive.pop())
-            nxt.pop()
-            continue
-        nxt[t] = k + 1
-        narrowed = alive[t] & ~cuts[t][k][1]
+    # Per open coordinate 0..t: the alive mask before it, the mask its
+    # cuts so far leave, its last cut's value and its next level's position.
+    alive, left, value, nxt = [full_mask] * n, [full_mask] * n, [0] * n, [0] * n
+    narrowed, t = full_mask, 0
+    while True:
         rest = narrowed & (narrowed - 1)
         if not rest:
-            nxt[t] = len(cuts[t])  # the later cuts kill at least as much
-            continue
-        if t + 1 == n or not rest & (rest - 1):
+            nxt[t] = len(levels[t + 1])  # the later cuts kill at least as much
+        elif t + 1 == n or not rest & (rest - 1):
             if not cm(narrowed):
-                witness = tuple(cut[p - 1][0] for cut, p in zip(cuts, nxt))
-                return OracleVerdict(False, witness + (0,) * (n - t - 1))
+                return OracleVerdict(False, (*value[: t + 1], *(0,) * (n - t - 1)))
         elif narrowed not in dead:
-            alive.append(narrowed)
-            nxt.append(0)
-    return OracleVerdict(True, None)
+            t += 1
+            alive[t] = left[t] = narrowed
+            value[t] = nxt[t] = 0
+            continue
+        while nxt[t] == len(levels[t + 1]):
+            dead.add(alive[t])
+            if not t:
+                return OracleVerdict(True, None)
+            t -= 1
+        value[t], kill = levels[t + 1][nxt[t]]
+        nxt[t] += 1
+        narrowed = left[t] = left[t] & ~kill

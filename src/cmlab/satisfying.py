@@ -23,6 +23,7 @@ from .complexes import (
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
+    NotPure,
     NotShellable,
     RestrictionNotTree,
     VertexOutOfRange,
@@ -36,7 +37,7 @@ from .graphs import (
     rooted_walk,
 )
 from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
-from .structure import _shelling, require_tree_case
+from .structure import _shelling, _tier_order, require_tree_case
 
 __all__ = [
     "SatisfyingVerdict",
@@ -326,21 +327,28 @@ def check_cm_quasitree_sufficient(mult: MultiplicityAssignment) -> bool | None:
 def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     """Per vertex, some shelling must list every facet containing the
     vertex first and the remaining facets with non-increasing values.
-    Neither sufficient nor known to be necessary."""
+    Neither sufficient nor known to be necessary.  Each vertex searches
+    its tiers (see _shelling), the facets holding it and then its levels
+    by descending value, and the first tier it cannot complete fails."""
     cx = mult.complex
-    # A shellable complex is Cohen-Macaulay over every field, so one
-    # that is not over Q needs no search; a complex that is not pure
-    # goes on to the search, which refuses it.
+    # shellable implies Cohen-Macaulay over every field, so over Q too
     if cx.is_pure and not is_cm_complex(cx, RATIONALS):
         raise NotShellable("complex is not shellable")
+    if not cx.is_pure:
+        raise NotPure("shellings are defined for pure complexes here")
     holders = _facet_masks(cx)[1]
     held, shelled = True, False
     for i, levels in enumerate(mult.levels):
         if not levels:
             continue
-        # the facets holding i, then those omitting it by descending value
-        if _shelling(cx, [holders[i]] + [mask for _, mask in reversed(levels)]) is None:
-            held = False
+        placed = holders[i]
+        held = not placed or _tier_order(cx, 0, placed) is not None
+        for _, mask in reversed(levels) if held else ():
+            if _tier_order(cx, placed, mask) is None:
+                held = False
+                break
+            placed |= mask
+        if not held:
             break
         shelled = True
     # Any prefix shelling found proves the complex shellable; otherwise

@@ -298,7 +298,7 @@ def test_oracle_keeps_one_dead_entry_per_mask():
     # about 7 MB of 300-bit masks; one entry per mask takes well under 1
     path = _stacked_path(300, 2)
     mult = MultiplicityAssignment.constant(path)
-    assert is_cm_ideal_oracle(mult)  # the sweep and the cuts are built once
+    assert is_cm_ideal_oracle(mult)  # the sweep and the levels are built once
     tracemalloc.start()
     try:
         assert is_cm_ideal_oracle(mult)
@@ -362,8 +362,10 @@ def test_oracle_decides_two_facet_states_on_the_spot():
 
 
 def test_cuts_match_the_vertex_values_reference():
-    # per coordinate the grid {0} and the table values, each with the
-    # facets whose value at the vertex is at most it, read by value()
+    # the walk cuts each vertex's levels in turn: the cut 0 removes
+    # nothing, and each level's value removes the running OR of the level
+    # masks so far, which must be the facets whose value at the vertex is
+    # at most it, read by value(); so the levels are disjoint and ascend
     rng = random.Random(67)
     corpus = [get_fixture(name).complex for name in fixture_names()]
     corpus += [random_pure_strongly_connected(rng, max_n=6, max_m=5) for _ in range(40)]
@@ -372,14 +374,54 @@ def test_cuts_match_the_vertex_values_reference():
     for cx in corpus:
         for max_exp in (1, 3, 5):
             mult = random_assignment(rng, cx, max_exp)
-            expected = []
             for i in range(1, cx.n + 1):
-                values = sorted({v for _, v in mult.vertex_values(i)})
-                expected.append(((0, 0),) + tuple(
-                    (a, sum(1 << (j - 1) for j, _ in mult.vertex_values(i) if mult.value(j, i) <= a))
-                    for a in values
-                ))
-            assert homology._cuts(mult) == expected
+                pairs = mult.vertex_values(i)
+                expected = [(0, 0)] + [
+                    (a, sum(1 << (j - 1) for j, _ in pairs if mult.value(j, i) <= a))
+                    for a in sorted({v for _, v in pairs})
+                ]
+                cuts, kill = [(0, 0)], 0
+                for v, mask in mult.levels[i]:
+                    assert mask and not kill & mask
+                    kill |= mask
+                    cuts.append((v, kill))
+                assert cuts == expected
+
+
+def test_oracle_walk_matches_the_reference_on_levels():
+    # the walk reads each table's levels directly: same verdict and
+    # witness as the reference walk, in chars 0, 2 and 3, on tables with
+    # up to five levels per vertex, on vertices with no levels (a star's
+    # centre, cone apexes), and on one facet, the void complex and n = 0
+    rng = random.Random(71)
+    stars = [
+        SimplicialComplex.from_facets(m + 1, [(k, m + 1) for k in range(1, m + 1)]) for m in (3, 6)
+    ]
+    corpus = stars + [random_complex(rng, 5, 3, cone=rng.randint(1, 2)) for _ in range(12)]
+    corpus += [random_pure_strongly_connected(rng, max_n=6, max_m=5) for _ in range(12)]
+    corpus += [random_pure_complex(rng, max_n=6, max_m=5) for _ in range(12)]
+    corpus += [get_fixture(name).complex for name in ("triangle-tree", "square", "star")]
+    edge_cases = [SimplicialComplex(3, [(1, 2)]), SimplicialComplex(3, [(1, 2, 3)])]
+    edge_cases += [SimplicialComplex(2, []), SimplicialComplex(0, []), SimplicialComplex(0, [()])]
+    most_levels = bare = 0
+    verdicts = set()
+    for cx in corpus + edge_cases:
+        tables = [MultiplicityAssignment.constant(cx)]
+        if cx.m:
+            tables += [random_assignment(rng, cx, 5), random_sparse_assignment(rng, cx, 5, most=6)]
+        if cx == stars[1]:
+            # vertex 1 takes the values 1..5 on the facets 2..6
+            overrides = {(j, 1): j - 1 for j in range(3, 7)}
+            tables.append(MultiplicityAssignment.from_overrides(cx, overrides))
+        for mult in tables:
+            most_levels = max(most_levels, *map(len, mult.levels))
+            bare += cx.m > 1 and any(not levels for levels in mult.levels[1:])
+            for field in FIELDS:
+                verdict = is_cm_ideal_oracle(mult, field)
+                assert tuple(verdict) == oracle_reference(mult, field), (cx.facets, field)
+                verdicts.add(verdict.is_cm)
+    assert most_levels == 5 and bare >= 10
+    assert verdicts == {True, False}
 
 
 def _raise_one_child(rng: random.Random, mult: MultiplicityAssignment) -> MultiplicityAssignment:

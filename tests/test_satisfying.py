@@ -63,7 +63,7 @@ from cmlab.graphs import (
     vertex_graph,
 )
 from cmlab.homology import FieldSpec, is_cm_complex, is_cm_ideal_oracle
-from cmlab.structure import _shelling
+from cmlab.structure import _shelling, _tier_order
 from cmlab.satisfying import (
     check_cm_quasitree_sufficient,
     check_cm_tree_case,
@@ -752,28 +752,51 @@ def test_general_criterion_matches_its_definition():
     assert {True, False, NotShellable} <= outcomes
 
 
-def _search_tiers(mult, searched):
-    """The tiers find_shelling would search for each prefix vertex in
-    searched, the weights read through vertex_values; None stands for
-    the unweighted search."""
+def _searches(mult, searched):
+    """The searches the shelling condition should make for each prefix
+    vertex in searched: per nonempty tier find_shelling would build, the
+    weights read through vertex_values, the tier search (placed, tier)
+    from the facets of the tiers before it, up to the first that finds
+    no order.  None stands for the unweighted search, the one tier of
+    all facets handed to _shelling."""
     cx = mult.complex
-    return [
-        structure._tiers(cx, i, None if i is None else dict(mult.vertex_values(i)))
-        for i in searched
-    ]
+    out = []
+    for i in searched:
+        if i is None:
+            out.append(structure._tiers(cx, None, None))
+            continue
+        placed = 0
+        for tier in structure._tiers(cx, i, dict(mult.vertex_values(i))):
+            if tier:
+                out.append((placed, tier))
+                if _tier_order(cx, placed, tier) is None:
+                    break
+                placed |= tier
+    return out
+
+
+def _spied_searches(monkeypatch):
+    """The list that records each tier search of the shelling condition
+    as (placed, tier) and each unweighted search as its tiers."""
+    calls = []
+
+    def tier_search(cx, placed, tier):
+        calls.append((placed, tier))
+        return _tier_order(cx, placed, tier)
+
+    def unweighted(cx, tiers):
+        calls.append(tiers)
+        return _shelling(cx, tiers)
+
+    monkeypatch.setattr(satisfying, "_tier_order", tier_search)
+    monkeypatch.setattr(satisfying, "_shelling", unweighted)
+    return calls
 
 
 def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shells(
     monkeypatch,
 ):
-    # the tiers of each call of the one shelling search
-    calls = []
-
-    def counted(cx, tiers):
-        calls.append(tiers)
-        return _shelling(cx, tiers)
-
-    monkeypatch.setattr(satisfying, "_shelling", counted)
+    calls = _spied_searches(monkeypatch)
     cx = get_fixture("triangle-tree").complex
     weighted = [i for i in range(1, cx.n + 1) if len(cx.facets) > sum(i in f for f in cx.facets)]
     for overrides, held, searched in (
@@ -784,14 +807,14 @@ def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shel
         calls.clear()
         mult = MultiplicityAssignment.from_overrides(cx, overrides)
         assert is_general_satisfying(mult) == held
-        assert calls == _search_tiers(mult, searched)
+        assert calls == _searches(mult, searched)
     # Cohen-Macaulay over Q, yet not shellable (it fails over GF(2)):
     # the first prefix search fails and the unweighted one decides
     calls.clear()
     mult = MultiplicityAssignment.constant(get_fixture("projective-plane").complex)
     with pytest.raises(NotShellable):
         is_general_satisfying(mult)
-    assert calls == _search_tiers(mult, [1, None])
+    assert calls == _searches(mult, [1, None])
     # not Cohen-Macaulay over Q, so not shellable before any search
     calls.clear()
     with pytest.raises(NotShellable):
@@ -804,8 +827,9 @@ def test_general_criterion_skips_the_unweighted_search_once_a_prefix_search_shel
 def test_general_criterion_refuses_complexes_that_are_not_cm_without_a_search(monkeypatch):
     # shellable implies Cohen-Macaulay over every field, so a pure
     # complex that is not Cohen-Macaulay over Q gets the reference's
-    # outcome before any shelling search; one that is not pure is still
-    # refused by the search
+    # outcome before any shelling search; one that is not pure is
+    # refused as such, also before any search
+    searched = _spied_searches(monkeypatch)
     mixed = MultiplicityAssignment.constant(SimplicialComplex.from_facets(4, [[1, 2, 3], [3, 4]]))
     expected = _outcome(lambda: general_satisfying_reference(mixed))
     assert expected[0] is NotPure
@@ -822,8 +846,6 @@ def test_general_criterion_refuses_complexes_that_are_not_cm_without_a_search(mo
         cx for cx in (random_pure_complex(rng) for _ in range(200)) if not is_cm_complex(cx, RATIONALS)
     ]
     assert len(corpus) > 40
-    searched = []
-    monkeypatch.setattr(satisfying, "_shelling", lambda cx, tiers: searched.append(cx))
     for cx in corpus:
         for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
             expected = _outcome(lambda: general_satisfying_reference(am))
@@ -832,17 +854,31 @@ def test_general_criterion_refuses_complexes_that_are_not_cm_without_a_search(mo
     assert searched == []
 
 
+def test_general_criterion_refuses_complexes_that_are_not_pure(monkeypatch):
+    # shellings are defined here for pure complexes only: one that is
+    # not pure gets NotPure with the shelling search's message, whatever
+    # its table, and no search runs
+    searched = _spied_searches(monkeypatch)
+    rng = random.Random(109)
+    corpus = [random_complex(rng, 6, 4, cone=k % 2) for k in range(80)]
+    corpus = [cx for cx in corpus if not cx.is_pure]
+    corpus.append(SimplicialComplex.from_facets(5, [[1, 2, 3], [3, 4], [5]]))
+    assert len(corpus) > 30
+    for cx in corpus:
+        for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
+            expected = (NotPure, "shellings are defined for pure complexes here")
+            assert _outcome(lambda: general_satisfying_reference(am)) == expected
+            assert _outcome(lambda: is_general_satisfying(am)) == expected
+    assert searched == []
+
+
 def test_general_criterion_searches_the_tiers_the_weights_give(monkeypatch):
-    # each vertex search gets the tiers find_shelling builds from the
-    # weights vertex_values lists, in vertex order, and an unweighted
-    # search is the single tier of all facets
-    calls = []
-
-    def counted(cx, tiers):
-        calls.append(tiers)
-        return _shelling(cx, tiers)
-
-    monkeypatch.setattr(satisfying, "_shelling", counted)
+    # each vertex searches the tiers find_shelling builds from the
+    # weights vertex_values lists, in vertex order, each from the facets
+    # of the tiers before it, and stops at the first tier that cannot be
+    # completed; the vertices stop at the first that fails, and an
+    # unweighted search is the single tier of all facets
+    calls = _spied_searches(monkeypatch)
     rng = random.Random(73)
     corpus = [random_pure_strongly_connected(rng, max_n=7, max_m=6) for _ in range(60)]
     corpus += [random_attach_quasitree(rng, (3, 3)) for _ in range(10)]
@@ -852,12 +888,24 @@ def test_general_criterion_searches_the_tiers_the_weights_give(monkeypatch):
         for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
             calls.clear()
             _outcome(lambda: is_general_satisfying(am))
+            if not is_cm_complex(cx, RATIONALS):
+                assert calls == []
+                continue
             weighted = [i for i in range(1, cx.n + 1) if am.vertex_values(i)]
-            by_vertex = _search_tiers(am, weighted)
-            prefix = [tiers for tiers in calls if len(tiers) > 1]
-            assert prefix == by_vertex[: len(prefix)]
-            assert calls[len(prefix):] in ([], _search_tiers(am, [None]))
-            searched += len(prefix)
+            by_vertex = _searches(am, weighted)
+            failed = [
+                k + 1
+                for k, (placed, tier) in enumerate(by_vertex)
+                if _tier_order(cx, placed, tier) is None
+            ]
+            prefix = [call for call in calls if isinstance(call, tuple)]
+            assert prefix == by_vertex[: failed[0] if failed else None]
+            # a vertex's searches start from no facets placed; the
+            # unweighted search runs only when no vertex shelled
+            starts = sum(not placed for placed, _ in prefix)
+            shelled = starts - bool(failed) > 0
+            assert calls[len(prefix):] == ([] if shelled else _searches(am, [None]))
+            searched += starts
     assert searched > 300
 
 
