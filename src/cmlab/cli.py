@@ -18,9 +18,10 @@ and fixtures when the source is a fixture name:
 
 - examples loads only fixtures;
 - check --method oracle loads homology;
-- check --method auto loads homology, graphs and structure to test the
-  hypotheses, and satisfying only when the tree or quasi-tree criterion
-  runs;
+- check --method auto loads homology, and graphs and structure to test
+  the hypotheses only when the complex has a free vertex (one that lies
+  in exactly one facet), and satisfying only when the tree or quasi-tree
+  criterion runs;
 - check --method tree, quasitree or general, analyze and cross-validate
   load homology, graphs, structure and satisfying;
 - ideal loads homology and ideals.
@@ -28,8 +29,8 @@ and fixtures when the source is a fixture name:
 A problem file is read by json's C scanner (the _json module), so no
 request imports json itself, except examples show, which prints with
 json.dumps, and a file the scan does not accept whole, which json.loads
-reads again to give its own value or error.  Package attributes load on
-first access.
+reads again to give its own value or error.  No request imports typing.
+Package attributes load on first access.
 """
 
 from __future__ import annotations
@@ -38,10 +39,9 @@ import gc
 import os
 import sys
 from types import SimpleNamespace
-from typing import NoReturn
 
 from .cli_helpers import resolve_source
-from .complexes import MultiplicityAssignment, _exponent_domain
+from .complexes import MultiplicityAssignment, _exponent_domain, _facet_masks
 from .errors import (
     CmLabError,
     HypothesesViolated,
@@ -197,7 +197,21 @@ def _check_oracle(mult, field) -> int:
 
 def _applies(method: str, cx, field) -> bool:
     """Whether the hypotheses of the tree, quasitree or general method
-    hold on the complex, so that its answer means something."""
+    hold on the complex, so that its answer means something.
+
+    A free vertex lies in exactly one facet.  Neither the tree nor the
+    quasi-tree method applies to a complex with two or more facets and no
+    free vertex, which is ruled out before graphs and structure load:
+    - the last facet of a leaf order has a vertex outside its branch,
+      and no other facet holds it;
+    - a leaf F of the facet tree of a Cohen-Macaulay complex meets its
+      one neighbour G in a ridge, and the vertex of F outside G is free:
+      were it in another facet, its link, Cohen-Macaulay and so strongly
+      connected, would take a second ridge at F."""
+    if method != "general" and cx.m > 1:
+        _, holders = _facet_masks(cx)
+        if not any(h and not h & (h - 1) for h in holders):
+            return False
     from .graphs import require_quasi_tree
     from .structure import find_shelling, require_tree_case
 
@@ -406,6 +420,7 @@ def build_parser():
     """The argparse parser of _COMMANDS, which raises _UsageError on a
     usage error."""
     import argparse
+    from typing import NoReturn  # argparse has loaded re, so this costs little here
 
     class _Parser(argparse.ArgumentParser):
         def error(self, message: str) -> NoReturn:
@@ -529,9 +544,10 @@ def main(argv: list[str] | None = None) -> int:
         return _fail(f"error: input too large: {what} exhausted")
 
 
-def console_main() -> NoReturn:
+def console_main() -> None:
     """Run main() on the process arguments and end the process with its
-    exit code; the entry point of ``cm-lab`` and ``python -m cmlab.cli``.
+    exit code, never returning; the entry point of ``cm-lab`` and
+    ``python -m cmlab.cli``.
 
     Once stdout and stderr are flushed the process leaves through
     os._exit, skipping interpreter finalization, which only frees what

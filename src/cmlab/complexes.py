@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left
-from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 from functools import update_wrapper
 from math import comb
 from operator import itemgetter, ne
-from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     EmptyFacet,
@@ -105,7 +104,71 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-_CacheInfo = namedtuple("CacheInfo", "hits misses")
+class _Record(tuple):
+    """Base of the plain result records: a tuple with named fields, as
+    collections.namedtuple builds, without the exec and eval that
+    namedtuple runs for each class when its module loads.  A subclass
+    names its fields and its trailing defaults as class keywords, and
+    each field reads its position of the tuple."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+    _defaults: tuple = ()
+
+    def __init_subclass__(cls, fields: str = "", defaults: tuple = (), **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._fields, cls._defaults = tuple(fields.split()), defaults
+        for k, name in enumerate(cls._fields):
+            setattr(cls, name, property(itemgetter(k)))
+
+    def __new__(cls, *args, **kwargs):
+        missing = len(cls._fields) - len(args)
+        if kwargs:
+            args = cls._of_keywords(args, kwargs)
+        elif missing:
+            if not 0 < missing <= len(cls._defaults):
+                raise TypeError(f"{cls.__name__} takes {len(cls._fields)} fields, got {len(args)}")
+            args += cls._defaults[-missing:]
+        return tuple.__new__(cls, args)
+
+    @classmethod
+    def _of_keywords(cls, args: tuple, kwargs: dict) -> tuple:
+        """The fields given by position, then by keyword or default."""
+        fields = cls._fields
+        first_default = len(fields) - len(cls._defaults)
+        values = list(args)
+        for k in range(len(args), len(fields)):
+            if fields[k] in kwargs:
+                values.append(kwargs.pop(fields[k]))
+            elif k >= first_default:
+                values.append(cls._defaults[k - first_default])
+            else:
+                raise TypeError(f"{cls.__name__} is missing field {fields[k]!r}")
+        if kwargs or len(values) > len(fields):
+            raise TypeError(f"{cls.__name__} takes the fields {fields}, got {args} and {kwargs}")
+        return tuple(values)
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({body})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    def _asdict(self) -> dict:
+        return dict(zip(self._fields, self))
+
+    def _replace(self, **changes) -> _Record:
+        values = [changes.pop(name, value) for name, value in zip(self._fields, self)]
+        if changes:
+            raise ValueError(f"unexpected field names: {sorted(changes)}")
+        return type(self)(*values)
+
+
+class _CacheInfo(_Record, fields="hits misses"):
+    __slots__ = ()
+
+
 _KWD_MARK = (object(),)
 
 

@@ -4,15 +4,13 @@ table, and a default field characteristic."""
 
 from __future__ import annotations
 
-from collections import namedtuple
-
-from .complexes import MultiplicityAssignment, SimplicialComplex
+from .complexes import MultiplicityAssignment, SimplicialComplex, _Record
 from .errors import UnknownFixture
 
 __all__ = ["Fixture", "fixture_names", "get_fixture", "problem_json"]
 
 
-class Fixture(namedtuple("Fixture", "name description complex overrides char", defaults=(0,))):
+class Fixture(_Record, fields="name description complex overrides char", defaults=(0,)):
     """A named problem: a SimplicialComplex, its overrides as (facet,
     vertex, value) triples, only the non-1 values, and its default
     characteristic."""

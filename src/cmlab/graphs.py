@@ -9,11 +9,18 @@ list; node 0 is reserved for the formal root of per-vertex graphs.
 
 from __future__ import annotations
 
-from collections import deque, namedtuple
+from collections import deque
+from collections.abc import Collection, Iterable, Mapping
 from itertools import chain, combinations, product
-from typing import Collection, Iterable, Mapping
 
-from .complexes import Frozen, SimplicialComplex, _facet_masks, _leaf_branch, _per_complex
+from .complexes import (
+    Frozen,
+    SimplicialComplex,
+    _facet_masks,
+    _leaf_branch,
+    _per_complex,
+    _Record,
+)
 from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
@@ -161,7 +168,7 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
     return FacetLevelGraph((ROOT, *kept), tuple(edges))
 
 
-class LeafOrder(namedtuple("LeafOrder", "order branches")):
+class LeafOrder(_Record, fields="order branches"):
     """Facet order where each facet is a leaf of the preceding ones,
     with the chosen branch recorded per position (None for the first)."""
 

@@ -29,9 +29,8 @@ at most one facet.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections.abc import Iterator
 from math import gcd
-from typing import Iterator
 
 from .complexes import (
     Frozen,
@@ -40,6 +39,7 @@ from .complexes import (
     _facet_masks,
     _leaf_branch,
     _per_complex,
+    _Record,
 )
 from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 
@@ -456,7 +456,7 @@ def is_cm_complex(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> bool:
     return _sweep(cx, field).is_cm((1 << cx.m) - 1)
 
 
-class OracleVerdict(namedtuple("OracleVerdict", "is_cm witness")):
+class OracleVerdict(_Record, fields="is_cm witness"):
     """Whether the ideal is Cohen-Macaulay, and the failing threshold
     vector (a tuple of ints) or None."""
 

@@ -8,7 +8,7 @@ and containment of finitely generated monomial ideals.
 
 from __future__ import annotations
 
-from typing import Iterable
+from collections.abc import Iterable
 
 from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
 from .errors import (

@@ -7,10 +7,9 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 from __future__ import annotations
 
 from array import array
-from collections import namedtuple
+from collections.abc import Iterable, Mapping
 from itertools import chain, combinations, compress, permutations, repeat
 from operator import lt
-from typing import Iterable, Mapping
 
 from .complexes import (
     ExponentOffset,
@@ -19,6 +18,7 @@ from .complexes import (
     _facet_masks,
     _pair_id,
     _per_complex,
+    _Record,
 )
 from .errors import (
     FacetIndexOutOfRange,
@@ -53,7 +53,7 @@ __all__ = [
 ]
 
 class SatisfyingVerdict(
-    namedtuple("SatisfyingVerdict", "satisfied violations witness_tree", defaults=((), None))
+    _Record, fields="satisfied violations witness_tree", defaults=((), None)
 ):
     """Whether the criterion holds, its violations, each (vertex, (parent
     facet, child facet), (parent value, child value)), and the

@@ -4,10 +4,9 @@ checks, and the minimal-multiplicity classification report.
 
 from __future__ import annotations
 
-from collections import namedtuple
-from typing import Iterable
+from collections.abc import Iterable
 
-from .complexes import SimplicialComplex, _facet_masks, _leaf_branch, _per_complex
+from .complexes import SimplicialComplex, _facet_masks, _leaf_branch, _per_complex, _Record
 from .errors import (
     FacetIndexOutOfRange,
     InternalInvariantViolation,
@@ -240,10 +239,10 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
     return (False, None) if g is None else (True, g + 1)
 
 
-class ClassificationReport(namedtuple("ClassificationReport", (
+class ClassificationReport(_Record, fields=(
     "field pure strongly_connected shellable cohen_macaulay minimal_multiplicity"
     " quasi_tree facet_graph_is_tree cm_without_codim1_cycles strongly_connected_quasi_tree"
-))):
+)):
     """The FieldSpec of a classification and its structural booleans."""
 
     __slots__ = ()

@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
+from collections.abc import Iterator
 from fractions import Fraction
 from functools import cache, lru_cache
 from itertools import combinations, product
-from typing import Iterator
 
 import pytest
 
@@ -283,6 +283,28 @@ def book_chain(t: int, extra: int) -> SimplicialComplex:
             n += 1
             facets.append((s, s + 1, n))
     return SimplicialComplex.from_facets(n, facets)
+
+
+def cross_polytope(d: int) -> SimplicialComplex:
+    """Boundary of the d-dimensional cross-polytope: one vertex of each
+    antipodal pair (2k - 1, 2k) per facet."""
+    return SimplicialComplex.from_facets(
+        2 * d, list(product(*[(2 * k + 1, 2 * k + 2) for k in range(d)]))
+    )
+
+
+def octahedra_wedge() -> SimplicialComplex:
+    """Two octahedra glued at vertex 1: pure, not Cohen-Macaulay."""
+    octahedron = cross_polytope(3).facets
+    return SimplicialComplex.from_facets(
+        11, octahedron + tuple(tuple(1 if v == 1 else v + 5 for v in f) for f in octahedron)
+    )
+
+
+def stacked_path(m: int, d: int) -> SimplicialComplex:
+    """The facets {k, ..., k + d - 1} for k = 1..m: m simplices of d
+    vertices, each meeting the next in a ridge."""
+    return SimplicialComplex.from_facets(m + d - 1, [range(k, k + d) for k in range(1, m + 1)])
 
 
 def random_spanning_tree(rng: random.Random, g: FacetLevelGraph) -> FacetLevelGraph:

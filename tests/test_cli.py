@@ -18,13 +18,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import quasitree_reference, random_attach_quasitree, random_sparse_assignment
+from conftest import (
+    cross_polytope,
+    octahedra_wedge,
+    quasitree_reference,
+    random_attach_quasitree,
+    random_complex,
+    random_pure_complex,
+    random_pure_strongly_connected,
+    random_quasi_tree,
+    random_ridge_tree,
+    random_sparse_assignment,
+    stacked_path,
+)
 
 import cmlab
 from cmlab import cli, cli_helpers, fixtures, graphs, homology, satisfying
 from cmlab.cli import _ERROR_WIDTH, main
 from cmlab.cli_helpers import parse_problem_file
-from cmlab.errors import ParseError
+from cmlab.complexes import SimplicialComplex
+from cmlab.errors import HypothesesViolated, NotPure, NotQuasiTree, ParseError
+from cmlab.graphs import find_leaf_order, require_quasi_tree
+from cmlab.homology import GF2, RATIONALS, FieldSpec
+from cmlab.structure import find_shelling, require_tree_case
 
 
 def run(capsys, *argv):
@@ -480,6 +496,91 @@ def test_cross_validate_reports_applicability(capsys):
     assert code == 0
     assert "tree: not applicable" in out
     assert "quasitree:" in out
+
+
+FIELDS = (RATIONALS, GF2, FieldSpec(3))
+
+
+def _cone(cx: SimplicialComplex) -> SimplicialComplex:
+    return SimplicialComplex(cx.n + 1, [(*f, cx.n + 1) for f in cx.facets])
+
+
+def _dispatch_corpus() -> list[SimplicialComplex]:
+    """Complexes with and without a free vertex (one in exactly one
+    facet): spheres, the octahedra wedge, the projective plane and cones
+    over them have none, nor have the void and the irrelevant complex;
+    stars, quasi-trees, stacked paths, ridge trees and random pure and
+    non-pure complexes mostly have one."""
+    rng = random.Random(31)
+    closed = [cross_polytope(d) for d in (2, 3, 4)] + [
+        SimplicialComplex(4, [(1, 2), (2, 3), (3, 4), (1, 4)]),
+        octahedra_wedge(),
+        fixtures.get_fixture("projective-plane").complex,
+    ]
+    corpus = closed + [_cone(cx) for cx in closed]
+    corpus += [SimplicialComplex(n, facets) for n in (0, 2) for facets in ([], [()])]
+    corpus += [fixtures.get_fixture(name).complex for name in fixtures.fixture_names()]
+    corpus += [SimplicialComplex(m + 1, [(k, m + 1) for k in range(1, m + 1)]) for m in range(7)]
+    corpus += [stacked_path(m, d) for m in (1, 2, 5) for d in (1, 2, 3, 4)]
+    for _ in range(40):
+        profile = [rng.randint(2, 4) for _ in range(rng.randint(1, 3))]
+        corpus.append(random_attach_quasitree(rng, profile))
+        corpus.append(random_quasi_tree(rng))
+        corpus.append(random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 7))[0])
+        corpus.append(random_pure_strongly_connected(rng))
+    corpus += [random_pure_complex(rng) for _ in range(150)]
+    corpus += [random_complex(rng, 6, 4, cone=rng.randint(0, 1)) for _ in range(150)]
+    return corpus
+
+
+def _has_free_vertex(cx: SimplicialComplex) -> bool:
+    return any(sum(v in f for f in cx.facets) == 1 for v in range(1, cx.n + 1))
+
+
+def _hypotheses_hold(method: str, cx: SimplicialComplex, field: FieldSpec) -> bool:
+    try:
+        if method == "tree":
+            require_tree_case(cx, field)
+        elif method == "quasitree":
+            require_quasi_tree(cx)
+        else:
+            return find_shelling(cx) is not None
+    except (HypothesesViolated, NotQuasiTree, NotPure):
+        return False
+    return True
+
+
+def test_complexes_the_tree_and_quasi_tree_methods_accept_have_a_free_vertex():
+    # the lemma that lets auto rule both methods out before it loads the
+    # graph layer: a leaf order's last facet has a vertex no other facet
+    # holds, and so does a leaf of a Cohen-Macaulay complex's facet tree
+    accepted = []
+    for cx in _dispatch_corpus():
+        if cx.m < 2:
+            continue
+        if find_leaf_order(cx) is not None:
+            accepted.append(("quasitree", cx))
+        accepted += [("tree", cx) for field in FIELDS if _hypotheses_hold("tree", cx, field)]
+    assert [cx for _, cx in accepted if not _has_free_vertex(cx)] == []
+    methods = [method for method, _ in accepted]
+    assert methods.count("tree") >= 200 and methods.count("quasitree") >= 150
+
+
+def test_auto_dispatch_agrees_with_the_hypotheses_in_every_characteristic():
+    # _applies rules out tree and quasitree on complexes with no free
+    # vertex without running their hypothesis checks; it must still give
+    # their answer
+    answers = {(method, held): 0 for method in ("tree", "quasitree", "general") for held in (0, 1)}
+    unfree = 0
+    for cx in _dispatch_corpus():
+        unfree += cx.m > 1 and not _has_free_vertex(cx)
+        for field in FIELDS:
+            for method in ("tree", "quasitree", "general"):
+                held = _hypotheses_hold(method, cx, field)
+                assert cli._applies(method, cx, field) == held, (method, cx, field)
+                answers[method, held] += 1
+    assert unfree >= 40
+    assert min(answers.values()) >= 400
 
 
 GOLDEN = {

@@ -726,6 +726,24 @@ def test_value_class_repr_names_the_class_and_compared_fields(name):
     assert repr(a) == f"{name}({fields})"
 
 
+def test_a_record_takes_fields_by_position_keyword_or_trailing_default():
+    class Pair(complexes._Record, fields="left right", defaults=(0,)):
+        __slots__ = ()
+
+    assert Pair(1, 2) == Pair(right=2, left=1) == Pair(1, right=2) == (1, 2)
+    assert Pair(1) == Pair(left=1) == (1, 0)
+    assert (Pair(1, 2).left, Pair(1, 2).right) == (1, 2)
+    for args, kwargs in (((), {}), ((1, 2, 3), {}), ((1, 2), {"right": 3}), ((1,), {"up": 2})):
+        with pytest.raises(TypeError):
+            Pair(*args, **kwargs)
+    with pytest.raises(ValueError):
+        Pair(1, 2)._replace(up=3)
+    with pytest.raises(AttributeError):
+        Pair(1, 2).left = 3
+    info = complexes._CacheInfo(3, 4)
+    assert info.misses == 4 and info[:2] == (3, 4) and repr(info) == "_CacheInfo(hits=3, misses=4)"
+
+
 def test_equal_complex_built_anew_shares_no_derived_data():
     # what is worked out from a complex is kept on that complex: an equal
     # complex built anew works it out again, and neither equality, hashing

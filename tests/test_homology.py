@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     built_anew,
+    cross_polytope,
     dense_boundary,
     dense_entries,
     dense_homology_ranks,
@@ -21,6 +22,7 @@ from conftest import (
     is_zero,
     leaf_branches_reference,
     matmul,
+    octahedra_wedge,
     oracle_reference,
     random_assignment,
     random_complex,
@@ -28,6 +30,7 @@ from conftest import (
     random_pure_strongly_connected,
     random_sparse_assignment,
     random_tree_satisfying,
+    stacked_path,
     unpruned_is_cm,
 )
 
@@ -260,7 +263,7 @@ def test_oracle_matches_the_reference_on_long_paths():
     # verdict and witness as the reference walk memoized on (coordinate,
     # mask), for constant, tree-satisfying and violated tables
     rng = random.Random(89)
-    for path, fields in ((_stacked_path(60, 2), [RATIONALS]), (_stacked_path(30, 3), FIELDS)):
+    for path, fields in ((stacked_path(60, 2), [RATIONALS]), (stacked_path(30, 3), FIELDS)):
         held = random_tree_satisfying(rng, path, 3)
         tables = [MultiplicityAssignment.constant(path, 2), held, random_assignment(rng, path, 2)]
         tables += [_raise_one_child(rng, held) for _ in range(3)]
@@ -296,7 +299,7 @@ def test_oracle_keeps_one_dead_entry_per_mask():
     # the constant table on a 300-edge path enters about 300 (coordinate,
     # mask) states per mask, and remembering each of them as dead took
     # about 7 MB of 300-bit masks; one entry per mask takes well under 1
-    path = _stacked_path(300, 2)
+    path = stacked_path(300, 2)
     mult = MultiplicityAssignment.constant(path)
     assert is_cm_ideal_oracle(mult)  # the sweep and the levels are built once
     tracemalloc.start()
@@ -329,7 +332,7 @@ def test_oracle_decides_two_facet_states_on_the_spot():
     # graphs many failures are first met at a state of two facets with
     # coordinates left after it; their witnesses end in zeros
     rng = random.Random(29)
-    corpus = [(_stacked_path(m, 2), 6) for m in (8, 15, 30)] + [(_stacked_path(12, 3), 6)]
+    corpus = [(stacked_path(m, 2), 6) for m in (8, 15, 30)] + [(stacked_path(12, 3), 6)]
     corpus += [
         (SimplicialComplex.from_facets(m + 1, [(k, m + 1) for k in range(1, m + 1)]), 6)
         for m in (3, 7, 11)
@@ -585,25 +588,6 @@ def test_pruned_reisner_sweep_matches_full_sweep():
     assert {(True, low, v) for low in (True, False) for v in (True, False)} <= verdicts
 
 
-def _cross_polytope(d: int) -> SimplicialComplex:
-    """Boundary of the d-dimensional cross-polytope: one vertex of each
-    antipodal pair (2k - 1, 2k) per facet."""
-    return SimplicialComplex.from_facets(
-        2 * d, list(itertools.product(*[(2 * k + 1, 2 * k + 2) for k in range(d)]))
-    )
-
-
-def _octahedra_wedge() -> SimplicialComplex:
-    octahedron = _cross_polytope(3).facets
-    return SimplicialComplex.from_facets(
-        11, octahedron + tuple(tuple(1 if v == 1 else v + 5 for v in f) for f in octahedron)
-    )
-
-
-def _stacked_path(m: int, d: int) -> SimplicialComplex:
-    return SimplicialComplex.from_facets(m + d - 1, [range(k, k + d) for k in range(1, m + 1)])
-
-
 def _on_facets(cx: SimplicialComplex, mask: int) -> SimplicialComplex:
     return SimplicialComplex(cx.n, tuple(f for j, f in enumerate(cx.facets) if mask >> j & 1))
 
@@ -612,10 +596,10 @@ def _on_facets(cx: SimplicialComplex, mask: int) -> SimplicialComplex:
     "name,cx",
     [
         ("projective plane", get_fixture("projective-plane").complex),
-        ("stacked path d=3", _stacked_path(9, 3)),
-        ("stacked path d=4", _stacked_path(9, 4)),
-        ("octahedra wedge", _octahedra_wedge()),
-        ("cross-polytope d=4", _cross_polytope(4)),
+        ("stacked path d=3", stacked_path(9, 3)),
+        ("stacked path d=4", stacked_path(9, 4)),
+        ("octahedra wedge", octahedra_wedge()),
+        ("cross-polytope d=4", cross_polytope(4)),
     ],
 )
 def test_shared_reisner_sweep_matches_full_sweep_on_facet_subsets(name, cx):
@@ -668,8 +652,8 @@ def test_closed_faces_match_the_meets_of_every_facet_subset():
     rng = random.Random(53)
     corpus = [SimplicialComplex(4, ()), SimplicialComplex(4, ((),)), SimplicialComplex(5, ((1, 3, 5),))]
     corpus += [SimplicialComplex(m + 1, [(k, m + 1) for k in range(1, m + 1)]) for m in (3, 8)]
-    corpus += [_cross_polytope(d) for d in range(1, 5)]
-    corpus += [SimplicialComplex(6, [(1, 2, 3), (4, 5), (5, 6)]), _octahedra_wedge()]
+    corpus += [cross_polytope(d) for d in range(1, 5)]
+    corpus += [SimplicialComplex(6, [(1, 2, 3), (4, 5), (5, 6)]), octahedra_wedge()]
     while len(corpus) < 2000:
         n = rng.randint(1, 9)
         facets = [
@@ -688,7 +672,7 @@ def test_closed_faces_match_the_meets_of_every_facet_subset():
     # include the empty meet of all facets
     assert kinds == {(p, e) for p in (True, False) for e in (True, False)}
     # d = 6: the 3^6 faces, less the 2^6 facets and the 6 * 2^5 ridges
-    assert len(homology._sweep(_cross_polytope(6), GF2).closed) == 473
+    assert len(homology._sweep(cross_polytope(6), GF2).closed) == 473
 
 
 def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypatch):
@@ -697,8 +681,8 @@ def test_oracle_shares_link_verdicts_across_tables_and_builds_no_links(monkeypat
     # are decided on freshly built complexes
     rng = random.Random(77)
     corpus = [built_anew(get_fixture("projective-plane").complex)]
-    corpus += [_octahedra_wedge(), _cross_polytope(4)]
-    corpus += [_stacked_path(7, 3), _stacked_path(6, 4)]
+    corpus += [octahedra_wedge(), cross_polytope(4)]
+    corpus += [stacked_path(7, 3), stacked_path(6, 4)]
     tables = [
         (random_assignment(rng, cx, rng.randint(1, 3)), rng.choice(FIELDS))
         for cx in corpus
@@ -799,7 +783,7 @@ def test_mask_built_links_match_the_dense_reference():
     rng = random.Random(61)
     corpus = [random_pure_complex(rng, max_n=7, max_m=9) for _ in range(50)]
     corpus += [_random_connected_pure(rng) for _ in range(12)]
-    cross = _cross_polytope(4)
+    cross = cross_polytope(4)
     corpus += [cross, cross.link((1,)), cross.link((1, 3))]
     corpus.append(get_fixture("projective-plane").complex)
     fields = (RATIONALS, GF2, FieldSpec(3), FieldSpec(5))
@@ -821,7 +805,7 @@ def test_mask_built_links_match_the_dense_reference():
 
 
 def test_peeling_keeps_homology_where_it_stops_early():
-    octahedron = _cross_polytope(3)
+    octahedron = cross_polytope(3)
     # an octahedron is a sphere: no facet of it peels
     assert _assert_peeling_keeps_homology(octahedron) == _masks(octahedron)
     # a hexagon coned from vertex 7 and wedged onto it at vertex 1 is a
@@ -851,7 +835,7 @@ def test_reisner_ranks_nothing_on_tree_satisfying_stacked_paths(monkeypatch):
     rng = random.Random(4)
     cases = []
     for d, m in ((4, 12), (5, 10)):
-        path = _stacked_path(m, d)
+        path = stacked_path(m, d)
         cases += [(path, random_tree_satisfying(rng, path, 3), field) for field in FIELDS]
     # the paths are built here, so no sweep on them predates the patch
 

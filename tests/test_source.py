@@ -129,20 +129,50 @@ print(repr([code, sorted(set(sys.modules) - before)]))
 # the modules that only some methods run
 CRITERIA = {"cmlab.graphs", "cmlab.structure", "cmlab.satisfying"}
 
+# what no request loads but help, usage errors and examples show: json
+# and argparse import re, and typing imports re and enum
+PLAIN = {"argparse", "json", "typing", "re", "enum"}
+
 # a problem file is read by json's C scanner, without importing json
 FOOTPRINT_CASES = [
-    (["check", "{path}"], 0, {"argparse", "json", "cmlab.ideals", "cmlab.fixtures"}),
+    (["check", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}),
     (["check", "{path}", "--method", "oracle"], 0,
-     {"argparse", "json", "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
-    # neither the tree nor the quasi-tree criterion applies to a 4-cycle,
-    # so auto goes straight to the oracle
-    (["check", "{cycle}"], 0,
-     {"argparse", "json", "cmlab.ideals", "cmlab.fixtures", "cmlab.satisfying"}),
-    (["ideal", "{path}", "--expand"], 0, {"argparse", "json", "cmlab.fixtures", *CRITERIA}),
-    (["examples"], 0, {"argparse", "cmlab.ideals", "cmlab.homology", *CRITERIA}),
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+    # neither a 4-cycle nor an octahedron has a free vertex, so neither
+    # the tree nor the quasi-tree criterion applies and auto goes
+    # straight to the oracle without loading the graph layer
+    (["check", "{cycle}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+    (["check", "{octahedron}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+    (["cross-validate", "triangle-tree", "--samples", "5"], 0, {*PLAIN, "cmlab.ideals"}),
+    (["ideal", "{path}", "--expand"], 0, {*PLAIN, "cmlab.fixtures", *CRITERIA}),
+    (["analyze", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}),
+    (["examples"], 0, {*PLAIN, "cmlab.ideals", "cmlab.homology", *CRITERIA}),
     (["--help"], 0, set()),
     (["check"], 3, set()),
 ]
+
+
+def _footprint(tmp_path, argv, *flags):
+    """The exit code of a request run in a fresh interpreter with flags,
+    and the modules it loaded."""
+    doc = tmp_path / "path.json"
+    doc.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4]]}')
+    cycle = tmp_path / "cycle.json"
+    cycle.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}')
+    octahedron = tmp_path / "octahedron.json"
+    octahedron.write_text(
+        '{"n": 6, "facets": [[1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 4, 6],'
+        ' [2, 3, 5], [2, 3, 6], [2, 4, 5], [2, 4, 6]]}'
+    )
+    argv = [arg.format(path=doc, cycle=cycle, octahedron=octahedron) for arg in argv]
+    src = str(Path(cmlab.__file__).parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, *flags, "-c", FOOTPRINT, *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
+    )
+    code, loaded = ast.literal_eval(out.stdout)
+    return code, set(loaded)
 
 
 @pytest.mark.parametrize(
@@ -151,22 +181,27 @@ FOOTPRINT_CASES = [
 def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unloaded):
     # each CLI request is a fresh process, which pays for every import;
     # argparse is loaded only for help and usage errors
-    doc = tmp_path / "path.json"
-    doc.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4]]}')
-    cycle = tmp_path / "cycle.json"
-    cycle.write_text('{"n": 4, "facets": [[1, 2], [2, 3], [3, 4], [1, 4]]}')
-    argv = [arg.format(path=doc, cycle=cycle) for arg in argv]
-    src = str(Path(cmlab.__file__).parent.parent)
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    out = subprocess.run(
-        [sys.executable, "-c", FOOTPRINT, *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path), check=True,
-    )
-    got, loaded = ast.literal_eval(out.stdout)
+    got, loaded = _footprint(tmp_path, argv)
     assert got == code
-    assert unloaded & set(loaded) == set()
+    assert unloaded & loaded == set()
     if not unloaded:
         assert "argparse" in loaded
+
+
+PLAIN_CASES = [case for case in FOOTPRINT_CASES if case[2]]
+
+
+@pytest.mark.parametrize(
+    "argv,code,unloaded", PLAIN_CASES, ids=[" ".join(case[0]) for case in PLAIN_CASES]
+)
+def test_a_request_loads_only_what_its_subcommand_runs_without_site(
+    tmp_path, argv, code, unloaded
+):
+    # python -S runs no .pth file of site-packages, one of which could
+    # import typing, re or enum before the request and so hide them
+    got, loaded = _footprint(tmp_path, argv, "-S")
+    assert got == code
+    assert unloaded & loaded == set()
 
 
 def test_cli_keeps_the_names_the_benchmark_tracer_wraps():
