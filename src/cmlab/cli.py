@@ -18,13 +18,17 @@ and fixtures when the source is a fixture name:
 
 - examples loads only fixtures;
 - check --method oracle loads homology;
-- check --method auto loads homology, and graphs and structure to test
-  the hypotheses only when the complex has a free vertex (one that lies
-  in exactly one facet), and satisfying only when the tree or quasi-tree
-  criterion runs;
-- check --method tree, quasitree or general, analyze and cross-validate
-  load homology, graphs, structure and satisfying;
-- ideal loads homology and ideals.
+- check --method auto loads homology, and graphs to test the hypotheses
+  only when the complex has a free vertex (one that lies in exactly one
+  facet), and satisfying only when the tree or quasi-tree criterion runs;
+- check --method tree or quasitree loads homology, graphs and
+  satisfying;
+- check --method general, analyze and cross-validate load homology,
+  graphs, structure and satisfying;
+- ideal loads ideals.
+
+array loads only for the quasi-tree criterion's clique store and the
+walks that order the tree criterion's violations.
 
 A problem file is read by json's C scanner (the _json module), so no
 request imports json itself, except examples show, which prints with
@@ -197,11 +201,12 @@ def _check_oracle(mult, field) -> int:
 
 def _applies(method: str, cx, field) -> bool:
     """Whether the hypotheses of the tree, quasitree or general method
-    hold on the complex, so that its answer means something.
+    hold on the complex, so that its answer means something.  Only
+    general loads structure, for its shelling search.
 
     A free vertex lies in exactly one facet.  Neither the tree nor the
     quasi-tree method applies to a complex with two or more facets and no
-    free vertex, which is ruled out before graphs and structure load:
+    free vertex, which is ruled out before graphs loads:
     - the last facet of a leaf order has a vertex outside its branch,
       and no other facet holds it;
     - a leaf F of the facet tree of a Cohen-Macaulay complex meets its
@@ -212,8 +217,7 @@ def _applies(method: str, cx, field) -> bool:
         _, holders = _facet_masks(cx)
         if not any(h and not h & (h - 1) for h in holders):
             return False
-    from .graphs import require_quasi_tree
-    from .structure import find_shelling, require_tree_case
+    from .graphs import require_quasi_tree, require_tree_case
 
     try:
         if method == "tree":
@@ -221,6 +225,8 @@ def _applies(method: str, cx, field) -> bool:
         elif method == "quasitree":
             require_quasi_tree(cx)
         else:
+            from .structure import find_shelling
+
             return find_shelling(cx) is not None
     except (HypothesesViolated, NotQuasiTree, NotPure):
         return False

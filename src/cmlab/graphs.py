@@ -1,7 +1,7 @@
 """Graphs whose nodes are facets: the adjacency graph of a pure
-complex, its per-vertex variants with a formal root, the rooted
-breadth-first walk behind every traversal, leaf orders of
-quasi-forests, and relation trees of quasi-trees.
+complex and the tree-case hypotheses on it, its per-vertex variants with
+a formal root, the rooted breadth-first walk behind every traversal,
+leaf orders of quasi-forests, and relation trees of quasi-trees.
 
 Nodes are 1-based facet indices into the complex's canonical facet
 list; node 0 is reserved for the formal root of per-vertex graphs.
@@ -25,11 +25,14 @@ from .errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotATree,
+    NotCohenMacaulay,
     NotPure,
     NotQuasiTree,
+    NotTreeFacetGraph,
     RootNotFound,
     VertexOutOfRange,
 )
+from .homology import FieldSpec, is_cm_complex
 
 __all__ = [
     "FacetLevelGraph",
@@ -41,6 +44,7 @@ __all__ = [
     "LeafOrder",
     "find_leaf_order",
     "require_quasi_tree",
+    "require_tree_case",
     "clique_trees",
     "relation_trees",
 ]
@@ -150,6 +154,24 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
         raise NotPure("the facet graph requires a pure complex")
     edges = [(a, b) for group in _ridge_groups(cx) for (a, _), (b, _) in combinations(group, 2)]
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), edges)
+
+
+def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> None:
+    """Raise unless the complex is pure with a tree facet graph and, when
+    a field is given, Cohen-Macaulay over it: the hypotheses of the
+    tree-case criterion and of the constructions built on it."""
+    if not _tree_facet_graph(cx):
+        raise NotTreeFacetGraph("the facet graph must be a tree")
+    if field is not None and not is_cm_complex(cx, field):
+        raise NotCohenMacaulay(
+            f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
+        )
+
+
+@_per_complex
+def _tree_facet_graph(cx: SimplicialComplex) -> bool:
+    """Whether the complex is pure with a tree facet graph."""
+    return cx.is_pure and is_tree(facet_graph(cx))
 
 
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:

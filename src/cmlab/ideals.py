@@ -19,7 +19,6 @@ from .errors import (
     MultiplicityDomainMismatch,
     VertexOutOfRange,
 )
-from .homology import RATIONALS, FieldSpec
 
 __all__ = [
     "Monomial",
@@ -249,11 +248,12 @@ def stanley_reisner_ideal(cx: SimplicialComplex) -> MonomialIdeal:
 def splitting_witness(
     mult: MultiplicityAssignment,
     order: Iterable[int],
-    field: FieldSpec = RATIONALS,
+    field: FieldSpec | None = None,
 ) -> tuple[int, int] | None:
     """The pure power (vertex, exponent) that the last shelling facet
     splits off: intersecting all earlier components and adding the last
-    equals that power plus the last component.
+    equals that power plus the last component.  The complex must be
+    Cohen-Macaulay over field, the rationals when it is None.
 
     The candidate is read off the facet graph (the vertex separating
     the last facet from its unique neighbor, with the neighbor's
@@ -266,11 +266,13 @@ def splitting_witness(
     the largest monomial outside it, lies outside some earlier
     component.
     """
-    from .graphs import facet_graph
-    from .structure import is_shelling, require_tree_case
+    from .graphs import facet_graph, require_tree_case
+    from .homology import RATIONALS
+    from .structure import is_shelling
 
     cx = mult.complex
-    require_tree_case(cx, field)
+    # None means the rationals here, but no Cohen-Macaulay check to require_tree_case
+    require_tree_case(cx, RATIONALS if field is None else field)
     if cx.m < 2:
         raise HypothesesViolated("need at least two facets")
     seq = tuple(order)

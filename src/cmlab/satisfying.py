@@ -6,8 +6,8 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
-from array import array
 from collections.abc import Iterable, Mapping
+from functools import cache
 from itertools import chain, combinations, compress, permutations, repeat
 from operator import lt
 
@@ -34,10 +34,10 @@ from .graphs import (
     _ridge_groups,
     facet_graph,
     require_quasi_tree,
+    require_tree_case,
     rooted_walk,
 )
 from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
-from .structure import _shelling, _tier_order, require_tree_case
 
 __all__ = [
     "SatisfyingVerdict",
@@ -74,11 +74,7 @@ def is_tree_satisfying(
     and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
-    s, get = _pair_id(cx, 1, 0), mult._pair_values().get
-    _, parents, children = _clique_masks(cx)
-    values = ((p, c, get(p, 1), get(c, 1)) for p, c in zip(parents, children))
-    grown = [(*divmod(p, s), c // s, a, b) for p, c, a, b in values if a < b]
-    by_child = {(i, k): (i, (h, k), (a, b)) for h, i, k, a, b in grown}
+    by_child = {(i, edge[1]): (i, edge, values) for i, edge, values in _grown_edges(mult)}
     # only the vertices with a violation are walked, to order them
     violations = tuple(
         by_child[i, k]
@@ -91,10 +87,39 @@ def is_tree_satisfying(
 
 def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONALS) -> bool:
     """The verdict of is_tree_satisfying, without its violations."""
-    require_tree_case(mult.complex, field)
-    get = mult._pair_values().get
-    _, parents, children = _clique_masks(mult.complex)
-    return not any(get(p, 1) < get(c, 1) for p, c in zip(parents, children))
+    cx = mult.complex
+    require_tree_case(cx, field)
+    # _grown_edges' loop inline, stopping at the first edge that grows: a
+    # generator per table would cost cross-validate as much as the loop
+    get, stride = mult._pair_values().get, _pair_id(cx, 1, 0)
+    into = _facet_tree(cx)[2]
+    for j, i, b in mult.raised:
+        for h, at in into[j]:
+            if at >> i & 1:
+                if get(h * stride + i, 1) < b:
+                    return False
+                break
+    return True
+
+
+def _grown_edges(mult: MultiplicityAssignment):
+    """The edges of the vertex graphs along which a tree-case table
+    grows, each (vertex i, (parent facet h, child facet j), (a, b)) with
+    a < b the values at (h, i) and (j, i), at most one per raised entry
+    (j, i, b) and in their order: in the vertex graph of i, j has at most
+    one facet parent, the tree neighbour whose edge points into j at i.
+    These are the two-facet runs of _clique_masks along which the table
+    grows, since a Cohen-Macaulay complex with a tree facet graph is a
+    quasi-tree whose ridge cliques are single edges."""
+    _, _, into = _facet_tree(mult.complex)
+    get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
+    for j, i, b in mult.raised:
+        for h, at in into[j]:
+            if at >> i & 1:
+                a = get(h * stride + i, 1)
+                if a < b:
+                    yield i, (h, j), (a, b)
+                break
 
 
 @_per_complex
@@ -103,6 +128,8 @@ def _vertex_walk(cx: SimplicialComplex, i: int) -> array:
     in rooted_walk's order, flat: parent, child, parent, child, ...  Kept
     on the complex as machine ints, at most one walk per vertex, O(n * m)
     ints in all, a few bytes per entry of a dense table."""
+    from array import array
+
     kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
     edges = rooted_walk(facet_graph(cx).adjacency, kept, ROOT)[0]
     return array("i", chain.from_iterable(edges))
@@ -114,6 +141,32 @@ def _require_covered(cx: SimplicialComplex) -> None:
     uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
     if uncovered:
         raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
+
+
+@_per_complex
+def _facet_tree(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """The index both criteria read, from one rooted_walk of the facet
+    graph away from facet 1 (the facet tree in the tree case, a relation
+    tree of a quasi-tree): per facet j its walk parent (0 for facet 1),
+    reach[j], the vertices of the facets in j's walk subtree, and per
+    walk neighbour h the mask of the vertices in neither facet at which
+    h-j points h -> j.  The facets holding a vertex i form a subtree, so
+    a walk edge p-c, c the child, points c -> p at i exactly when i is in
+    reach[c].  A vertex in no facet leaves no tree."""
+    _require_covered(cx)
+    masks, _ = _facet_masks(cx)
+    walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
+    parent = [0] * (cx.m + 1)
+    reach = [0, *masks]
+    for p, c in reversed(walk):
+        parent[c] = p
+        reach[p] |= reach[c]
+    into: list[list[tuple[int, int]]] = [[] for _ in parent]
+    for p, c in walk:
+        outside = reach[1] & ~(masks[p - 1] | masks[c - 1])
+        into[c].append((p, outside & ~reach[c]))
+        into[p].append((c, outside & reach[c]))
+    return tuple(parent), tuple(reach), tuple(map(tuple, into))
 
 
 @_per_complex
@@ -135,31 +188,21 @@ def _clique_masks(
     tree, so they lie in one part, that of i's anchor.  A clique-tree
     edge x-y orients the restriction to i as x -> y exactly when i's
     anchor is on x's side, so x -> y is kept at each vertex anchored
-    anywhere but at y.  A vertex in no facet leaves no tree.
+    anywhere but at y.  A vertex in no facet leaves no tree."""
+    from array import array
 
-    The tree criterion reads the flat arrays: a Cohen-Macaulay complex
-    with a tree facet graph is a quasi-tree whose ridge cliques are
-    single edges.  The facets holding a vertex are joined through
-    ridges, so a leaf F of the facet tree has a vertex in F alone, and
-    gluing F along a whole ridge keeps every link's homology."""
     require_quasi_tree(cx)
     masks, _ = _facet_masks(cx)
-    _require_covered(cx)
-    walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
-    parent = {c: p for p, c in walk}
-    # reach[j]: the vertices of the facets in j's walk subtree
-    reach = [0, *masks]
-    for p, c in reversed(walk):
-        reach[p] |= reach[c]
+    parent, reach, _ = _facet_tree(cx)
     out, parents, children = [], array("q"), array("q")
     for group in _ridge_groups(cx):
         nodes = tuple(j for j, _ in group)
         k = len(nodes)
         ridge = masks[nodes[0] - 1] ^ 1 << group[0][1]
         # the vertices anchored at each clique facet: those of hang[j] off the ridge
-        anchored = {j: reach[j if parent.get(j) in nodes else 1] & ~ridge for j in nodes}
+        anchored = {j: reach[j if parent[j] in nodes else 1] & ~ridge for j in nodes}
         for j in nodes:
-            if parent.get(j) in nodes:
+            if parent[j] in nodes:
                 anchored[parent[j]] &= ~reach[j]
         # per anchor, its vertices; at x itself, without x's own vertex
         away = [list(_bits(anchored[j])) for j in nodes]
@@ -328,8 +371,10 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     """Per vertex, some shelling must list every facet containing the
     vertex first and the remaining facets with non-increasing values.
     Neither sufficient nor known to be necessary.  Each vertex searches
-    its tiers (see _shelling), the facets holding it and then its levels
-    by descending value, and the first tier it cannot complete fails."""
+    its tiers (see structure._shelling), the facets holding it and then
+    its levels by descending value, and the first tier it cannot
+    complete fails."""
+    structure = _structure()
     cx = mult.complex
     # shellable implies Cohen-Macaulay over every field, so over Q too
     if cx.is_pure and not is_cm_complex(cx, RATIONALS):
@@ -342,9 +387,9 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
         if not levels:
             continue
         placed = holders[i]
-        held = not placed or _tier_order(cx, 0, placed) is not None
+        held = not placed or structure._tier_order(cx, 0, placed) is not None
         for _, mask in reversed(levels) if held else ():
-            if _tier_order(cx, placed, mask) is None:
+            if structure._tier_order(cx, placed, mask) is None:
                 held = False
                 break
             placed |= mask
@@ -353,9 +398,19 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
         shelled = True
     # Any prefix shelling found proves the complex shellable; otherwise
     # the unweighted search tells "fails" from "not shellable".
-    if not shelled and _shelling(cx, [(1 << cx.m) - 1]) is None:
+    if not shelled and structure._shelling(cx, [(1 << cx.m) - 1]) is None:
         raise NotShellable("complex is not shellable")
     return held
+
+
+@cache
+def _structure():
+    """The module of the shelling searches, imported on first use, so that
+    the tree and quasi-tree criteria run without it; an import statement
+    in is_general_satisfying cost each table 1 to 2.5 microseconds."""
+    from . import structure
+
+    return structure
 
 
 def uniform_block_assignment(

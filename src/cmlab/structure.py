@@ -10,13 +10,18 @@ from .complexes import SimplicialComplex, _facet_masks, _leaf_branch, _per_compl
 from .errors import (
     FacetIndexOutOfRange,
     InternalInvariantViolation,
-    NotCohenMacaulay,
     NotPermutation,
     NotPure,
     NotShellable,
-    NotTreeFacetGraph,
 )
-from .graphs import LeafOrder, _ridge_groups, facet_graph, find_leaf_order, is_tree
+from .graphs import (
+    LeafOrder,
+    _ridge_groups,
+    _tree_facet_graph,
+    facet_graph,
+    find_leaf_order,
+    require_tree_case,
+)
 from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
 
 __all__ = [
@@ -30,24 +35,6 @@ __all__ = [
     "free_vertex_of_last",
     "require_tree_case",
 ]
-
-
-def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> None:
-    """Raise unless the complex is pure with a tree facet graph and, when
-    a field is given, Cohen-Macaulay over it: the hypotheses of the
-    tree-case criterion and of the constructions built on it."""
-    if not _tree_facet_graph(cx):
-        raise NotTreeFacetGraph("the facet graph must be a tree")
-    if field is not None and not is_cm_complex(cx, field):
-        raise NotCohenMacaulay(
-            f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
-        )
-
-
-@_per_complex
-def _tree_facet_graph(cx: SimplicialComplex) -> bool:
-    """Whether the complex is pure with a tree facet graph."""
-    return cx.is_pure and is_tree(facet_graph(cx))
 
 
 def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int, ...]:

@@ -389,6 +389,59 @@ def quasitree_reference(mult: MultiplicityAssignment):
     return True, FacetLevelGraph(range(1, mult.complex.m + 1), chosen).edges
 
 
+def tree_criterion_reference(mult: MultiplicityAssignment, field: FieldSpec):
+    """The tree criterion as it read the quasi-tree criterion's clique
+    store: after the tree-case hypotheses, the table grows along a
+    two-facet run p -> c of _clique_masks at vertex i when the value at
+    (p, i) is below the one at (c, i).  Returns whether nothing grows and
+    the violations, by vertex and then in the order of the vertex's
+    rooted walk.  Raises as the criterion does."""
+    from cmlab.complexes import _pair_id
+    from cmlab.graphs import require_tree_case
+    from cmlab.satisfying import _clique_masks, _vertex_walk
+
+    cx = mult.complex
+    require_tree_case(cx, field)
+    s, get = _pair_id(cx, 1, 0), mult._pair_values().get
+    _, parents, children = _clique_masks(cx)
+    values = ((p, c, get(p, 1), get(c, 1)) for p, c in zip(parents, children))
+    grown = [(*divmod(p, s), c // s, a, b) for p, c, a, b in values if a < b]
+    by_child = {(i, k): (i, (h, k), (a, b)) for h, i, k, a, b in grown}
+    violations = tuple(
+        by_child[i, k]
+        for i in sorted({i for i, _ in by_child})
+        for k in _vertex_walk(cx, i)[1::2]
+        if (i, k) in by_child
+    )
+    return not violations, violations
+
+
+@cache
+def perfbench_inputs():
+    """The benchmark's known-answer generators, perfbench/inputs.py,
+    loaded without writing bytecode into perfbench/."""
+    import importlib.util
+    import sys
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_inputs", path)
+    module = importlib.util.module_from_spec(spec)
+    writes, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = writes
+    return module
+
+
+def table_of_problem(doc: dict) -> MultiplicityAssignment:
+    """The table of a problem-file dict whose facets are canonical."""
+    cx = SimplicialComplex.from_facets(doc["n"], doc["facets"])
+    overrides = {(a["facet"], a["vertex"]): a["value"] for a in doc.get("alpha", ())}
+    return MultiplicityAssignment.from_overrides(cx, overrides)
+
+
 def random_sparse_assignment(
     rng: random.Random, cx: SimplicialComplex, max_exp: int, most: int = 3
 ) -> MultiplicityAssignment:

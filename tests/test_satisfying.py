@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -15,6 +16,7 @@ from conftest import (
     decompose_into_generators_reference,
     general_satisfying_reference,
     parent_maps_reference,
+    perfbench_inputs,
     quasitree_reference,
     random_assignment,
     random_attach_quasitree,
@@ -28,11 +30,14 @@ from conftest import (
     restrict_relation_tree,
     restriction_edge_sets,
     restriction_edges_reference,
+    stacked_path,
+    table_of_problem,
+    tree_criterion_reference,
 )
 
 from cmlab import satisfying, structure
 
-from cmlab import GF2, RATIONALS, get_fixture
+from cmlab import GF2, RATIONALS, fixture_names, get_fixture
 from cmlab.complexes import (
     ExponentOffset,
     MultiplicityAssignment,
@@ -777,19 +782,25 @@ def _searches(mult, searched):
 
 def _spied_searches(monkeypatch):
     """The list that records each tier search of the shelling condition
-    as (placed, tier) and each unweighted search as its tiers."""
+    as (placed, tier) and each unweighted search as its tiers.  Both are
+    looked up in structure when the condition runs; only the calls made
+    by the condition itself are recorded, not those of the searches
+    inside structure or of the references."""
     calls = []
+    condition = satisfying.is_general_satisfying.__code__
 
     def tier_search(cx, placed, tier):
-        calls.append((placed, tier))
+        if sys._getframe(1).f_code is condition:
+            calls.append((placed, tier))
         return _tier_order(cx, placed, tier)
 
     def unweighted(cx, tiers):
-        calls.append(tiers)
+        if sys._getframe(1).f_code is condition:
+            calls.append(tiers)
         return _shelling(cx, tiers)
 
-    monkeypatch.setattr(satisfying, "_tier_order", tier_search)
-    monkeypatch.setattr(satisfying, "_shelling", unweighted)
+    monkeypatch.setattr(structure, "_tier_order", tier_search)
+    monkeypatch.setattr(structure, "_shelling", unweighted)
     return calls
 
 
@@ -974,7 +985,7 @@ def test_all_ones_table_on_a_long_path_lists_no_domain(monkeypatch):
 
 
 def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fixture):
-    # once the complex's clique masks are built, a satisfying table and
+    # once the complex's facet-tree walk is built, a satisfying table and
     # every verdict-only call walk nothing; a violating table walks each
     # violating vertex once per complex, to order its violations as the
     # reference does, and the semigroup layer reads the same walks
@@ -986,12 +997,7 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
 
     # built anew, so that no walk of it predates the count
     tree_fixture = built_anew(tree_fixture)
-    # a tree facet graph has two-facet cliques only, kept in the flat
-    # arrays, one edge per vertex in neither facet of the clique
-    for nodes, start, stop, split in satisfying._clique_masks(tree_fixture)[0]:
-        facets = [tree_fixture.facets[j - 1] for j in nodes]
-        outside = set(range(1, tree_fixture.n + 1)).difference(*facets)
-        assert split is None and stop - start == len(outside)
+    satisfying._facet_tree(tree_fixture)
     monkeypatch.setattr(satisfying, "rooted_walk", counted)
     (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
     edges = [e for e in walk if e[1] != ROOT]
@@ -1024,6 +1030,122 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
     assert walks[before:] == []
     assert len(semigroup_generators(tree_fixture)) == 55
     assert Counter(walks) == Counter(kept.values())
+    # only the quasi-tree criterion builds the clique store
+    assert satisfying._clique_masks not in tree_fixture._memo
+
+
+def _tree_case_tables(rng):
+    """Tables on which to hold the tree criterion against its reference:
+    every fixture with its own table, the all-ones table and uniform
+    tables; stacked paths with facets of 2 to 6 vertices under uniform
+    tables; and the benchmark's tree-satisfying stacked-path tables, each
+    with a one-entry violation.  Uniform tables draw max-exp 2 to 4."""
+    inputs = perfbench_inputs()
+    tables = []
+    for name in fixture_names():
+        fixture = get_fixture(name)
+        tables.append(fixture.assignment())
+        tables.append(MultiplicityAssignment.constant(fixture.complex))
+        tables += [random_assignment(rng, fixture.complex, 2 + t % 3) for t in range(24)]
+    # a path facet graph, but the link of vertex 1 is two disjoint edges
+    necklace = SimplicialComplex.from_facets(5, [[1, 2, 3], [2, 3, 4], [3, 4, 5], [1, 4, 5]])
+    tables += [random_assignment(rng, necklace, 3) for _ in range(4)]
+    for d in range(2, 7):
+        for m in range(1, 11):
+            path = stacked_path(m, d)
+            tables.append(MultiplicityAssignment.constant(path))
+            tables += [random_assignment(rng, path, 2 + t % 3) for t in range(40)]
+            for t in range(6):
+                good = inputs.tree_satisfying_path(rng, m, d, 2 + t % 3)
+                tables.append(table_of_problem(good))
+                if m >= 3:  # a chain of two facets to break
+                    tables.append(table_of_problem(inputs.violate_path(rng, good, d)[0]))
+    return tables
+
+
+def test_tree_criterion_matches_the_clique_store_reference():
+    # the verdict and the violations read off the facet-tree index are
+    # those the criterion read off the clique store, in characteristics
+    # 0, 2 and 3, with the same exceptions where the hypotheses fail
+    tables = _tree_case_tables(random.Random(139))
+    counts = Counter()
+    for field in (RATIONALS, GF2, FieldSpec(3)):
+        for am in tables:
+            expected = _outcome(lambda: tree_criterion_reference(am, field))
+            decided = isinstance(expected[0], bool)
+            verdict = _outcome(lambda: is_tree_satisfying(am, field))
+            assert (verdict[:2] if decided else verdict) == expected
+            check = _outcome(lambda: check_cm_tree_case(am, field))
+            assert check == (expected[0] if decided else expected)
+            counts[expected[0]] += 1
+    assert counts[True] >= 2000 and counts[False] >= 4000
+    assert counts[NotTreeFacetGraph] and counts[NotCohenMacaulay]
+
+
+def test_grown_edges_are_the_clique_store_runs_that_grow():
+    # on tree-case complexes the store keeps every clique as a two-facet
+    # run, and the index's grown edges at each vertex are exactly the
+    # runs p -> c with the value at (p, i) below the one at (c, i)
+    rng = random.Random(149)
+    complexes = [stacked_path(m, d) for d in range(2, 6) for m in (1, 2, 5, 9)]
+    complexes.append(get_fixture("triangle-tree").complex)
+    complexes += [random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 8))[0] for _ in range(80)]
+    complexes = [cx for cx in complexes if is_cm_complex(cx, RATIONALS)]
+    assert len(complexes) > 60
+    grown_total = 0
+    for cx in complexes:
+        stride = _pair_id(cx, 1, 0)
+        store, parents, children = satisfying._clique_masks(cx)
+        assert all(split is None for _, _, _, split in store)
+        for t in range(8):
+            draw = random_tree_satisfying if t % 4 == 0 else random_assignment
+            am = draw(rng, cx, 2 + t % 3)
+            get = am._pair_values().get
+            runs = Counter()
+            for p, c in zip(parents, children):
+                (h, i), j = divmod(p, stride), c // stride
+                if get(p, 1) < get(c, 1):
+                    runs[i, (h, j), (get(p, 1), get(c, 1))] += 1
+            grown = Counter(satisfying._grown_edges(am))
+            assert grown == runs
+            assert set(grown.values()) <= {1}
+            grown_total += len(grown)
+    assert grown_total > 1000
+
+
+def _relabelled(cx, gaps):
+    """cx with a vertex in no facet inserted before each vertex in gaps."""
+    new = {v: v + sum(g <= v for g in gaps) for v in range(1, cx.n + 1)}
+    return SimplicialComplex(cx.n + len(gaps), [[new[v] for v in f] for f in cx.facets])
+
+
+def test_tree_criterion_raises_as_the_store_did():
+    # a vertex in no facet raises RestrictionNotTree at the lowest such
+    # vertex once the hypotheses hold; a facet graph that is no tree and
+    # a complex that is not Cohen-Macaulay raise as before
+    rng = random.Random(151)
+    corpus = [SimplicialComplex(3, ()), SimplicialComplex(3, ((1, 2),)), SimplicialComplex(2, ((),))]
+    corpus += [_relabelled(stacked_path(m, d), gaps) for m, d, gaps in (
+        (3, 2, (1,)), (4, 3, (2, 5)), (2, 4, (6, 3)), (1, 3, (1, 2, 4)),
+    )]
+    corpus += [_relabelled(get_fixture(name).complex, (3, 5)) for name in fixture_names()]
+    corpus.append(SimplicialComplex(6, ((1, 2, 3), (1, 4, 5), (2, 3, 4), (3, 4, 5))))
+    for _ in range(20):
+        cx, _ = random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 6))
+        corpus.append(_relabelled(cx, rng.sample(range(1, cx.n + 1), rng.randint(1, 2))))
+    seen = Counter()
+    for cx in corpus:
+        uncovered = [i for i in range(1, cx.n + 1) if all(i not in f for f in cx.facets)]
+        for field in (RATIONALS, GF2, FieldSpec(3)):
+            for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 3)):
+                expected = _outcome(lambda: tree_criterion_reference(am, field))
+                assert _outcome(lambda: is_tree_satisfying(am, field)) == expected
+                assert _outcome(lambda: check_cm_tree_case(am, field)) == expected
+                if expected[0] is RestrictionNotTree:
+                    assert expected[1] == f"restriction to vertex {uncovered[0]} is not a tree"
+                seen[expected[0]] += 1
+    assert seen[RestrictionNotTree] > 50
+    assert seen[NotTreeFacetGraph] and seen[NotCohenMacaulay]
 
 
 def test_a_second_report_walks_no_vertex_again(monkeypatch):
@@ -1047,7 +1169,8 @@ def test_a_second_report_walks_no_vertex_again(monkeypatch):
 
 
 def test_cm_tree_case_complexes_are_quasi_trees_with_one_edge_cliques():
-    # the lemma behind the tree criterion reading the quasi-tree masks:
+    # the lemma behind the tree criterion's grown edges being the
+    # two-facet runs of the quasi-tree store:
     # a complex with a tree facet graph that is Cohen-Macaulay over the
     # field has a leaf order, each facet-graph edge is a ridge clique
     # with that edge as its only tree, and the tree criterion agrees with

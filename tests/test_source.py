@@ -133,22 +133,40 @@ CRITERIA = {"cmlab.graphs", "cmlab.structure", "cmlab.satisfying"}
 # and argparse import re, and typing imports re and enum
 PLAIN = {"argparse", "json", "typing", "re", "enum"}
 
-# a problem file is read by json's C scanner, without importing json
+# a problem file is read by json's C scanner, without importing json;
+# each case: arguments, exit code, modules it must not load, and
+# modules it must load
 FOOTPRINT_CASES = [
-    (["check", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}),
+    (["check", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}, set()),
     (["check", "{path}", "--method", "oracle"], 0,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}, set()),
     # neither a 4-cycle nor an octahedron has a free vertex, so neither
     # the tree nor the quasi-tree criterion applies and auto goes
     # straight to the oracle without loading the graph layer
-    (["check", "{cycle}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
-    (["check", "{octahedron}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}),
-    (["cross-validate", "triangle-tree", "--samples", "5"], 0, {*PLAIN, "cmlab.ideals"}),
-    (["ideal", "{path}", "--expand"], 0, {*PLAIN, "cmlab.fixtures", *CRITERIA}),
-    (["analyze", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}),
-    (["examples"], 0, {*PLAIN, "cmlab.ideals", "cmlab.homology", *CRITERIA}),
-    (["--help"], 0, set()),
-    (["check"], 3, set()),
+    (["check", "{cycle}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}, set()),
+    (["check", "{octahedron}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}, set()),
+    # the tree criterion reads a tree-satisfying table off the facet-tree
+    # walk, without the shelling search or the array-backed stores; a
+    # violated table walks its violating vertex into an array
+    (["check", "{stacked}", "--method", "tree"], 0,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {"cmlab.satisfying"}),
+    (["check", "{stacked}"], 0,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {"cmlab.satisfying"}),
+    (["check", "{violated}", "--method", "tree"], 1,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure"}, {"cmlab.satisfying"}),
+    (["check", "{violated}"], 1,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure"}, {"cmlab.satisfying"}),
+    # the shelling condition runs here, so structure loads
+    (["cross-validate", "triangle-tree", "--samples", "5"], 0, {*PLAIN, "cmlab.ideals"},
+     {"cmlab.structure"}),
+    (["ideal", "{path}", "--expand"], 0,
+     {*PLAIN, "cmlab.fixtures", "cmlab.homology", *CRITERIA}, {"cmlab.ideals"}),
+    (["analyze", "{path}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures"}, set()),
+    (["examples"], 0, {*PLAIN, "cmlab.ideals", "cmlab.homology", *CRITERIA}, set()),
+    (["--help"], 0, set(), set()),
+    (["check"], 3, set(), set()),
 ]
 
 
@@ -164,7 +182,17 @@ def _footprint(tmp_path, argv, *flags):
         '{"n": 6, "facets": [[1, 3, 5], [1, 3, 6], [1, 4, 5], [1, 4, 6],'
         ' [2, 3, 5], [2, 3, 6], [2, 4, 5], [2, 4, 6]]}'
     )
-    argv = [arg.format(path=doc, cycle=cycle, octahedron=octahedron) for arg in argv]
+    # a stacked path of four triangles whose values do not grow away from
+    # the root of any vertex graph, and the same table with the value at
+    # (facet 4, vertex 1) grown past that at (facet 3, vertex 1)
+    stacked = '{"n": 6, "facets": [[1, 2, 3], [2, 3, 4], [3, 4, 5], [4, 5, 6]], "alpha": [%s]}'
+    alpha = [(2, 1, 3), (3, 1, 2), (4, 1, 2), (3, 6, 2), (2, 6, 2), (2, 5, 2)]
+    record = '{"facet": %d, "vertex": %d, "value": %d}'
+    (tmp_path / "stacked.json").write_text(stacked % ", ".join(record % a for a in alpha))
+    alpha[2] = (4, 1, 4)
+    (tmp_path / "violated.json").write_text(stacked % ", ".join(record % a for a in alpha))
+    paths = {name: tmp_path / f"{name}.json" for name in ("stacked", "violated")}
+    argv = [arg.format(path=doc, cycle=cycle, octahedron=octahedron, **paths) for arg in argv]
     src = str(Path(cmlab.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -176,14 +204,15 @@ def _footprint(tmp_path, argv, *flags):
 
 
 @pytest.mark.parametrize(
-    "argv,code,unloaded", FOOTPRINT_CASES, ids=[" ".join(case[0]) for case in FOOTPRINT_CASES]
+    "argv,code,unloaded,wanted", FOOTPRINT_CASES, ids=[" ".join(case[0]) for case in FOOTPRINT_CASES]
 )
-def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unloaded):
+def test_a_request_loads_only_what_its_subcommand_runs(tmp_path, argv, code, unloaded, wanted):
     # each CLI request is a fresh process, which pays for every import;
     # argparse is loaded only for help and usage errors
     got, loaded = _footprint(tmp_path, argv)
     assert got == code
     assert unloaded & loaded == set()
+    assert wanted <= loaded
     if not unloaded:
         assert "argparse" in loaded
 
@@ -192,16 +221,17 @@ PLAIN_CASES = [case for case in FOOTPRINT_CASES if case[2]]
 
 
 @pytest.mark.parametrize(
-    "argv,code,unloaded", PLAIN_CASES, ids=[" ".join(case[0]) for case in PLAIN_CASES]
+    "argv,code,unloaded,wanted", PLAIN_CASES, ids=[" ".join(case[0]) for case in PLAIN_CASES]
 )
 def test_a_request_loads_only_what_its_subcommand_runs_without_site(
-    tmp_path, argv, code, unloaded
+    tmp_path, argv, code, unloaded, wanted
 ):
     # python -S runs no .pth file of site-packages, one of which could
-    # import typing, re or enum before the request and so hide them
+    # import typing, re, enum or array before the request and so hide them
     got, loaded = _footprint(tmp_path, argv, "-S")
     assert got == code
     assert unloaded & loaded == set()
+    assert wanted <= loaded
 
 
 def test_cli_keeps_the_names_the_benchmark_tracer_wraps():
