@@ -400,7 +400,8 @@ def _exponent_domain(cx: SimplicialComplex) -> list[tuple[int, int]]:
 def _is_slot(cx: SimplicialComplex, j: object, i: object) -> bool:
     """Whether (facet j, vertex i) is a pair of the exponent domain of cx."""
     return (
-        isinstance(j, int) and isinstance(i, int) and 1 <= j <= cx.m and 1 <= i <= cx.n
+        isinstance(j, int) and isinstance(i, int) and not isinstance(j, bool)
+        and not isinstance(i, bool) and 1 <= j <= cx.m and 1 <= i <= cx.n
         and i not in cx.facets[j - 1]
     )
 
@@ -429,6 +430,8 @@ def _validated_entries(
                 f"{kind} must cover each (facet, missing vertex) pair exactly once"
             )
     for j, i, v in entries:
+        if not _is_slot(cx, j, i):
+            raise MultiplicityDomainMismatch(f"no exponent slot at facet {j}, vertex {i}")
         _check_value(j, i, v, minimum, kind)
     return ordered
 

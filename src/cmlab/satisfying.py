@@ -87,12 +87,17 @@ def is_tree_satisfying(
 
 def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONALS) -> bool:
     """The verdict of is_tree_satisfying, without its violations."""
-    cx = mult.complex
-    require_tree_case(cx, field)
-    # _grown_edges' loop inline, stopping at the first edge that grows: a
-    # generator per table would cost cross-validate as much as the loop
-    get, stride = mult._pair_values().get, _pair_id(cx, 1, 0)
-    into = _facet_tree(cx)[2]
+    require_tree_case(mult.complex, field)
+    return _bridges_pass(mult)
+
+
+def _bridges_pass(mult: MultiplicityAssignment) -> bool:
+    """Whether the table grows along no bridge of the facet graph: both
+    criteria's verdict on the two-facet ridge cliques.  _grown_edges'
+    loop, stopping at the first edge that grows: a generator per table
+    would cost cross-validate as much as the loop."""
+    get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
+    into = _facet_tree(mult.complex)[2]
     for j, i, b in mult.raised:
         for h, at in into[j]:
             if at >> i & 1:
@@ -103,14 +108,11 @@ def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONAL
 
 
 def _grown_edges(mult: MultiplicityAssignment):
-    """The edges of the vertex graphs along which a tree-case table
-    grows, each (vertex i, (parent facet h, child facet j), (a, b)) with
-    a < b the values at (h, i) and (j, i), at most one per raised entry
-    (j, i, b) and in their order: in the vertex graph of i, j has at most
-    one facet parent, the tree neighbour whose edge points into j at i.
-    These are the two-facet runs of _clique_masks along which the table
-    grows, since a Cohen-Macaulay complex with a tree facet graph is a
-    quasi-tree whose ridge cliques are single edges."""
+    """The bridges of the facet graph along which a table grows, each
+    (vertex i, (parent facet h, child facet j), (a, b)) with a < b the
+    values at (h, i) and (j, i), at most one per raised entry (j, i, b)
+    and in their order: per entry, the one bridge h-j, if any, that
+    points into j at i.  In the tree case, the violations."""
     _, _, into = _facet_tree(mult.complex)
     get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
     for j, i, b in mult.raised:
@@ -149,10 +151,12 @@ def _facet_tree(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]
     graph away from facet 1 (the facet tree in the tree case, a relation
     tree of a quasi-tree): per facet j its walk parent (0 for facet 1),
     reach[j], the vertices of the facets in j's walk subtree, and per
-    walk neighbour h the mask of the vertices in neither facet at which
-    h-j points h -> j.  The facets holding a vertex i form a subtree, so
-    a walk edge p-c, c the child, points c -> p at i exactly when i is in
-    reach[c].  A vertex in no facet leaves no tree."""
+    bridge h-j, a two-facet ridge clique (every edge of a tree, a block
+    of a quasi-tree's block graph, so held by every relation tree), the
+    mask of the vertices in neither facet at which h-j points h -> j.
+    The facets holding a vertex i form a subtree, so a walk edge p-c, c
+    the child, points c -> p at i exactly when i is in reach[c].  A
+    vertex in no facet leaves no tree."""
     _require_covered(cx)
     masks, _ = _facet_masks(cx)
     walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
@@ -162,7 +166,8 @@ def _facet_tree(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]
         parent[c] = p
         reach[p] |= reach[c]
     into: list[list[tuple[int, int]]] = [[] for _ in parent]
-    for p, c in walk:
+    for (a, _), (b, _) in (group for group in _ridge_groups(cx) if len(group) == 2):
+        p, c = (a, b) if parent[b] == a else (b, a)
         outside = reach[1] & ~(masks[p - 1] | masks[c - 1])
         into[c].append((p, outside & ~reach[c]))
         into[p].append((c, outside & reach[c]))
@@ -170,16 +175,13 @@ def _facet_tree(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...]
 
 
 @_per_complex
-def _clique_masks(
-    cx: SimplicialComplex,
-) -> tuple[tuple[tuple[tuple[int, ...], int, int, tuple | None], ...], array, array]:
-    """Per ridge clique: its facets, ascending, and its oriented edges
-    x -> y at the vertices i in neither facet.  A clique of two facets
-    keeps them as its run start:stop of two flat arrays, the pair ids of
-    (x, i) and (y, i).  A larger clique keeps them as split: the pair ids
-    of each of its facets with each vertex anchored at it, and per edge
-    the positions of its two pairs there, its slot x * k + y and its
-    anchor.
+def _clique_masks(cx: SimplicialComplex) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """Per ridge clique of three or more facets: its facets, ascending,
+    and split, its oriented edges x -> y at the vertices i in neither
+    facet: the pair ids of each of its facets with each vertex anchored
+    at it, and per edge the positions of its two pairs there, its slot
+    x * k + y and its anchor.  A clique of two facets has one tree, its
+    bridge, which _facet_tree's index keeps.
 
     Dropping the clique's edges splits a relation tree into one part per
     clique facet j, hang[j]: j's walk subtree (every facet, at the
@@ -194,8 +196,8 @@ def _clique_masks(
     require_quasi_tree(cx)
     masks, _ = _facet_masks(cx)
     parent, reach, _ = _facet_tree(cx)
-    out, parents, children = [], array("q"), array("q")
-    for group in _ridge_groups(cx):
+    out = []
+    for group in (group for group in _ridge_groups(cx) if len(group) > 2):
         nodes = tuple(j for j, _ in group)
         k = len(nodes)
         ridge = masks[nodes[0] - 1] ^ 1 << group[0][1]
@@ -207,14 +209,6 @@ def _clique_masks(
         # per anchor, its vertices; at x itself, without x's own vertex
         away = [list(_bits(anchored[j])) for j in nodes]
         home = [[i for i in at if i != v] for at, (_, v) in zip(away, group)]
-        ids = [_pair_id(cx, j, 0) for j in nodes]
-        start = len(parents)
-        if k == 2:
-            for x, y in ((0, 1), (1, 0)):
-                parents.extend(ids[x] + i for i in home[x])
-                children.extend(ids[y] + i for i in home[x])
-            out.append((nodes, start, len(parents), None))
-            continue
         held = [i for at in away for i in at]
         spot = {i: q for q, i in enumerate(held)}
         w = len(held)
@@ -227,9 +221,9 @@ def _clique_masks(
                     downs.extend(y * w + q for q in at)
                     slots.extend(repeat(x * k + y, len(at)))
                     anchors.extend(repeat(a, len(at)))
-        pairs = tuple(ids[x] + i for x in range(k) for i in held)
-        out.append((nodes, start, start, (pairs, ups, downs, slots, anchors)))
-    return tuple(out), parents, children
+        pairs = tuple(_pair_id(cx, j, i) for j in nodes for i in held)
+        out.append((nodes, (pairs, ups, downs, slots, anchors)))
+    return tuple(out)
 
 
 def _tree_exists(k: int, bad: list[int], forced: tuple[int, ...] = (), floor: int = -1) -> bool:
@@ -318,29 +312,25 @@ def _first_tree(k: int, bad: list[int]) -> list[tuple[int, int]]:
 
 
 def _passing_cliques(mult: MultiplicityAssignment) -> list[tuple[tuple[int, ...], list]] | None:
-    """Per ridge clique its facets and, per slot x*k + y, the mask of
-    the anchors of the vertices at which the table grows along x -> y;
-    None at the first clique with no passing tree.  A clique of two
-    facets has one tree, which passes unless some edge grows."""
+    """Per ridge clique of three or more facets its facets and, per slot
+    x*k + y, the mask of the anchors of the vertices at which the table
+    grows along x -> y; None when the table grows along a bridge or at
+    the first clique with no passing tree."""
+    cliques = _clique_masks(mult.complex)
+    if not _bridges_pass(mult):
+        return None
     get = mult._pair_values().get
-    cliques, parents, children = _clique_masks(mult.complex)
     ones = repeat(1)
     passing = []
-    for nodes, start, stop, split in cliques:
+    for nodes, (pairs, ups, downs, slots, anchors) in cliques:
         k = len(nodes)
         bad = [0] * (k * k)
-        if split is None:
-            ps, cs = parents[start:stop], children[start:stop]
-            if any(map(lt, map(get, ps, ones), map(get, cs, ones))):
-                return None
-        else:
-            pairs, ups, downs, slots, anchors = split
-            value = list(map(get, pairs, ones)).__getitem__
-            grows = map(lt, map(value, ups), map(value, downs))
-            for s, a in compress(zip(slots, anchors), grows):
-                bad[s] |= 1 << a
-            if not _tree_exists(k, bad):
-                return None
+        value = list(map(get, pairs, ones)).__getitem__
+        grows = map(lt, map(value, ups), map(value, downs))
+        for s, a in compress(zip(slots, anchors), grows):
+            bad[s] |= 1 << a
+        if not _tree_exists(k, bad):
+            return None
         passing.append((nodes, bad))
     return passing
 
@@ -350,13 +340,14 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     satisfies the non-increase condition; the first such tree in
     canonical order is returned as witness.  A relation tree passes
     exactly when its tree in every ridge clique does, so the witness is
-    the union of each clique's first passing tree."""
+    the union of each clique's first passing tree: the bridges, and the
+    split search's tree in each larger clique."""
     passing = _passing_cliques(mult)
     if passing is None:
         return SatisfyingVerdict(False, (), None)
-    chosen = [
-        (nodes[x], nodes[y]) for nodes, bad in passing for x, y in _first_tree(len(nodes), bad)
-    ]
+    chosen = [(h, j) for j, at in enumerate(_facet_tree(mult.complex)[2]) for h, _ in at]
+    for nodes, bad in passing:
+        chosen += [(nodes[x], nodes[y]) for x, y in _first_tree(len(nodes), bad)]
     return SatisfyingVerdict(True, (), FacetLevelGraph(range(1, mult.complex.m + 1), chosen))
 
 

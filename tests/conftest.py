@@ -390,29 +390,29 @@ def quasitree_reference(mult: MultiplicityAssignment):
 
 
 def tree_criterion_reference(mult: MultiplicityAssignment, field: FieldSpec):
-    """The tree criterion as it read the quasi-tree criterion's clique
-    store: after the tree-case hypotheses, the table grows along a
-    two-facet run p -> c of _clique_masks at vertex i when the value at
-    (p, i) is below the one at (c, i).  Returns whether nothing grows and
-    the violations, by vertex and then in the order of the vertex's
-    rooted walk.  Raises as the criterion does."""
+    """The tree criterion read off clique_masks_reference: after the
+    tree-case hypotheses every ridge clique is one facet-graph edge, whose
+    one tree's mask lists its oriented edges (p, i) -> (c, i), and the
+    table grows along one when the value at (p, i) is below the one at
+    (c, i).  Returns whether nothing grows and the violations, by vertex
+    and then in the order of the vertex's rooted walk.  Raises as the
+    criterion does."""
     from cmlab.complexes import _pair_id
-    from cmlab.graphs import require_tree_case
-    from cmlab.satisfying import _clique_masks, _vertex_walk
+    from cmlab.graphs import facet_graph, require_tree_case
 
     cx = mult.complex
     require_tree_case(cx, field)
     s, get = _pair_id(cx, 1, 0), mult._pair_values().get
-    _, parents, children = _clique_masks(cx)
-    values = ((p, c, get(p, 1), get(c, 1)) for p, c in zip(parents, children))
-    grown = [(*divmod(p, s), c // s, a, b) for p, c, a, b in values if a < b]
-    by_child = {(i, k): (i, (h, k), (a, b)) for h, i, k, a, b in grown}
-    violations = tuple(
-        by_child[i, k]
-        for i in sorted({i for i, _ in by_child})
-        for k in _vertex_walk(cx, i)[1::2]
-        if (i, k) in by_child
-    )
+    by_child = {}
+    for trees, masks, edges in clique_masks_reference(cx):
+        assert len(trees) == 1 and masks[0] == (1 << len(edges)) - 1
+        for p, c in edges:
+            a, b = get(p, 1), get(c, 1)
+            if a < b:
+                (h, i), k = divmod(p, s), c // s
+                by_child[i, k] = (i, (h, k), (a, b))
+    walks = next(restriction_edges_reference(cx, [facet_graph(cx)])) if by_child else ()
+    violations = tuple(by_child[i, k] for i, _, k in walks if (i, k) in by_child)
     return not violations, violations
 
 

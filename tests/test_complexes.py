@@ -313,6 +313,28 @@ def test_from_overrides_rejects_bad_keys(tree_fixture):
         MultiplicityAssignment.from_overrides(tree_fixture, {(2, 1): 0})
 
 
+def test_bool_indices_name_no_exponent_slot():
+    # True == 1, so a bool facet or vertex passes the range checks and
+    # its pair compares equal to a domain pair; it is refused as an
+    # index, as a bool is refused as a value
+    cx = SimplicialComplex(3, ((1, 2), (2, 3)))  # domain (1, 3), (2, 1)
+    for (j, i), entries in (
+        ((True, 3), [(True, 3, 2), (2, 1, 1)]),
+        ((2, True), [(1, 3, 1), (2, True, 2)]),
+    ):
+        message = re.escape(f"no exponent slot at facet {j}, vertex {i}")
+        with pytest.raises(MultiplicityDomainMismatch, match=message):
+            MultiplicityAssignment.from_overrides(cx, {(j, i): 2})
+        with pytest.raises(MultiplicityDomainMismatch, match=message):
+            MultiplicityAssignment(cx, entries)
+        with pytest.raises(MultiplicityDomainMismatch, match=message):
+            ExponentOffset(cx, entries)
+        with pytest.raises(MultiplicityDomainMismatch, match=message):
+            MultiplicityAssignment.constant(cx).value(j, i)
+    assert MultiplicityAssignment(cx, [(1, 3, 2), (2, 1, 1)]).raised == ((1, 3, 2),)
+    assert MultiplicityAssignment.from_overrides(cx, {(1, 3): 2}).raised == ((1, 3, 2),)
+
+
 def test_from_overrides_equals_the_validated_table(tree_fixture, monkeypatch):
     # the table, or the first bad value in domain order, is what the
     # validating constructor gives; the overrides are drawn in random

@@ -13,6 +13,7 @@ from conftest import (
     book_chain,
     built_anew,
     check_cm_uniform_block_reference,
+    clique_masks_reference,
     decompose_into_generators_reference,
     general_satisfying_reference,
     parent_maps_reference,
@@ -35,7 +36,7 @@ from conftest import (
     tree_criterion_reference,
 )
 
-from cmlab import satisfying, structure
+from cmlab import graphs, satisfying, structure
 
 from cmlab import GF2, RATIONALS, fixture_names, get_fixture
 from cmlab.complexes import (
@@ -58,6 +59,7 @@ from cmlab.errors import (
 )
 from cmlab.graphs import (
     ROOT,
+    FacetLevelGraph,
     clique_trees,
     facet_graph,
     find_leaf_order,
@@ -586,6 +588,30 @@ def test_split_search_matches_the_clique_tree_scan():
     assert counts[True] >= 1500 and counts[False] >= 1000
 
 
+def test_quasitree_criterion_reads_only_bridges_off_the_facet_tree():
+    # a table that grows only along a walk edge inside a clique of three
+    # or four facets rules out the relation trees holding that edge, the
+    # walk among them, but another tree of the clique passes: so the
+    # facet-tree index must keep the bridges and no other walk edge
+    rng = random.Random(157)
+    profiles = ((3,), (4,), (3, 3), (2, 4), (4, 2, 3), (3, 2, 4))
+    checked = 0
+    for cx in [random_attach_quasitree(rng, p) for p in profiles for _ in range(3)]:
+        walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
+        (oriented,) = restriction_edge_sets(cx, [FacetLevelGraph(range(1, cx.m + 1), walk)])
+        cliques = [{j for j, _ in group} for group in graphs._ridge_groups(cx) if len(group) > 2]
+        for i, x, y in sorted(oriented):
+            if any({x, y} <= nodes for nodes in cliques):
+                am = MultiplicityAssignment.from_overrides(cx, {(y, i): 2})
+                satisfied, witness = quasitree_reference(am)
+                if satisfied:
+                    verdict = is_quasitree_satisfying(am)
+                    assert verdict.satisfied and verdict.witness_tree.edges == witness
+                    assert check_cm_quasitree_sufficient(am) is True
+                    checked += 1
+    assert checked >= 20
+
+
 def test_quasitree_orientation_depends_on_hanging_facets():
     # Removing leaf 1 (branch 2) and then leaf 2 (branch 3) builds the
     # only relation tree.  Facet 2 omits vertex 1 but facet 1 hanging
@@ -630,32 +656,39 @@ def _outcome(compute):
 
 
 def _stored_edges(cx):
-    """Per ridge clique of the store, its facets and per kept edge the
+    """Per bridge of _facet_tree's index, once from either end, and per
+    ridge clique of the clique store: its facets and per kept edge the
     tuple (vertex i, facet x, facet y, anchor position or None, pair id
-    of (x, i), pair id of (y, i)).  Checks on the way that the runs of
-    the two-facet cliques cover the flat arrays one after another, that
-    larger cliques keep no run, and that each edge's pair ids and slot
-    agree with its facets and vertex."""
-    per_clique, parents, children = satisfying._clique_masks(cx)
+    of (x, i), pair id of (y, i)).  Checks on the way that the bridges
+    are exactly the two-facet ridge cliques, that the store keeps exactly
+    the larger ones, and that each edge's pair ids and slot agree with
+    its facets and vertex."""
+    per_clique = satisfying._clique_masks(cx)
+    _, _, into = satisfying._facet_tree(cx)
+    groups = [tuple(j for j, _ in group) for group in graphs._ridge_groups(cx)]
+    assert [nodes for nodes, _ in per_clique] == [nodes for nodes in groups if len(nodes) > 2]
     stride = _pair_id(cx, 1, 0)
-    runs = [(start, stop) for _, start, stop, split in per_clique if split is None]
-    assert [start for start, _ in runs] == ([0] + [stop for _, stop in runs])[:-1]
-    assert len(parents) == len(children) == (runs[-1][1] if runs else 0)
+    held, ends = [], Counter()
+    for y, bridges in enumerate(into):
+        for x, mask in bridges:
+            nodes = (min(x, y), max(x, y))
+            ends[nodes] += 1
+            # the pair ids as the criteria compute them
+            ids = [(x * stride + i, y * stride + i, None) for i in range(cx.n + 1) if mask >> i & 1]
+            held.append((nodes, ids, None))
+    assert ends == Counter({nodes: 2 for nodes in groups if len(nodes) == 2})
+    for nodes, (pairs, ups, downs, slots, anchors) in per_clique:
+        ids = [(pairs[u], pairs[d], a) for u, d, a in zip(ups, downs, anchors)]
+        held.append((nodes, ids, slots))
     out = []
-    for nodes, start, stop, split in per_clique:
-        k = len(nodes)
-        if split is None:
-            ids, anchors = zip(parents[start:stop], children[start:stop]), itertools.repeat(None)
-        else:
-            assert start == stop
-            pairs, ups, downs, slots, anchors = split
-            ids = [(pairs[u], pairs[d]) for u, d in zip(ups, downs)]
+    for nodes, ids, slots in held:
         edges = []
-        for (p, c), a in zip(ids, anchors):
+        for p, c, a in ids:
             (x, i), (y, i2) = divmod(p, stride), divmod(c, stride)
             assert i == i2 and x != y and {x, y} <= set(nodes)
             edges.append((i, x, y, a, p, c))
-        if split is not None:
+        if slots is not None:
+            k = len(nodes)
             assert list(slots) == [nodes.index(x) * k + nodes.index(y) for _, x, y, *_ in edges]
         out.append((nodes, edges))
     return out
@@ -676,8 +709,8 @@ def _side(edges, x, y):
 
 def _mask_edge_sets(cx):
     """Per relation tree, the kept edges (vertex, parent, child) that it
-    selects: every edge of a two-facet clique, whose one tree holds its
-    one edge, and in a larger clique x -> y for a tree edge x-y at each
+    selects: every edge of a bridge, the one tree of its two-facet
+    clique, and in a larger clique x -> y for a tree edge x-y at each
     vertex whose anchor lies on x's side of it."""
     cliques = _stored_edges(cx)
     sets = []
@@ -1082,10 +1115,11 @@ def test_tree_criterion_matches_the_clique_store_reference():
     assert counts[NotTreeFacetGraph] and counts[NotCohenMacaulay]
 
 
-def test_grown_edges_are_the_clique_store_runs_that_grow():
-    # on tree-case complexes the store keeps every clique as a two-facet
-    # run, and the index's grown edges at each vertex are exactly the
-    # runs p -> c with the value at (p, i) below the one at (c, i)
+def test_grown_edges_are_the_two_facet_clique_edges_that_grow():
+    # on tree-case complexes every ridge clique is one facet-graph edge,
+    # so the store keeps none, and the index's grown edges at each vertex
+    # are exactly the oriented edges p -> c of the reference's one tree
+    # per clique with the value at (p, i) below the one at (c, i)
     rng = random.Random(149)
     complexes = [stacked_path(m, d) for d in range(2, 6) for m in (1, 2, 5, 9)]
     complexes.append(get_fixture("triangle-tree").complex)
@@ -1095,19 +1129,21 @@ def test_grown_edges_are_the_clique_store_runs_that_grow():
     grown_total = 0
     for cx in complexes:
         stride = _pair_id(cx, 1, 0)
-        store, parents, children = satisfying._clique_masks(cx)
-        assert all(split is None for _, _, _, split in store)
+        assert satisfying._clique_masks(cx) == ()
+        cliques = clique_masks_reference(cx)
+        assert all(len(trees) == 1 for trees, _, _ in cliques)
         for t in range(8):
             draw = random_tree_satisfying if t % 4 == 0 else random_assignment
             am = draw(rng, cx, 2 + t % 3)
             get = am._pair_values().get
-            runs = Counter()
-            for p, c in zip(parents, children):
-                (h, i), j = divmod(p, stride), c // stride
-                if get(p, 1) < get(c, 1):
-                    runs[i, (h, j), (get(p, 1), get(c, 1))] += 1
+            expected = Counter()
+            for _, _, edges in cliques:
+                for p, c in edges:
+                    (h, i), j = divmod(p, stride), c // stride
+                    if get(p, 1) < get(c, 1):
+                        expected[i, (h, j), (get(p, 1), get(c, 1))] += 1
             grown = Counter(satisfying._grown_edges(am))
-            assert grown == runs
+            assert grown == expected
             assert set(grown.values()) <= {1}
             grown_total += len(grown)
     assert grown_total > 1000
