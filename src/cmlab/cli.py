@@ -27,8 +27,7 @@ and fixtures when the source is a fixture name:
   graphs, structure and satisfying;
 - ideal loads ideals.
 
-array loads only for the quasi-tree criterion's clique store and the
-walks that order the tree criterion's violations.
+array loads only for the walks that order the tree criterion's violations.
 
 A problem file is read by json's C scanner (the _json module), so no
 request imports json itself, except examples show, which prints with

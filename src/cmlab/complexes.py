@@ -406,6 +406,12 @@ def _is_slot(cx: SimplicialComplex, j: object, i: object) -> bool:
     )
 
 
+def _check_vertex(cx: SimplicialComplex, i: object) -> None:
+    """Raise unless i, an int and not a bool, is a vertex 1..n of cx."""
+    if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= cx.n:
+        raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
+
+
 def _pair_id(cx: SimplicialComplex, j: int, i: int) -> int:
     """The id of the pair (facet j, vertex i) of a table on cx: ids ascend
     in the domain's order, and divmod(id, _pair_id(cx, 1, 0)) is (j, i)."""
@@ -548,6 +554,7 @@ class MultiplicityAssignment(_Table):
     def vertex_values(self, i: int) -> tuple[tuple[int, int], ...]:
         """(facet index, value) pairs for one vertex, facet order."""
         cx = self.complex
+        _check_vertex(cx, i)
         return tuple((j, self.value(j, i)) for j in range(1, cx.m + 1) if _is_slot(cx, j, i))
 
     @property
@@ -619,6 +626,7 @@ class ExponentOffset(_Table):
         cls, cx: SimplicialComplex, vertex: int, facet_indices: Iterable[int]
     ) -> ExponentOffset:
         """Offset 1 at (j, vertex) for the given facet indices, 0 elsewhere."""
+        _check_vertex(cx, vertex)
         marked = set(facet_indices)
         slots = (j for j in range(1, cx.m + 1) if j in marked and _is_slot(cx, j, vertex))
         return cls._of_canonical(cx, tuple((j, vertex, 1) for j in slots))

@@ -16,6 +16,7 @@ from itertools import chain, combinations, product
 from .complexes import (
     Frozen,
     SimplicialComplex,
+    _check_vertex,
     _facet_masks,
     _leaf_branch,
     _per_complex,
@@ -30,7 +31,6 @@ from .errors import (
     NotQuasiTree,
     NotTreeFacetGraph,
     RootNotFound,
-    VertexOutOfRange,
 )
 from .homology import FieldSpec, is_cm_complex
 
@@ -156,6 +156,15 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
     return FacetLevelGraph(tuple(range(1, cx.m + 1)), edges)
 
 
+@_per_complex
+def _facet_walk(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], bool, bool]:
+    """The one rooted_walk of a pure complex's facet graph from facet 1:
+    its (parent, child) edges, whether the graph is connected and whether
+    it is a tree; the void complex's graph is neither."""
+    walk, tree = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
+    return walk, len(walk) == cx.m - 1, tree and not cx.is_void
+
+
 def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> None:
     """Raise unless the complex is pure with a tree facet graph and, when
     a field is given, Cohen-Macaulay over it: the hypotheses of the
@@ -171,7 +180,7 @@ def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> 
 @_per_complex
 def _tree_facet_graph(cx: SimplicialComplex) -> bool:
     """Whether the complex is pure with a tree facet graph."""
-    return cx.is_pure and is_tree(facet_graph(cx))
+    return cx.is_pure and _facet_walk(cx)[2]
 
 
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
@@ -181,8 +190,7 @@ def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
 
     When every facet contains the vertex the graph is just the root.
     """
-    if not 1 <= i <= cx.n:
-        raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
+    _check_vertex(cx, i)
     base = facet_graph(cx)
     kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
     edges = [(a, b) for a, b in base.edges if a in kept and b in kept]
@@ -223,7 +231,7 @@ def require_quasi_tree(cx: SimplicialComplex) -> None:
     """Raise unless the complex is pure, strongly connected and has a
     leaf order: the hypotheses of relation trees and of the quasi-tree
     criterion."""
-    if not cx.is_pure or not facet_graph(cx).is_connected():
+    if not cx.is_pure or not _facet_walk(cx)[1]:
         raise NotQuasiTree("relation trees need a pure, strongly connected complex")
     if find_leaf_order(cx) is None:
         raise NotQuasiTree("no leaf order exists")

@@ -6,15 +6,16 @@ the uniform-block criterion, and the semigroup of tree-case tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from functools import cache
-from itertools import chain, combinations, compress, permutations, repeat
-from operator import lt
+from itertools import chain, combinations
 
 from .complexes import (
     ExponentOffset,
     MultiplicityAssignment,
     SimplicialComplex,
+    _check_vertex,
     _facet_masks,
     _pair_id,
     _per_complex,
@@ -26,18 +27,18 @@ from .errors import (
     NotPure,
     NotShellable,
     RestrictionNotTree,
-    VertexOutOfRange,
 )
 from .graphs import (
     ROOT,
     FacetLevelGraph,
+    _facet_walk,
     _ridge_groups,
     facet_graph,
     require_quasi_tree,
     require_tree_case,
     rooted_walk,
 )
-from .homology import RATIONALS, FieldSpec, _bits, is_cm_complex
+from .homology import RATIONALS, FieldSpec, is_cm_complex
 
 __all__ = [
     "SatisfyingVerdict",
@@ -97,8 +98,8 @@ def _bridges_pass(mult: MultiplicityAssignment) -> bool:
     loop, stopping at the first edge that grows: a generator per table
     would cost cross-validate as much as the loop."""
     get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
-    into = _facet_tree(mult.complex)[2]
-    for j, i, b in mult.raised:
+    into = _facet_tree(mult.complex)[0]
+    for j, i, b in mult.raised if into else ():
         for h, at in into[j]:
             if at >> i & 1:
                 if get(h * stride + i, 1) < b:
@@ -113,9 +114,9 @@ def _grown_edges(mult: MultiplicityAssignment):
     values at (h, i) and (j, i), at most one per raised entry (j, i, b)
     and in their order: per entry, the one bridge h-j, if any, that
     points into j at i.  In the tree case, the violations."""
-    _, _, into = _facet_tree(mult.complex)
+    into = _facet_tree(mult.complex)[0]
     get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
-    for j, i, b in mult.raised:
+    for j, i, b in mult.raised if into else ():
         for h, at in into[j]:
             if at >> i & 1:
                 a = get(h * stride + i, 1)
@@ -146,84 +147,57 @@ def _require_covered(cx: SimplicialComplex) -> None:
 
 
 @_per_complex
-def _facet_tree(cx: SimplicialComplex) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
-    """The index both criteria read, from one rooted_walk of the facet
-    graph away from facet 1 (the facet tree in the tree case, a relation
-    tree of a quasi-tree): per facet j its walk parent (0 for facet 1),
-    reach[j], the vertices of the facets in j's walk subtree, and per
-    bridge h-j, a two-facet ridge clique (every edge of a tree, a block
-    of a quasi-tree's block graph, so held by every relation tree), the
-    mask of the vertices in neither facet at which h-j points h -> j.
-    The facets holding a vertex i form a subtree, so a walk edge p-c, c
-    the child, points c -> p at i exactly when i is in reach[c].  A
+def _facet_tree(cx: SimplicialComplex) -> tuple[tuple, tuple[tuple, ...]]:
+    """The index both criteria read, built in one pass over the ridge
+    cliques.  The facet walk away from facet 1 (the facet tree in the
+    tree case, a relation tree of a quasi-tree) gives each facet j
+    reach[j], the vertices of its walk subtree.  The facets holding a
+    vertex i form a subtree, so a walk edge p-c, c the child, points
+    c -> p at i exactly when i is in reach[c].
+
+    into: per facet j and bridge h-j (a two-facet ridge clique, so held
+    by every relation tree), h and the mask of the vertices in neither
+    facet at which h-j points h -> j; () when there is no bridge.
+
+    cliques: per ridge clique of three or more facets, (nodes, anchors,
+    others).  nodes are its facets, ascending.  Dropping its edges
+    leaves a part hanging from each clique facet: its walk subtree
+    (everything, at the top) minus its clique children's.  anchors holds
+    per clique facet the vertices off the ridge in its part, those
+    anchored there; an edge x-y of a clique tree points x -> y at i
+    exactly when i's anchor is on x's side.  others holds per position
+    y and other clique facet x the slot x*k + y, the pair id of (x, 0)
+    and x's own vertex, the one vertex off the ridge that x holds.  A
     vertex in no facet leaves no tree."""
     _require_covered(cx)
     masks, _ = _facet_masks(cx)
-    walk, _ = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
     parent = [0] * (cx.m + 1)
     reach = [0, *masks]
-    for p, c in reversed(walk):
+    for p, c in reversed(_facet_walk(cx)[0]):
         parent[c] = p
         reach[p] |= reach[c]
     into: list[list[tuple[int, int]]] = [[] for _ in parent]
-    for (a, _), (b, _) in (group for group in _ridge_groups(cx) if len(group) == 2):
-        p, c = (a, b) if parent[b] == a else (b, a)
-        outside = reach[1] & ~(masks[p - 1] | masks[c - 1])
-        into[c].append((p, outside & ~reach[c]))
-        into[p].append((c, outside & reach[c]))
-    return tuple(parent), tuple(reach), tuple(map(tuple, into))
-
-
-@_per_complex
-def _clique_masks(cx: SimplicialComplex) -> tuple[tuple[tuple[int, ...], tuple], ...]:
-    """Per ridge clique of three or more facets: its facets, ascending,
-    and split, its oriented edges x -> y at the vertices i in neither
-    facet: the pair ids of each of its facets with each vertex anchored
-    at it, and per edge the positions of its two pairs there, its slot
-    x * k + y and its anchor.  A clique of two facets has one tree, its
-    bridge, which _facet_tree's index keeps.
-
-    Dropping the clique's edges splits a relation tree into one part per
-    clique facet j, hang[j]: j's walk subtree (every facet, at the
-    clique's top) minus its clique children's.  The facets containing a
-    vertex i outside the clique's ridge form a subtree of every relation
-    tree, so they lie in one part, that of i's anchor.  A clique-tree
-    edge x-y orients the restriction to i as x -> y exactly when i's
-    anchor is on x's side, so x -> y is kept at each vertex anchored
-    anywhere but at y.  A vertex in no facet leaves no tree."""
-    from array import array
-
-    require_quasi_tree(cx)
-    masks, _ = _facet_masks(cx)
-    parent, reach, _ = _facet_tree(cx)
-    out = []
-    for group in (group for group in _ridge_groups(cx) if len(group) > 2):
+    cliques = []
+    for group in _ridge_groups(cx):
         nodes = tuple(j for j, _ in group)
+        if len(nodes) == 2:
+            p, c = nodes if parent[nodes[1]] == nodes[0] else nodes[::-1]
+            outside = reach[1] & ~(masks[p - 1] | masks[c - 1])
+            into[c].append((p, outside & ~reach[c]))
+            into[p].append((c, outside & reach[c]))
+            continue
         k = len(nodes)
         ridge = masks[nodes[0] - 1] ^ 1 << group[0][1]
-        # the vertices anchored at each clique facet: those of hang[j] off the ridge
-        anchored = {j: reach[j if parent[j] in nodes else 1] & ~ridge for j in nodes}
+        anchors = [reach[j if parent[j] in nodes else 1] & ~ridge for j in nodes]
         for j in nodes:
             if parent[j] in nodes:
-                anchored[parent[j]] &= ~reach[j]
-        # per anchor, its vertices; at x itself, without x's own vertex
-        away = [list(_bits(anchored[j])) for j in nodes]
-        home = [[i for i in at if i != v] for at, (_, v) in zip(away, group)]
-        held = [i for at in away for i in at]
-        spot = {i: q for q, i in enumerate(held)}
-        w = len(held)
-        ups, downs, slots, anchors = array("i"), array("i"), array("i"), array("i")
-        for x, y in permutations(range(k), 2):
-            for a in range(k):
-                if a != y:
-                    at = [spot[i] for i in (home[a] if a == x else away[a])]
-                    ups.extend(x * w + q for q in at)
-                    downs.extend(y * w + q for q in at)
-                    slots.extend(repeat(x * k + y, len(at)))
-                    anchors.extend(repeat(a, len(at)))
-        pairs = tuple(_pair_id(cx, j, i) for j in nodes for i in held)
-        out.append((nodes, (pairs, ups, downs, slots, anchors)))
-    return tuple(out)
+                anchors[nodes.index(parent[j])] &= ~reach[j]
+        others = tuple(
+            tuple((x * k + y, _pair_id(cx, h, 0), v) for x, (h, v) in enumerate(group) if x != y)
+            for y in range(k)
+        )
+        cliques.append((nodes, tuple(anchors), others))
+    return tuple(map(tuple, into)) if any(into) else (), tuple(cliques)
 
 
 def _tree_exists(k: int, bad: list[int], forced: tuple[int, ...] = (), floor: int = -1) -> bool:
@@ -315,20 +289,30 @@ def _passing_cliques(mult: MultiplicityAssignment) -> list[tuple[tuple[int, ...]
     """Per ridge clique of three or more facets its facets and, per slot
     x*k + y, the mask of the anchors of the vertices at which the table
     grows along x -> y; None when the table grows along a bridge or at
-    the first clique with no passing tree."""
-    cliques = _clique_masks(mult.complex)
+    the first clique with no passing tree.  Only a raised entry (j, i, b)
+    grows an edge, one into j at i: in each clique holding j at y,
+    x -> y for i anchored off y, when i is not x's own vertex (a facet
+    holding i reads 1) and x's value there is below b.  A clique reads
+    the raised entries of its own facets, a slice of mult.raised each."""
+    require_quasi_tree(mult.complex)
+    cliques = _facet_tree(mult.complex)[1]
     if not _bridges_pass(mult):
         return None
-    get = mult._pair_values().get
-    ones = repeat(1)
+    get, raised = mult._pair_values().get, mult.raised
     passing = []
-    for nodes, (pairs, ups, downs, slots, anchors) in cliques:
+    for nodes, anchors, others in cliques:
         k = len(nodes)
         bad = [0] * (k * k)
-        value = list(map(get, pairs, ones)).__getitem__
-        grows = map(lt, map(value, ups), map(value, downs))
-        for s, a in compress(zip(slots, anchors), grows):
-            bad[s] |= 1 << a
+        for y, j in enumerate(nodes):
+            for _, i, b in raised[bisect_left(raised, (j,)) : bisect_left(raised, (j + 1,))]:
+                a = 0
+                while not anchors[a] >> i & 1:
+                    a += 1
+                if a != y:
+                    bit = 1 << a
+                    for s, base, v in others[y]:
+                        if i != v and get(base + i, 1) < b:
+                            bad[s] |= bit
         if not _tree_exists(k, bad):
             return None
         passing.append((nodes, bad))
@@ -345,7 +329,7 @@ def is_quasitree_satisfying(mult: MultiplicityAssignment) -> SatisfyingVerdict:
     passing = _passing_cliques(mult)
     if passing is None:
         return SatisfyingVerdict(False, (), None)
-    chosen = [(h, j) for j, at in enumerate(_facet_tree(mult.complex)[2]) for h, _ in at]
+    chosen = [(h, j) for j, at in enumerate(_facet_tree(mult.complex)[0]) for h, _ in at]
     for nodes, bad in passing:
         chosen += [(nodes[x], nodes[y]) for x, y in _first_tree(len(nodes), bad)]
     return SatisfyingVerdict(True, (), FacetLevelGraph(range(1, mult.complex.m + 1), chosen))
@@ -439,8 +423,7 @@ def check_cm_uniform_block(
     vs = sorted(set(block_vertices))
     fs = sorted(set(block_facets))
     for i in vs:
-        if not 1 <= i <= cx.n:
-            raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
+        _check_vertex(cx, i)
     for j in fs:
         if not 1 <= j <= cx.m:
             raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
@@ -463,8 +446,8 @@ def semigroup_generators(
     global list is deduplicated, which merges the zero offsets.
     """
     require_tree_case(cx, RATIONALS)
-    if vertex is not None and not 1 <= vertex <= cx.n:
-        raise VertexOutOfRange(f"vertex {vertex} not in 1..{cx.n}")
+    if vertex is not None:
+        _check_vertex(cx, vertex)
     _require_covered(cx)
     wanted = [vertex] if vertex is not None else range(1, cx.n + 1)
     out: list[ExponentOffset] = []

@@ -16,6 +16,7 @@ from .errors import (
 )
 from .graphs import (
     LeafOrder,
+    _facet_walk,
     _ridge_groups,
     _tree_facet_graph,
     facet_graph,
@@ -247,7 +248,7 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     agree, and refuses to return a report that would break that.
     """
     pure = cx.is_pure
-    sc = facet_graph(cx).is_connected() if pure else False
+    sc = _facet_walk(cx)[1] if pure else False
     cm = is_cm_complex(cx, field)
     # A shellable complex is Cohen-Macaulay over every field.
     shellable = cm and find_shelling(cx) is not None

@@ -276,7 +276,7 @@ def test_trusted_table_equals_the_validated_one():
         am = random_assignment(rng, cx, 4)
         trusted = MultiplicityAssignment._of_canonical(cx, am.raised)
         assert trusted == am and hash(trusted) == hash(am)
-        for i in range(cx.n + 2):
+        for i in range(1, cx.n + 1):
             expected = tuple((j, v) for j, i2, v in am.entries if i2 == i)
             assert trusted.vertex_values(i) == am.vertex_values(i) == expected
         assert all(trusted.value(j, i) == v for j, i, v in am.entries)
@@ -437,8 +437,8 @@ def test_levels_group_each_vertex_values_by_value():
     corpus += [random_complex(rng, 6, 4, cone=rng.randint(0, 1)) for _ in range(60)]
     for cx in corpus:
         for am in (MultiplicityAssignment.constant(cx), random_assignment(rng, cx, 4)):
-            expected = []
-            for i in range(cx.n + 1):
+            expected = [()]
+            for i in range(1, cx.n + 1):
                 masks: dict[int, int] = {}
                 for j, v in am.vertex_values(i):
                     masks[v] = masks.get(v, 0) | 1 << (j - 1)
@@ -536,7 +536,11 @@ def test_tables_keeping_raised_entries_answer_as_dense_tables():
                             am.value(j, i)
                         assert str(info.value) == f"no exponent slot at facet {j}, vertex {i}"
             for i in range(-1, cx.n + 2):
-                assert am.vertex_values(i) == ref.vertex_values(i)
+                if 1 <= i <= cx.n:
+                    assert am.vertex_values(i) == ref.vertex_values(i)
+                else:
+                    with pytest.raises(VertexOutOfRange, match=f"^vertex {i} not in 1..{cx.n}$"):
+                        am.vertex_values(i)
             assert am.levels == ref.levels()
             for a in [(0,) * cx.n] + [[rng.randint(0, 4) for _ in range(cx.n)] for _ in range(5)]:
                 assert am.threshold_subcomplex(a).facets == ref.threshold_facets(a)
@@ -582,7 +586,11 @@ def test_offsets_keeping_raised_entries_add_and_scale_as_dense_offsets():
         for vertex in range(0, cx.n + 2):
             marked = set(rng.sample(range(0, cx.m + 2), rng.randint(0, cx.m + 2)))
             expected = tuple((j, i, int(i == vertex and j in marked)) for j, i in domain)
-            assert ExponentOffset.indicator(cx, vertex, marked).entries == expected
+            if 1 <= vertex <= cx.n:
+                assert ExponentOffset.indicator(cx, vertex, marked).entries == expected
+            else:
+                with pytest.raises(VertexOutOfRange, match=f"^vertex {vertex} not in 1..{cx.n}$"):
+                    ExponentOffset.indicator(cx, vertex, marked)
     assert checked > 50
 
 

@@ -110,12 +110,38 @@ def test_strong_connectivity_matches_graph_connectivity():
         d = rng.randint(1, 3)
         facets = [tuple(rng.sample(range(1, 8), d)) for _ in range(rng.randint(1, 6))]
         complexes.append(SimplicialComplex(7, tuple(facets)))
+    # the void complex is neither connected nor a tree, one facet is both
+    complexes += [SimplicialComplex(0, ()), SimplicialComplex.from_facets(3, [[1, 2, 3]])]
     verdicts = []
     for cx in complexes:
         connected = facet_graph(cx).is_connected()
         assert connected == strongly_connected_by_bfs(cx)
+        # the flags the gates read off the one walk per complex
+        assert graphs._facet_walk(cx)[1:] == (connected, is_tree(facet_graph(cx)))
         verdicts.append(connected)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 40
+    assert graphs._facet_walk(complexes[-2])[1:] == (False, False)
+    assert graphs._facet_walk(complexes[-1])[1:] == (True, True)
+
+
+def test_gates_and_index_share_one_facet_graph_walk(monkeypatch):
+    # the tree-case and quasi-tree gates, classify and the criteria's
+    # index all read one rooted_walk of the facet graph from facet 1
+    walks = []
+
+    def counted(adjacency, kept, root):
+        walks.append(root)
+        return rooted_walk(adjacency, kept, root)
+
+    monkeypatch.setattr(graphs, "rooted_walk", counted)
+    for cx in (book_chain(3, 2), get_fixture("triangle-tree").complex):
+        cx = built_anew(cx)
+        graphs.require_quasi_tree(cx)
+        graphs._tree_facet_graph(cx)
+        structure.classify(cx)
+        satisfying._facet_tree(cx)
+        assert walks == [1]
+        walks.clear()
 
 
 def test_rooted_walk_orders_edges_and_flags_trees():
@@ -439,7 +465,8 @@ def test_graph_caches_are_bounded(tree_fixture):
         structure._tree_facet_graph: (),
         structure._ridge_masks: (),
         structure._tier_order: (0, (1 << cx.m) - 1),
-        satisfying._clique_masks: (),
+        graphs._facet_walk: (),
+        satisfying._facet_tree: (),
         satisfying._vertex_walk: (1,),
     }
     for cached, args in kept.items():

@@ -241,6 +241,23 @@ def test_uniform_block_validates_inputs(tree_fixture):
         check_cm_uniform_block(tree_fixture, [1], [7], {1: 2})
 
 
+@pytest.mark.parametrize("vertex", [0, 4, 7, 99, True, False])
+def test_vertex_arguments_outside_the_complex_raise(vertex):
+    # one check names a vertex out of range, or a bool, which compares
+    # equal to 0 or 1 but is no vertex, wherever a public call takes one
+    cx = SimplicialComplex.from_facets(3, [[1, 2], [2, 3]])
+    calls = (
+        lambda: MultiplicityAssignment.constant(cx).vertex_values(vertex),
+        lambda: ExponentOffset.indicator(cx, vertex, [1]),
+        lambda: vertex_graph(cx, vertex),
+        lambda: semigroup_generators(cx, vertex=vertex),
+        lambda: check_cm_uniform_block(cx, [vertex], [1], {vertex: 2}),
+    )
+    for call in calls:
+        with pytest.raises(VertexOutOfRange, match=rf"^vertex {vertex} not in 1\.\.3$"):
+            call()
+
+
 def test_uniform_block_raises_on_an_uncovered_vertex():
     # vertex 3 lies in no facet, so its restriction is no tree: the
     # uniform-block criterion raises as the tree criterion and the
@@ -588,6 +605,41 @@ def test_split_search_matches_the_clique_tree_scan():
     assert counts[True] >= 1500 and counts[False] >= 1000
 
 
+def test_clique_masks_read_off_raised_entries_match_the_clique_tree_scan():
+    # each larger clique's bad masks come from the raised entries alone;
+    # a raised entry (y, i) with i the own vertex of another clique facet
+    # x, anchored at x, must not count x -> y as grown (x holds i, so its
+    # pair reads 1), nor any edge into y at a vertex anchored at y.  Per
+    # complex: every one-entry table, then sparse tables of one to three
+    # entries and dense ones, against the scan of every clique tree.
+    # Stars stop at 7 edges: the scan lists star-8's 262,144 trees
+    tetrahedral = SimplicialComplex.from_facets(10, [
+        (1, 2, 3, 4), (1, 2, 3, 5), (1, 2, 3, 6), (2, 3, 5, 7), (2, 3, 5, 8), (2, 3, 5, 9),
+        (1, 3, 6, 10),
+    ])
+    assert sorted(map(len, graphs._ridge_groups(tetrahedral))) == [2, 3, 4]
+    rng = random.Random(167)
+    complexes = [_star(m) for m in range(4, 8)]
+    complexes += [book_chain(3, 1), book_chain(4, 2), book_chain(3, 3), tetrahedral]
+    counts = Counter()
+    for cx in complexes:
+        domain = [(j, i) for j, i, _ in MultiplicityAssignment.constant(cx).entries]
+        tables = [MultiplicityAssignment.from_overrides(cx, {pair: 2}) for pair in domain]
+        for t in range(40):
+            if t % 2:
+                tables.append(random_sparse_assignment(rng, cx, rng.choice((2, 3, 4))))
+            else:
+                tables.append(random_assignment(rng, cx, rng.choice((2, 3))))
+        for am in tables:
+            satisfied, witness = quasitree_reference(am)
+            verdict = is_quasitree_satisfying(am)
+            assert verdict.satisfied == satisfied
+            assert (verdict.witness_tree and verdict.witness_tree.edges) == witness
+            assert check_cm_quasitree_sufficient(am) is (True if satisfied else None)
+            counts[satisfied, len(am.raised) <= 3] += 1
+    assert min(counts.values()) >= 25
+
+
 def test_quasitree_criterion_reads_only_bridges_off_the_facet_tree():
     # a table that grows only along a walk edge inside a clique of three
     # or four facets rules out the relation trees holding that edge, the
@@ -657,16 +709,22 @@ def _outcome(compute):
 
 def _stored_edges(cx):
     """Per bridge of _facet_tree's index, once from either end, and per
-    ridge clique of the clique store: its facets and per kept edge the
-    tuple (vertex i, facet x, facet y, anchor position or None, pair id
-    of (x, i), pair id of (y, i)).  Checks on the way that the bridges
-    are exactly the two-facet ridge cliques, that the store keeps exactly
-    the larger ones, and that each edge's pair ids and slot agree with
-    its facets and vertex."""
-    per_clique = satisfying._clique_masks(cx)
-    _, _, into = satisfying._facet_tree(cx)
-    groups = [tuple(j for j, _ in group) for group in graphs._ridge_groups(cx)]
-    assert [nodes for nodes, _ in per_clique] == [nodes for nodes in groups if len(nodes) > 2]
+    ridge clique of three or more facets, once from each of its facets
+    y: its facets and per kept edge x -> y the tuple (vertex i, facet x,
+    facet y, anchor position or None, pair id of (x, i), pair id of
+    (y, i)), read off the index's anchor masks as the criterion reads
+    them: at each vertex anchored anywhere but at y, save x's own.
+    Checks on the way that the bridges are exactly the two-facet ridge
+    cliques, that the index holds exactly the larger ones, with one
+    anchor mask per facet and, at each of its facets, each other facet's
+    own vertex (the one off the ridge), and that each edge's pair ids and
+    slot agree with its facets and vertex.  Raises as the quasi-tree criterion does:
+    at its gate, then where the index does."""
+    graphs.require_quasi_tree(cx)
+    into, cliques = satisfying._facet_tree(cx)
+    pairs = {tuple(j for j, _ in group): group for group in graphs._ridge_groups(cx)}
+    groups = list(pairs)
+    assert [nodes for nodes, _, _ in cliques] == [nodes for nodes in groups if len(nodes) > 2]
     stride = _pair_id(cx, 1, 0)
     held, ends = [], Counter()
     for y, bridges in enumerate(into):
@@ -677,9 +735,19 @@ def _stored_edges(cx):
             ids = [(x * stride + i, y * stride + i, None) for i in range(cx.n + 1) if mask >> i & 1]
             held.append((nodes, ids, None))
     assert ends == Counter({nodes: 2 for nodes in groups if len(nodes) == 2})
-    for nodes, (pairs, ups, downs, slots, anchors) in per_clique:
-        ids = [(pairs[u], pairs[d], a) for u, d, a in zip(ups, downs, anchors)]
-        held.append((nodes, ids, slots))
+    for nodes, anchors, others in cliques:
+        assert len(anchors) == len(others) == len(nodes)
+        for y, (j, row) in enumerate(zip(nodes, others)):
+            assert len(row) == len(nodes) - 1
+            ids, slots = [], []
+            for s, base, v in row:
+                assert (base // stride, v) in pairs[nodes]
+                for a, anchored in enumerate(anchors):
+                    for i in range(cx.n + 1) if a != y else ():
+                        if anchored >> i & 1 and i != v:
+                            ids.append((base + i, j * stride + i, a))
+                            slots.append(s)
+            held.append((nodes, ids, slots))
     out = []
     for nodes, ids, slots in held:
         edges = []
@@ -689,7 +757,7 @@ def _stored_edges(cx):
             edges.append((i, x, y, a, p, c))
         if slots is not None:
             k = len(nodes)
-            assert list(slots) == [nodes.index(x) * k + nodes.index(y) for _, x, y, *_ in edges]
+            assert slots == [nodes.index(x) * k + nodes.index(y) for _, x, y, *_ in edges]
         out.append((nodes, edges))
     return out
 
@@ -1063,8 +1131,8 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
     assert walks[before:] == []
     assert len(semigroup_generators(tree_fixture)) == 55
     assert Counter(walks) == Counter(kept.values())
-    # only the quasi-tree criterion builds the clique store
-    assert satisfying._clique_masks not in tree_fixture._memo
+    # a tree facet graph has no ridge clique of three or more facets
+    assert satisfying._facet_tree(tree_fixture)[1] == ()
 
 
 def _tree_case_tables(rng):
@@ -1098,7 +1166,7 @@ def _tree_case_tables(rng):
 
 def test_tree_criterion_matches_the_clique_store_reference():
     # the verdict and the violations read off the facet-tree index are
-    # those the criterion read off the clique store, in characteristics
+    # those of the reference's clique-tree masks, in characteristics
     # 0, 2 and 3, with the same exceptions where the hypotheses fail
     tables = _tree_case_tables(random.Random(139))
     counts = Counter()
@@ -1129,7 +1197,7 @@ def test_grown_edges_are_the_two_facet_clique_edges_that_grow():
     grown_total = 0
     for cx in complexes:
         stride = _pair_id(cx, 1, 0)
-        assert satisfying._clique_masks(cx) == ()
+        assert satisfying._facet_tree(cx)[1] == ()
         cliques = clique_masks_reference(cx)
         assert all(len(trees) == 1 for trees, _, _ in cliques)
         for t in range(8):

@@ -158,6 +158,14 @@ FOOTPRINT_CASES = [
      {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure"}, {"cmlab.satisfying"}),
     (["check", "{violated}"], 1,
      {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure"}, {"cmlab.satisfying"}),
+    # the quasi-tree criterion reads a star's one ridge clique of five
+    # facets off the facet-tree index, with no array-backed store
+    (["check", "{star}", "--method", "quasitree"], 0,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {"cmlab.satisfying"}),
+    (["check", "{star}"], 0,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {"cmlab.satisfying"}),
     # the shelling condition runs here, so structure loads
     (["cross-validate", "triangle-tree", "--samples", "5"], 0, {*PLAIN, "cmlab.ideals"},
      {"cmlab.structure"}),
@@ -191,7 +199,8 @@ def _footprint(tmp_path, argv, *flags):
     (tmp_path / "stacked.json").write_text(stacked % ", ".join(record % a for a in alpha))
     alpha[2] = (4, 1, 4)
     (tmp_path / "violated.json").write_text(stacked % ", ".join(record % a for a in alpha))
-    paths = {name: tmp_path / f"{name}.json" for name in ("stacked", "violated")}
+    (tmp_path / "star.json").write_text('{"n": 6, "facets": [[1, 6], [2, 6], [3, 6], [4, 6], [5, 6]]}')
+    paths = {name: tmp_path / f"{name}.json" for name in ("stacked", "violated", "star")}
     argv = [arg.format(path=doc, cycle=cycle, octahedron=octahedron, **paths) for arg in argv]
     src = str(Path(cmlab.__file__).parent.parent)
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
