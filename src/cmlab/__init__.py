@@ -18,7 +18,14 @@ __version__ = "0.1.0"
 _MODULE_OF = {
     name: module
     for module, names in {
-        "complexes": ("ExponentOffset", "MultiplicityAssignment", "SimplicialComplex"),
+        "complexes": (
+            "GF2",
+            "RATIONALS",
+            "ExponentOffset",
+            "FieldSpec",
+            "MultiplicityAssignment",
+            "SimplicialComplex",
+        ),
         "errors": ("CmLabError",),
         "fixtures": ("Fixture", "fixture_names", "get_fixture", "problem_json"),
         "graphs": (
@@ -31,10 +38,7 @@ _MODULE_OF = {
             "vertex_graph",
         ),
         "homology": (
-            "GF2",
-            "RATIONALS",
             "ExactMatrix",
-            "FieldSpec",
             "OracleVerdict",
             "boundary_matrix",
             "is_cm_complex",

@@ -27,7 +27,7 @@ and fixtures when the source is a fixture name:
   graphs, structure and satisfying;
 - ideal loads ideals.
 
-array loads only for the walks that order the tree criterion's violations.
+No request loads array.
 
 A problem file is read by json's C scanner (the _json module), so no
 request imports json itself, except examples show, which prints with

@@ -1,5 +1,5 @@
 """Simplicial complexes stored by facet lists, plus the exponent tables
-attached to them.
+attached to them and the coefficient field every check names.
 
 Vertices are the integers 1..n.  A complex keeps its facets
 (inclusion-maximal faces) canonically sorted, so equal complexes compare
@@ -21,6 +21,8 @@ from operator import itemgetter, ne
 from .errors import (
     EmptyFacet,
     FaceNotInComplex,
+    FacetIndexOutOfRange,
+    InvalidCharacteristic,
     MultiplicityDomainMismatch,
     UncoveredVertex,
     VertexOutOfRange,
@@ -163,6 +165,43 @@ class _Record(tuple):
         if changes:
             raise ValueError(f"unexpected field names: {sorted(changes)}")
         return type(self)(*values)
+
+
+# Strong probable primes to these bases are prime below _PRIME_LIMIT
+# (Sorenson and Webster, 2015); larger characteristics are refused.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_PRIME_LIMIT = 318_665_857_834_031_151_167_461
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin, exact for p < _PRIME_LIMIT."""
+    if p < 2 or any(p % a == 0 for a in _WITNESSES):
+        return p in _WITNESSES
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2**s exactly divides p - 1
+    d = (p - 1) >> s
+    for a in _WITNESSES:
+        if pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)):
+            return False
+    return True
+
+
+class FieldSpec(Frozen):
+    """Coefficient field, identified by its characteristic (0 or a prime)."""
+
+    __slots__ = _fields = ("characteristic",)
+    characteristic: int
+
+    def __init__(self, characteristic: int = 0) -> None:
+        c = characteristic
+        if isinstance(c, int) and c >= _PRIME_LIMIT:
+            raise InvalidCharacteristic(f"characteristic must be below {_PRIME_LIMIT}")
+        if not isinstance(c, int) or isinstance(c, bool) or (c != 0 and not _is_prime(c)):
+            raise InvalidCharacteristic(f"characteristic must be 0 or a prime, got {c!r}")
+        self._freeze(c)
+
+
+RATIONALS = FieldSpec(0)
+GF2 = FieldSpec(2)
 
 
 class _CacheInfo(_Record, fields="hits misses"):
@@ -410,6 +449,12 @@ def _check_vertex(cx: SimplicialComplex, i: object) -> None:
     """Raise unless i, an int and not a bool, is a vertex 1..n of cx."""
     if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= cx.n:
         raise VertexOutOfRange(f"vertex {i} not in 1..{cx.n}")
+
+
+def _check_facet(cx: SimplicialComplex, j: object) -> None:
+    """Raise unless j, an int and not a bool, is a facet index 1..m of cx."""
+    if not isinstance(j, int) or isinstance(j, bool) or not 1 <= j <= cx.m:
+        raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
 
 
 def _pair_id(cx: SimplicialComplex, j: int, i: int) -> int:

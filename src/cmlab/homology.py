@@ -33,6 +33,9 @@ from collections.abc import Iterator
 from math import gcd
 
 from .complexes import (
+    GF2,
+    RATIONALS,
+    FieldSpec,
     Frozen,
     MultiplicityAssignment,
     SimplicialComplex,
@@ -41,7 +44,7 @@ from .complexes import (
     _per_complex,
     _Record,
 )
-from .errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
+from .errors import DimensionOutOfRange, VoidComplex
 
 __all__ = [
     "FieldSpec",
@@ -54,43 +57,6 @@ __all__ = [
     "OracleVerdict",
     "is_cm_ideal_oracle",
 ]
-
-
-# Strong probable primes to these bases are prime below _PRIME_LIMIT
-# (Sorenson and Webster, 2015); larger characteristics are refused.
-_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_PRIME_LIMIT = 318_665_857_834_031_151_167_461
-
-
-def _is_prime(p: int) -> bool:
-    """Deterministic Miller-Rabin, exact for p < _PRIME_LIMIT."""
-    if p < 2 or any(p % a == 0 for a in _WITNESSES):
-        return p in _WITNESSES
-    s = ((p - 1) & (1 - p)).bit_length() - 1  # 2**s exactly divides p - 1
-    d = (p - 1) >> s
-    for a in _WITNESSES:
-        if pow(a, d, p) != 1 and all(pow(a, d << r, p) != p - 1 for r in range(s)):
-            return False
-    return True
-
-
-class FieldSpec(Frozen):
-    """Coefficient field, identified by its characteristic (0 or a prime)."""
-
-    __slots__ = _fields = ("characteristic",)
-    characteristic: int
-
-    def __init__(self, characteristic: int = 0) -> None:
-        c = characteristic
-        if isinstance(c, int) and c >= _PRIME_LIMIT:
-            raise InvalidCharacteristic(f"characteristic must be below {_PRIME_LIMIT}")
-        if not isinstance(c, int) or isinstance(c, bool) or (c != 0 and not _is_prime(c)):
-            raise InvalidCharacteristic(f"characteristic must be 0 or a prime, got {c!r}")
-        self._freeze(c)
-
-
-RATIONALS = FieldSpec(0)
-GF2 = FieldSpec(2)
 
 
 def _rank(rows: tuple[tuple[tuple[int, int], ...], ...], p: int) -> int:

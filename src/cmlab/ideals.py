@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .complexes import Frozen, MultiplicityAssignment, SimplicialComplex
+from .complexes import FieldSpec, Frozen, MultiplicityAssignment, SimplicialComplex, _check_facet
 from .errors import (
     AmbientMismatch,
-    FacetIndexOutOfRange,
     HypothesesViolated,
     InternalInvariantViolation,
     MultiplicityDomainMismatch,
@@ -215,8 +214,7 @@ def irreducible_component(mult: MultiplicityAssignment, j: int) -> MonomialIdeal
     """The component at facet j: each missing vertex contributes one
     pure power with that pair's exponent."""
     cx = mult.complex
-    if not 1 <= j <= cx.m:
-        raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
+    _check_facet(cx, j)
     # one pure power per vertex facet j misses: distinct, minimal and in display order
     missing = (i for i in range(1, cx.n + 1) if i not in cx.facets[j - 1])
     gens = tuple(
@@ -267,12 +265,11 @@ def splitting_witness(
     component.
     """
     from .graphs import facet_graph, require_tree_case
-    from .homology import RATIONALS
     from .structure import is_shelling
 
     cx = mult.complex
     # None means the rationals here, but no Cohen-Macaulay check to require_tree_case
-    require_tree_case(cx, RATIONALS if field is None else field)
+    require_tree_case(cx, FieldSpec(0) if field is None else field)
     if cx.m < 2:
         raise HypothesesViolated("need at least two facets")
     seq = tuple(order)

@@ -9,34 +9,27 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Iterable, Mapping
 from functools import cache
-from itertools import chain, combinations
+from itertools import combinations
 
 from .complexes import (
     ExponentOffset,
     MultiplicityAssignment,
     SimplicialComplex,
+    _check_facet,
     _check_vertex,
     _facet_masks,
     _pair_id,
     _per_complex,
     _Record,
 )
-from .errors import (
-    FacetIndexOutOfRange,
-    HypothesesViolated,
-    NotPure,
-    NotShellable,
-    RestrictionNotTree,
-)
+from .errors import HypothesesViolated, NotPure, NotShellable, RestrictionNotTree
 from .graphs import (
     ROOT,
     FacetLevelGraph,
     _facet_walk,
     _ridge_groups,
-    facet_graph,
     require_quasi_tree,
     require_tree_case,
-    rooted_walk,
 )
 from .homology import RATIONALS, FieldSpec, is_cm_complex
 
@@ -75,12 +68,13 @@ def is_tree_satisfying(
     and the complex is Cohen-Macaulay."""
     cx = mult.complex
     require_tree_case(cx, field)
-    by_child = {(i, edge[1]): (i, edge, values) for i, edge, values in _grown_edges(mult)}
-    # only the vertices with a violation are walked, to order them
+    grown = _grown_edges(mult, _facet_tree(cx)[0])
+    by_child = {(i, edge[1]): (i, edge, values) for i, edge, values in grown}
+    # only the vertices with a violation get their parents, to order them
     violations = tuple(
         by_child[i, k]
         for i in sorted({i for i, _ in by_child})
-        for k in _vertex_walk(cx, i)[1::2]
+        for k in _vertex_parents(cx, i)
         if (i, k) in by_child
     )
     return SatisfyingVerdict(not violations, violations)
@@ -89,32 +83,16 @@ def is_tree_satisfying(
 def check_cm_tree_case(mult: MultiplicityAssignment, field: FieldSpec = RATIONALS) -> bool:
     """The verdict of is_tree_satisfying, without its violations."""
     require_tree_case(mult.complex, field)
-    return _bridges_pass(mult)
+    return next(_grown_edges(mult, _facet_tree(mult.complex)[0]), None) is None
 
 
-def _bridges_pass(mult: MultiplicityAssignment) -> bool:
-    """Whether the table grows along no bridge of the facet graph: both
-    criteria's verdict on the two-facet ridge cliques.  _grown_edges'
-    loop, stopping at the first edge that grows: a generator per table
-    would cost cross-validate as much as the loop."""
-    get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
-    into = _facet_tree(mult.complex)[0]
-    for j, i, b in mult.raised if into else ():
-        for h, at in into[j]:
-            if at >> i & 1:
-                if get(h * stride + i, 1) < b:
-                    return False
-                break
-    return True
-
-
-def _grown_edges(mult: MultiplicityAssignment):
+def _grown_edges(mult: MultiplicityAssignment, into: tuple):
     """The bridges of the facet graph along which a table grows, each
     (vertex i, (parent facet h, child facet j), (a, b)) with a < b the
     values at (h, i) and (j, i), at most one per raised entry (j, i, b)
-    and in their order: per entry, the one bridge h-j, if any, that
-    points into j at i.  In the tree case, the violations."""
-    into = _facet_tree(mult.complex)[0]
+    and in their order: per entry, the one bridge h-j in into (from
+    _facet_tree), if any, that points into j at i.  In the tree case,
+    the violations; both criteria pass the bridges when there is none."""
     get, stride = mult._pair_values().get, _pair_id(mult.complex, 1, 0)
     for j, i, b in mult.raised if into else ():
         for h, at in into[j]:
@@ -125,25 +103,23 @@ def _grown_edges(mult: MultiplicityAssignment):
                 break
 
 
-@_per_complex
-def _vertex_walk(cx: SimplicialComplex, i: int) -> array:
-    """The directed edges of the vertex graph of i, root edges included,
-    in rooted_walk's order, flat: parent, child, parent, child, ...  Kept
-    on the complex as machine ints, at most one walk per vertex, O(n * m)
-    ints in all, a few bytes per entry of a dense table."""
-    from array import array
-
-    kept = {j for j, f in enumerate(cx.facets, start=1) if i not in f}
-    edges = rooted_walk(facet_graph(cx).adjacency, kept, ROOT)[0]
-    return array("i", chain.from_iterable(edges))
-
-
-def _require_covered(cx: SimplicialComplex) -> None:
-    """Raise at the lowest vertex in no facet, whose restriction is no tree."""
-    _, containing = _facet_masks(cx)
-    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
-    if uncovered:
-        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
+def _vertex_parents(cx: SimplicialComplex, i: int) -> dict[int, int]:
+    """In the tree case, each facet missing vertex i mapped to its parent
+    in the vertex graph of i, in rooted_walk's order: breadth first from
+    ROOT, children ascending.  The parent of j is the one bridge in
+    into[j] that points into j at i, or ROOT when the neighbour towards
+    i holds i.  Not kept: a report needs it once per violating vertex."""
+    into = _facet_tree(cx)[0]
+    parent: dict[int, int] = {}
+    children: dict[int, list[int]] = {}
+    for j, f in enumerate(cx.facets, start=1):
+        if i not in f:
+            parent[j] = h = next((h for h, at in into[j] if at >> i & 1), ROOT)
+            children.setdefault(h, []).append(j)
+    order = [ROOT]
+    for h in order:
+        order += children.get(h, ())
+    return {j: parent[j] for j in order[1:]}
 
 
 @_per_complex
@@ -168,9 +144,11 @@ def _facet_tree(cx: SimplicialComplex) -> tuple[tuple, tuple[tuple, ...]]:
     exactly when i's anchor is on x's side.  others holds per position
     y and other clique facet x the slot x*k + y, the pair id of (x, 0)
     and x's own vertex, the one vertex off the ridge that x holds.  A
-    vertex in no facet leaves no tree."""
-    _require_covered(cx)
-    masks, _ = _facet_masks(cx)
+    vertex in no facet leaves no tree: the lowest raises."""
+    masks, containing = _facet_masks(cx)
+    uncovered = [i for i in range(1, cx.n + 1) if not containing[i]]
+    if uncovered:
+        raise RestrictionNotTree(f"restriction to vertex {uncovered[0]} is not a tree")
     parent = [0] * (cx.m + 1)
     reach = [0, *masks]
     for p, c in reversed(_facet_walk(cx)[0]):
@@ -295,8 +273,8 @@ def _passing_cliques(mult: MultiplicityAssignment) -> list[tuple[tuple[int, ...]
     holding i reads 1) and x's value there is below b.  A clique reads
     the raised entries of its own facets, a slice of mult.raised each."""
     require_quasi_tree(mult.complex)
-    cliques = _facet_tree(mult.complex)[1]
-    if not _bridges_pass(mult):
+    into, cliques = _facet_tree(mult.complex)
+    if next(_grown_edges(mult, into), None) is not None:
         return None
     get, raised = mult._pair_values().get, mult.raised
     passing = []
@@ -425,8 +403,7 @@ def check_cm_uniform_block(
     for i in vs:
         _check_vertex(cx, i)
     for j in fs:
-        if not 1 <= j <= cx.m:
-            raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
+        _check_facet(cx, j)
     if set(levels) != set(vs):
         raise HypothesesViolated("levels must be keyed exactly by the block vertices")
     for i, a in levels.items():
@@ -448,14 +425,11 @@ def semigroup_generators(
     require_tree_case(cx, RATIONALS)
     if vertex is not None:
         _check_vertex(cx, vertex)
-    _require_covered(cx)
     wanted = [vertex] if vertex is not None else range(1, cx.n + 1)
     out: list[ExponentOffset] = []
     seen: set[ExponentOffset] = set()
     for i in wanted:
-        # each facet's parent in the rooted vertex graph
-        walk = _vertex_walk(cx, i)
-        parent = dict(zip(walk[1::2], walk[::2]))
+        parent = _vertex_parents(cx, i)
         nodes = sorted(parent)
         for size in range(len(nodes) + 1):
             for subset in combinations(nodes, size):

@@ -6,14 +6,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
-from .complexes import SimplicialComplex, _facet_masks, _leaf_branch, _per_complex, _Record
-from .errors import (
-    FacetIndexOutOfRange,
-    InternalInvariantViolation,
-    NotPermutation,
-    NotPure,
-    NotShellable,
+from .complexes import (
+    SimplicialComplex,
+    _check_facet,
+    _check_vertex,
+    _facet_masks,
+    _leaf_branch,
+    _per_complex,
+    _Record,
 )
+from .errors import InternalInvariantViolation, NotPermutation, NotPure, NotShellable
 from .graphs import (
     LeafOrder,
     _facet_walk,
@@ -40,7 +42,8 @@ __all__ = [
 
 def _check_permutation(cx: SimplicialComplex, order: Iterable[int]) -> tuple[int, ...]:
     seq = tuple(order)
-    if sorted(seq) != list(range(1, cx.m + 1)):
+    ints = all(isinstance(j, int) and not isinstance(j, bool) for j in seq)
+    if not ints or sorted(seq) != list(range(1, cx.m + 1)):
         raise NotPermutation(f"expected a permutation of 1..{cx.m}, got {seq}")
     return seq
 
@@ -108,7 +111,8 @@ def _tiers(
     full = (1 << cx.m) - 1
     if prefix_vertex is None:
         return [full]
-    first = _facet_masks(cx)[1][prefix_vertex] if 0 < prefix_vertex <= cx.n else 0
+    _check_vertex(cx, prefix_vertex)
+    first = _facet_masks(cx)[1][prefix_vertex]
     rest = full & ~first
     if not weights:
         return [first, rest]
@@ -219,8 +223,7 @@ def is_leaf(cx: SimplicialComplex, j: int) -> tuple[bool, int | None]:
 
     A single-facet complex has a leaf with no branch.
     """
-    if not 1 <= j <= cx.m:
-        raise FacetIndexOutOfRange(f"facet index {j} not in 1..{cx.m}")
+    _check_facet(cx, j)
     if cx.m == 1:
         return True, None
     g = _leaf_branch(_facet_masks(cx)[0], range(cx.m), j - 1)

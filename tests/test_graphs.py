@@ -467,7 +467,6 @@ def test_graph_caches_are_bounded(tree_fixture):
         structure._tier_order: (0, (1 << cx.m) - 1),
         graphs._facet_walk: (),
         satisfying._facet_tree: (),
-        satisfying._vertex_walk: (1,),
     }
     for cached, args in kept.items():
         value = cached(cx, *args)

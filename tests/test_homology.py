@@ -35,14 +35,12 @@ from conftest import (
 )
 
 from cmlab import GF2, RATIONALS, complexes, fixture_names, get_fixture, homology
-from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
+from cmlab.complexes import _PRIME_LIMIT, MultiplicityAssignment, SimplicialComplex, _is_prime
 from cmlab.errors import DimensionOutOfRange, InvalidCharacteristic, VoidComplex
 from cmlab.graphs import ROOT, root_orientation, vertex_graph
 from cmlab.homology import (
-    _PRIME_LIMIT,
     ExactMatrix,
     FieldSpec,
-    _is_prime,
     boundary_matrix,
     is_cm_complex,
     is_cm_ideal_oracle,

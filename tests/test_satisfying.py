@@ -11,7 +11,6 @@ import pytest
 
 from conftest import (
     book_chain,
-    built_anew,
     check_cm_uniform_block_reference,
     clique_masks_reference,
     decompose_into_generators_reference,
@@ -1086,28 +1085,22 @@ def test_all_ones_table_on_a_long_path_lists_no_domain(monkeypatch):
 
 
 def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fixture):
-    # once the complex's facet-tree walk is built, a satisfying table and
-    # every verdict-only call walk nothing; a violating table walks each
-    # violating vertex once per complex, to order its violations as the
-    # reference does, and the semigroup layer reads the same walks
-    walks = []
+    # a satisfying table and every verdict-only call read no vertex
+    # graph's parents; a report reads them once for each violating
+    # vertex, in ascending order, to order its violations as the
+    # reference does, and the semigroup layer once for each vertex
+    computed = []
+    parents = satisfying._vertex_parents
 
-    def counted(adjacency, kept, root):
-        walks.append(frozenset(kept))
-        return rooted_walk(adjacency, kept, root)
+    def counted(cx, i):
+        computed.append(i)
+        return parents(cx, i)
 
-    # built anew, so that no walk of it predates the count
-    tree_fixture = built_anew(tree_fixture)
-    satisfying._facet_tree(tree_fixture)
-    monkeypatch.setattr(satisfying, "rooted_walk", counted)
+    monkeypatch.setattr(satisfying, "_vertex_parents", counted)
     (walk,) = restriction_edges_reference(tree_fixture, [facet_graph(tree_fixture)])
     edges = [e for e in walk if e[1] != ROOT]
-    kept = {
-        i: frozenset(j for j, f in enumerate(tree_fixture.facets, start=1) if i not in f)
-        for i in range(1, tree_fixture.n + 1)
-    }
     rng = random.Random(103)
-    walked: set[int] = set()
+    reported: set[int] = set()
     satisfied = 0
     for t in range(40):
         am = (random_tree_satisfying if t % 4 == 0 else random_assignment)(rng, tree_fixture, 3)
@@ -1116,23 +1109,47 @@ def test_tree_criterion_walks_only_the_vertices_it_reports(monkeypatch, tree_fix
             for i, h, k in edges
             if am.value(h, i) < am.value(k, i)
         )
-        before = len(walks)
+        computed.clear()
         assert check_cm_tree_case(am) == (not expected)
         assert (decompose_into_generators(am) is None) == bool(expected)
-        assert walks[before:] == []
+        assert computed == []
         assert is_tree_satisfying(am).violations == expected
-        new = {i for i, _, _ in expected} - walked
-        assert Counter(walks[before:]) == Counter(kept[i] for i in new)
-        walked |= new
+        assert computed == sorted({i for i, _, _ in expected})
+        reported |= set(computed)
         satisfied += not expected
-    assert satisfied >= 5 and len(walked) >= 3
-    before = len(walks)
+    assert satisfied >= 5 and len(reported) >= 3
+    computed.clear()
     assert check_cm_uniform_block(tree_fixture, [1], [3], {1: 2})
-    assert walks[before:] == []
+    assert computed == []
     assert len(semigroup_generators(tree_fixture)) == 55
-    assert Counter(walks) == Counter(kept.values())
+    assert computed == list(range(1, tree_fixture.n + 1))
+    computed.clear()
+    semigroup_generators(tree_fixture, 4)
+    assert computed == [4]
     # a tree facet graph has no ridge clique of three or more facets
     assert satisfying._facet_tree(tree_fixture)[1] == ()
+
+
+def test_vertex_parents_are_the_rooted_walk_of_each_vertex_graph():
+    # in the tree case the parents read off the facet-tree index are the
+    # vertex graph's rooted_walk from the root, parent for parent and in
+    # its order, on random ridge trees Cohen-Macaulay in characteristic
+    # 0, 2 or 3
+    rng = random.Random(157)
+    fields = (RATIONALS, GF2, FieldSpec(3))
+    checked = Counter()
+    for _ in range(300):
+        cx, _ = random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 8))
+        cm = [field.characteristic for field in fields if is_cm_complex(cx, field)]
+        if not cm or len(cx.vertices) < cx.n:
+            continue
+        for i in range(1, cx.n + 1):
+            graph = vertex_graph(cx, i)
+            walk, tree = rooted_walk(graph.adjacency, set(graph.nodes) - {ROOT}, ROOT)
+            assert tree
+            assert list(satisfying._vertex_parents(cx, i).items()) == [(c, p) for p, c in walk]
+            checked.update(cm)
+    assert min(checked[c] for c in (0, 2, 3)) > 500
 
 
 def _tree_case_tables(rng):
@@ -1210,7 +1227,7 @@ def test_grown_edges_are_the_two_facet_clique_edges_that_grow():
                     (h, i), j = divmod(p, stride), c // stride
                     if get(p, 1) < get(c, 1):
                         expected[i, (h, j), (get(p, 1), get(c, 1))] += 1
-            grown = Counter(satisfying._grown_edges(am))
+            grown = Counter(satisfying._grown_edges(am, satisfying._facet_tree(cx)[0]))
             assert grown == expected
             assert set(grown.values()) <= {1}
             grown_total += len(grown)
@@ -1252,24 +1269,21 @@ def test_tree_criterion_raises_as_the_store_did():
     assert seen[NotTreeFacetGraph] and seen[NotCohenMacaulay]
 
 
-def test_a_second_report_walks_no_vertex_again(monkeypatch):
-    # the walks that order violations are kept on the complex, one per
-    # vertex, so a second report of a table violated at more than 64
-    # vertices of a path walks nothing
+def test_a_second_report_equals_the_first_and_keeps_nothing_per_vertex():
+    # the parents that order violations are read off the facet-tree index
+    # and not kept: after two reports of a table violated at more than 64
+    # vertices of a path, the reports are equal and the complex keeps no
+    # result worked out for one vertex
     m = 100
     path = SimplicialComplex.from_facets(m + 1, [(k, k + 1) for k in range(1, m + 1)])
     mult = random_assignment(random.Random(5), path, 3)
     first = is_tree_satisfying(mult)
     assert len({i for i, _, _ in first.violations}) > 64
-    walks = []
-
-    def counted(adjacency, kept, root):
-        walks.append(root)
-        return rooted_walk(adjacency, kept, root)
-
-    monkeypatch.setattr(satisfying, "rooted_walk", counted)
+    kept = {fn: list(results) for fn, results in path._memo.items()}
     assert is_tree_satisfying(mult) == first
-    assert walks == []
+    assert {fn: list(results) for fn, results in path._memo.items()} == kept
+    assert satisfying._facet_tree in kept
+    assert all(not any(type(a) is int for a in key) for keys in kept.values() for key in keys)
 
 
 def test_cm_tree_case_complexes_are_quasi_trees_with_one_edge_cliques():

@@ -21,13 +21,14 @@ from conftest import (
 )
 
 from cmlab import GF2, RATIONALS, get_fixture, structure
-from cmlab.complexes import SimplicialComplex
+from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
     NotATree,
     NotPermutation,
     NotPure,
     NotShellable,
+    VertexOutOfRange,
 )
 from cmlab.graphs import facet_graph
 from cmlab.structure import (
@@ -187,6 +188,37 @@ def test_is_leaf_frozen_cases(tree_fixture):
     assert is_leaf(tree_fixture, 6) == (True, 4)
     with pytest.raises(FacetIndexOutOfRange):
         is_leaf(tree_fixture, 7)
+
+
+def test_facet_indices_and_prefix_vertices_that_are_bools_floats_or_out_of_range_are_refused(
+    tree_fixture,
+):
+    # True == 1 and 1.0 == 1, yet neither names a facet or a vertex: every
+    # facet index goes through one check with one message, a shelling's
+    # entries must be ints, and a prefix vertex must be a vertex
+    from cmlab.ideals import irreducible_component
+    from cmlab.satisfying import check_cm_uniform_block
+
+    mult = MultiplicityAssignment.constant(tree_fixture)
+    for j in (True, False, 1.0, 0, 7, "1"):
+        message = f"facet index {j} not in 1..6"
+        with pytest.raises(FacetIndexOutOfRange, match=f"^{message}$"):
+            is_leaf(tree_fixture, j)
+        with pytest.raises(FacetIndexOutOfRange, match=f"^{message}$"):
+            irreducible_component(mult, j)
+        with pytest.raises(FacetIndexOutOfRange, match=f"^{message}$"):
+            check_cm_uniform_block(tree_fixture, [1], [j], {1: 2})
+    for first in (True, 1.0, "1"):
+        with pytest.raises(NotPermutation):
+            is_shelling(tree_fixture, [first, 2, 3, 4, 5, 6])
+        with pytest.raises(NotPermutation):
+            free_vertex_of_last(tree_fixture, [first, 2, 3, 4, 5, 6])
+    for vertex in (True, 1.0, 0, 9, 99):
+        with pytest.raises(VertexOutOfRange, match=f"^vertex {vertex} not in 1..8$"):
+            find_shelling(tree_fixture, prefix_vertex=vertex)
+    assert find_shelling(tree_fixture, prefix_vertex=1) == find_shelling_reference(
+        tree_fixture, prefix_vertex=1
+    )
 
 
 def test_single_facet_is_leaf_without_branch():
