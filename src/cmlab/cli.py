@@ -18,11 +18,11 @@ and fixtures when the source is a fixture name:
 
 - examples loads only fixtures;
 - check --method oracle loads homology;
-- check --method auto loads homology, and graphs to test the hypotheses
-  only when the complex has a free vertex (one that lies in exactly one
-  facet), and satisfying only when the tree or quasi-tree criterion runs;
-- check --method tree or quasitree loads homology, graphs and
-  satisfying;
+- check --method auto loads graphs to test the hypotheses only when the
+  complex has a free vertex (one that lies in exactly one facet),
+  satisfying only when the tree or quasi-tree criterion runs, and
+  homology only when it goes to the oracle;
+- check --method tree or quasitree loads graphs and satisfying;
 - check --method general, analyze and cross-validate load homology,
   graphs, structure and satisfying;
 - ideal loads ideals.
@@ -44,7 +44,7 @@ import sys
 from types import SimpleNamespace
 
 from .cli_helpers import resolve_source
-from .complexes import MultiplicityAssignment, _exponent_domain, _facet_masks
+from .complexes import FieldSpec, MultiplicityAssignment, _exponent_domain, _facet_masks
 from .errors import (
     CmLabError,
     HypothesesViolated,
@@ -86,7 +86,6 @@ def _violation_lines(verdict) -> list[str]:
 
 def cmd_analyze(args) -> int:
     from .graphs import facet_graph, vertex_graph
-    from .homology import FieldSpec
     from .satisfying import is_general_satisfying, is_quasitree_satisfying, is_tree_satisfying
     from .structure import classify
 
@@ -233,8 +232,6 @@ def _applies(method: str, cx, field) -> bool:
 
 
 def cmd_check(args) -> int:
-    from .homology import FieldSpec
-
     cx, mult, char, _ = resolve_source(args.source)
     field = FieldSpec(char if args.char is None else args.char)
     if mult is None:
@@ -285,7 +282,7 @@ def _random_entries(rng, top: int, domain) -> tuple[tuple[int, int, int], ...]:
 def cmd_cross_validate(args) -> int:
     import random
 
-    from .homology import FieldSpec, is_cm_ideal_oracle
+    from .homology import is_cm_ideal_oracle
     from .satisfying import check_cm_quasitree_sufficient, check_cm_tree_case, is_general_satisfying
 
     cx, _, char, label = resolve_source(args.source)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 
-from .complexes import MultiplicityAssignment, SimplicialComplex
+from .complexes import FieldSpec, MultiplicityAssignment, SimplicialComplex
 from .errors import CmLabError, InvalidCharacteristic, ParseError, UnknownFixture
 
 __all__ = ["parse_problem_file", "resolve_source"]
@@ -145,8 +145,6 @@ def parse_problem_file(
     char = 0
     if "char" in doc:
         char = _require_int(doc["char"], 0, "char")
-        from .homology import FieldSpec
-
         try:
             FieldSpec(char)
         except InvalidCharacteristic as exc:

@@ -284,6 +284,8 @@ class SimplicialComplex(Frozen):
     @classmethod
     def from_facets(cls, n: int, raw_facets: Iterable[Iterable[int]]) -> SimplicialComplex:
         """Build a complex from raw facet input, validating vertex cover."""
+        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+            raise VertexOutOfRange(f"vertex count {n!r} is not an integer >= 0")
         facets = [tuple(sorted(set(f))) for f in raw_facets]
         for f in facets:
             if not f:
@@ -686,7 +688,7 @@ class ExponentOffset(_Table):
         return ExponentOffset._of_canonical(self.complex, raised)
 
     def scale(self, k: int) -> ExponentOffset:
-        if not isinstance(k, int) or k < 0:
+        if not isinstance(k, int) or isinstance(k, bool) or k < 0:
             raise MultiplicityDomainMismatch("offset scale factor must be an integer >= 0")
         raised = tuple((j, i, v * k) for j, i, v in self.raised) if k else ()
         return ExponentOffset._of_canonical(self.complex, raised)

@@ -14,6 +14,7 @@ from collections.abc import Collection, Iterable, Mapping
 from itertools import chain, combinations, product
 
 from .complexes import (
+    FieldSpec,
     Frozen,
     SimplicialComplex,
     _check_vertex,
@@ -32,7 +33,6 @@ from .errors import (
     NotTreeFacetGraph,
     RootNotFound,
 )
-from .homology import FieldSpec, is_cm_complex
 
 __all__ = [
     "FacetLevelGraph",
@@ -157,30 +157,30 @@ def facet_graph(cx: SimplicialComplex) -> FacetLevelGraph:
 
 
 @_per_complex
-def _facet_walk(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], bool, bool]:
+def _facet_walk(cx: SimplicialComplex) -> tuple[tuple[tuple[int, int], ...], bool, bool, bool]:
     """The one rooted_walk of a pure complex's facet graph from facet 1:
-    its (parent, child) edges, whether the graph is connected and whether
-    it is a tree; the void complex's graph is neither."""
+    its (parent, child) edges, whether the graph is connected, whether
+    it is a tree (the void complex's graph is neither), and whether it
+    is connected with a leaf order.  By Lemma C (README) a connected one
+    has a leaf order exactly when the number of facets holding each
+    covered vertex, less one, sums to (m - 1) * dim; on a tree facet
+    graph that is Cohen-Macaulayness over every field."""
     walk, tree = rooted_walk(facet_graph(cx).adjacency, range(2, cx.m + 1), 1)
-    return walk, len(walk) == cx.m - 1, tree and not cx.is_void
+    connected = len(walk) == cx.m - 1
+    joined = sum(h.bit_count() - 1 for h in _facet_masks(cx)[1] if h) == (cx.m - 1) * cx.dim
+    return walk, connected, tree and not cx.is_void, connected and joined
 
 
 def require_tree_case(cx: SimplicialComplex, field: FieldSpec | None = None) -> None:
     """Raise unless the complex is pure with a tree facet graph and, when
     a field is given, Cohen-Macaulay over it: the hypotheses of the
     tree-case criterion and of the constructions built on it."""
-    if not _tree_facet_graph(cx):
+    if not cx.is_pure or not _facet_walk(cx)[2]:
         raise NotTreeFacetGraph("the facet graph must be a tree")
-    if field is not None and not is_cm_complex(cx, field):
+    if field is not None and not _facet_walk(cx)[3]:
         raise NotCohenMacaulay(
             f"complex is not Cohen-Macaulay in characteristic {field.characteristic}"
         )
-
-
-@_per_complex
-def _tree_facet_graph(cx: SimplicialComplex) -> bool:
-    """Whether the complex is pure with a tree facet graph."""
-    return cx.is_pure and _facet_walk(cx)[2]
 
 
 def vertex_graph(cx: SimplicialComplex, i: int) -> FacetLevelGraph:
@@ -233,7 +233,7 @@ def require_quasi_tree(cx: SimplicialComplex) -> None:
     criterion."""
     if not cx.is_pure or not _facet_walk(cx)[1]:
         raise NotQuasiTree("relation trees need a pure, strongly connected complex")
-    if find_leaf_order(cx) is None:
+    if not _facet_walk(cx)[3]:
         raise NotQuasiTree("no leaf order exists")
 
 

@@ -204,7 +204,7 @@ def variable_ideal(n: int, variables: Iterable[int]) -> MonomialIdeal:
     """The prime generated by the given variables (1-based)."""
     gens = []
     for i in variables:
-        if not 1 <= i <= n:
+        if not isinstance(i, int) or isinstance(i, bool) or not 1 <= i <= n:
             raise VertexOutOfRange(f"variable {i} not in 1..{n}")
         gens.append(tuple(1 if k == i else 0 for k in range(1, n + 1)))
     return MonomialIdeal(n, tuple(gens))

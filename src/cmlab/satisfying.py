@@ -12,7 +12,9 @@ from functools import cache
 from itertools import combinations
 
 from .complexes import (
+    RATIONALS,
     ExponentOffset,
+    FieldSpec,
     MultiplicityAssignment,
     SimplicialComplex,
     _check_facet,
@@ -31,7 +33,6 @@ from .graphs import (
     require_quasi_tree,
     require_tree_case,
 )
-from .homology import RATIONALS, FieldSpec, is_cm_complex
 
 __all__ = [
     "SatisfyingVerdict",
@@ -330,7 +331,7 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
     structure = _structure()
     cx = mult.complex
     # shellable implies Cohen-Macaulay over every field, so over Q too
-    if cx.is_pure and not is_cm_complex(cx, RATIONALS):
+    if cx.is_pure and not structure.is_cm_complex(cx, RATIONALS):
         raise NotShellable("complex is not shellable")
     if not cx.is_pure:
         raise NotPure("shellings are defined for pure complexes here")
@@ -358,9 +359,10 @@ def is_general_satisfying(mult: MultiplicityAssignment) -> bool:
 
 @cache
 def _structure():
-    """The module of the shelling searches, imported on first use, so that
-    the tree and quasi-tree criteria run without it; an import statement
-    in is_general_satisfying cost each table 1 to 2.5 microseconds."""
+    """The module of the shelling searches and, through it, of
+    is_cm_complex, imported on first use, so that the tree and quasi-tree
+    criteria run without it or homology; an import statement in
+    is_general_satisfying cost each table 1 to 2.5 microseconds."""
     from . import structure
 
     return structure

@@ -20,7 +20,6 @@ from .graphs import (
     LeafOrder,
     _facet_walk,
     _ridge_groups,
-    _tree_facet_graph,
     facet_graph,
     find_leaf_order,
     require_tree_case,
@@ -251,13 +250,13 @@ def classify(cx: SimplicialComplex, field: FieldSpec = RATIONALS) -> Classificat
     agree, and refuses to return a report that would break that.
     """
     pure = cx.is_pure
-    sc = _facet_walk(cx)[1] if pure else False
+    sc = pure and _facet_walk(cx)[1]
     cm = is_cm_complex(cx, field)
     # A shellable complex is Cohen-Macaulay over every field.
     shellable = cm and find_shelling(cx) is not None
     mm = cx.has_minimal_multiplicity()
     qt = find_leaf_order(cx) is not None
-    tree = _tree_facet_graph(cx)
+    tree = pure and _facet_walk(cx)[2]
     report = ClassificationReport(
         field=field,
         pure=pure,

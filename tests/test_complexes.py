@@ -109,6 +109,14 @@ def test_from_facets_rejects_vertex_out_of_range():
         SimplicialComplex.from_facets(2, [[0, 1]])
 
 
+def test_from_facets_rejects_a_vertex_count_that_is_not_an_int():
+    # a float count was kept or failed inside range, and True built a complex
+    for bad in (2.0, 2.5, True, -1, "2"):
+        with pytest.raises(VertexOutOfRange, match="vertex count"):
+            SimplicialComplex.from_facets(bad, [[1]])
+    assert SimplicialComplex.from_facets(0, []).is_void
+
+
 def test_from_facets_rejects_uncovered_vertex():
     with pytest.raises(UncoveredVertex):
         SimplicialComplex.from_facets(3, [[1, 2]])
@@ -574,7 +582,7 @@ def test_offsets_keeping_raised_entries_add_and_scale_as_dense_offsets():
             a, b = ExponentOffset(cx, first), ExponentOffset(cx, second)
             assert (a + b).entries == tuple((j, i, v + w) for (j, i, v), (_, _, w) in zip(first, second))
             assert a + zero == a and a.scale(0) == zero and a.scale(1) == a
-            for bad in (-1, 1.5):
+            for bad in (-1, 1.5, True, False):
                 with pytest.raises(MultiplicityDomainMismatch, match="offset scale factor"):
                     a.scale(bad)
             for k in (2, 3):

@@ -7,6 +7,7 @@ exactly and then checks the structural invariants on random complexes.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from itertools import combinations
 
@@ -20,6 +21,7 @@ from conftest import (
     random_pure_complex,
     random_pure_strongly_connected,
     random_quasi_tree,
+    random_ridge_tree,
     random_spanning_tree,
     relation_trees_reference,
     restrict_relation_tree,
@@ -27,14 +29,16 @@ from conftest import (
     strongly_connected_by_bfs,
 )
 
-from cmlab import complexes, get_fixture, graphs, satisfying, structure
-from cmlab.complexes import MultiplicityAssignment, SimplicialComplex
+from cmlab import complexes, get_fixture, graphs, homology, satisfying, structure
+from cmlab.complexes import RATIONALS, FieldSpec, MultiplicityAssignment, SimplicialComplex
 from cmlab.errors import (
     FacetIndexOutOfRange,
     HypothesesViolated,
     NotATree,
+    NotCohenMacaulay,
     NotPure,
     NotQuasiTree,
+    NotTreeFacetGraph,
     RestrictionNotTree,
     RootNotFound,
     VertexOutOfRange,
@@ -117,16 +121,92 @@ def test_strong_connectivity_matches_graph_connectivity():
         connected = facet_graph(cx).is_connected()
         assert connected == strongly_connected_by_bfs(cx)
         # the flags the gates read off the one walk per complex
-        assert graphs._facet_walk(cx)[1:] == (connected, is_tree(facet_graph(cx)))
+        assert graphs._facet_walk(cx)[1:3] == (connected, is_tree(facet_graph(cx)))
+        assert graphs._facet_walk(cx)[3] == (connected and find_leaf_order(cx) is not None)
         verdicts.append(connected)
     assert verdicts.count(False) >= 10 and verdicts.count(True) >= 40
-    assert graphs._facet_walk(complexes[-2])[1:] == (False, False)
-    assert graphs._facet_walk(complexes[-1])[1:] == (True, True)
+    assert graphs._facet_walk(complexes[-2])[1:] == (False, False, False)
+    assert graphs._facet_walk(complexes[-1])[1:] == (True, True, True)
+
+
+def _glued(rng, cx):
+    """cx with two vertices that share no facet made one."""
+    pairs = [
+        (a, b) for a, b in combinations(range(1, cx.n + 1), 2)
+        if not any(a in f and b in f for f in cx.facets)
+    ]
+    a, b = rng.choice(pairs) if pairs else (1, 1)
+    return SimplicialComplex(cx.n, [{a if v == b else v for v in f} for f in cx.facets])
+
+
+def _strip(k, d, cut):
+    """The facets {i, ..., i + d - 1} mod k on vertices 1..k, but those
+    at the positions i in cut."""
+    return SimplicialComplex(k, [
+        [(i + t) % k + 1 for t in range(d)] for i in range(k) if i not in cut
+    ])
+
+
+def test_leaf_order_count_matches_the_leaf_order_search_and_the_oracle():
+    # Lemma C: a pure, strongly connected complex has a leaf order exactly
+    # when its vertex degrees, each less one, sum to (m - 1) * dim; on a
+    # tree facet graph that is Cohen-Macaulayness over every field.  A
+    # long strip cut at 0 < c < d consecutive facets has a path for its
+    # facet graph and is Cohen-Macaulay only at c = d - 1
+    rng = random.Random(37)
+    complexes = [SimplicialComplex(4, [(v,) for v in range(1, m + 1)]) for m in range(1, 5)]
+    complexes += [SimplicialComplex(3, [(1, 2, 3)]), SimplicialComplex(2, [()])]
+    for _ in range(150):
+        grown = random_pure_strongly_connected(rng, max_n=8, max_m=7)
+        complexes += [grown, _glued(rng, grown), _glued(rng, random_quasi_tree(rng, max_m=7))]
+        complexes.append(random_ridge_tree(rng, rng.randint(2, 4), rng.randint(2, 7))[0])
+    for k in range(3, 12):
+        for d in range(2, min(k, 5)):
+            for c in range(d):
+                i = rng.randrange(k)
+                complexes.append(_strip(k, d, {(i + t) % k for t in range(c)}))
+    checked = trees = not_cm = 0
+    for cx in complexes:
+        if not cx.is_pure or not graphs._facet_walk(cx)[1]:
+            continue
+        _, _, tree, joined = graphs._facet_walk(cx)
+        assert joined == (find_leaf_order(cx) is not None)
+        checked += 1
+        if tree:
+            for char in (0, 2, 3):
+                assert joined == homology.is_cm_complex(cx, FieldSpec(char))
+            trees += 1
+            not_cm += not joined
+    assert checked >= 600 and trees >= 300 and not_cm >= 30
+
+
+def test_gates_run_no_leaf_order_search_and_no_reisner_sweep(monkeypatch):
+    # both gates read the walk's count; is_cm_complex is replaced in
+    # graphs as well, where an import would bind it
+    def spy(*args):
+        raise AssertionError("a gate ran a search")
+
+    monkeypatch.setattr(graphs, "find_leaf_order", spy)
+    monkeypatch.setattr(graphs, "is_cm_complex", spy, raising=False)
+    monkeypatch.setattr(homology, "is_cm_complex", spy)
+    stacked = SimplicialComplex(5, [(1, 2, 3), (2, 3, 4), (3, 4, 5)])
+    for cx in (stacked, _strip(6, 3, {0}), book_chain(3, 2), _annulus_with_pendants(2)):
+        cx = built_anew(cx)
+        with contextlib.suppress(NotQuasiTree):
+            graphs.require_quasi_tree(cx)
+        with contextlib.suppress(NotCohenMacaulay, NotTreeFacetGraph):
+            graphs.require_tree_case(cx, RATIONALS)
+    graphs.require_tree_case(built_anew(stacked), FieldSpec(3))
+    with pytest.raises(NotCohenMacaulay, match="characteristic 2"):
+        graphs.require_tree_case(built_anew(_strip(6, 3, {0})), FieldSpec(2))
+    with pytest.raises(NotQuasiTree, match="no leaf order exists"):
+        graphs.require_quasi_tree(built_anew(_annulus_with_pendants(2)))
 
 
 def test_gates_and_index_share_one_facet_graph_walk(monkeypatch):
     # the tree-case and quasi-tree gates, classify and the criteria's
-    # index all read one rooted_walk of the facet graph from facet 1
+    # index all read one rooted_walk of the facet graph from facet 1;
+    # the book chain is no tree case
     walks = []
 
     def counted(adjacency, kept, root):
@@ -137,7 +217,8 @@ def test_gates_and_index_share_one_facet_graph_walk(monkeypatch):
     for cx in (book_chain(3, 2), get_fixture("triangle-tree").complex):
         cx = built_anew(cx)
         graphs.require_quasi_tree(cx)
-        graphs._tree_facet_graph(cx)
+        with contextlib.suppress(NotTreeFacetGraph):
+            graphs.require_tree_case(cx, RATIONALS)
         structure.classify(cx)
         satisfying._facet_tree(cx)
         assert walks == [1]
@@ -374,8 +455,8 @@ def test_relation_trees_give_up_at_the_first_dead_end():
 
 
 def test_relation_trees_exist_exactly_when_a_leaf_order_does():
-    # relation_trees gates on find_leaf_order, so the leaf-removal
-    # reference is what checks the equivalence
+    # relation_trees gates on the walk's leaf-order count, so the
+    # leaf-removal reference is what checks the equivalence
     rng = random.Random(41)
     for _ in range(400):
         cx = random_pure_strongly_connected(rng, max_n=7, max_m=6)
@@ -462,7 +543,6 @@ def test_graph_caches_are_bounded(tree_fixture):
         relation_trees: (),
         graphs._ridge_groups: (),
         complexes._facet_masks: (),
-        structure._tree_facet_graph: (),
         structure._ridge_masks: (),
         structure._tier_order: (0, (1 << cx.m) - 1),
         graphs._facet_walk: (),

@@ -147,6 +147,14 @@ def test_variable_ideal_rejects_out_of_range_vertex():
             variable_ideal(3, [1, bad])
 
 
+def test_variable_ideal_rejects_a_variable_that_is_not_an_int():
+    # 1.5 would make no generator entry 1 and so the unit ideal, and True
+    # would be read as x1
+    for bad in (1.5, True, 2.0):
+        with pytest.raises(VertexOutOfRange, match=f"variable {bad} not in 1..3"):
+            variable_ideal(3, [bad])
+
+
 def test_irreducible_components_of_star_alpha():
     am = get_fixture("star-alpha").assignment()
     assert render_ideal(irreducible_component(am, 1)) == "(x2^2,x3,x4,x5)"

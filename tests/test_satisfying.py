@@ -294,7 +294,7 @@ def _tree_case_corpus(rng):
             cx = random_quasi_tree(rng, max_m=8)
         else:
             cx = random_pure_strongly_connected(rng, max_n=8, max_m=7)
-        if cx.m >= 3 and structure._tree_facet_graph(cx):
+        if cx.m >= 3 and graphs._facet_walk(cx)[2]:
             complexes.append(cx)
     return complexes
 

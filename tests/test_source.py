@@ -185,27 +185,32 @@ FOOTPRINT_CASES = [
     (["check", "{cycle}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}, set()),
     (["check", "{octahedron}"], 0, {*PLAIN, "cmlab.ideals", "cmlab.fixtures", *CRITERIA}, set()),
     # the tree criterion reads a table off the facet-tree index, without
-    # the shelling search or an array-backed store; a violated table
-    # reads its violating vertex's parents off the same index
+    # the shelling search, the Reisner sweep or an array-backed store; a
+    # violated table reads its violating vertex's parents off the same
+    # index
     (["check", "{stacked}", "--method", "tree"], 0,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     (["check", "{stacked}"], 0,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
+     {"cmlab.satisfying"}),
+    (["check", "{stacked}", "--method", "quasitree"], 0,
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     (["check", "{violated}", "--method", "tree"], 1,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     (["check", "{violated}"], 1,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     # the quasi-tree criterion reads a star's one ridge clique of five
-    # facets off the facet-tree index, with no array-backed store
+    # facets off the facet-tree index, with no array-backed store and no
+    # leaf-order search or Reisner sweep in its gate
     (["check", "{star}", "--method", "quasitree"], 0,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     (["check", "{star}"], 0,
-     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "array"},
+     {*PLAIN, "cmlab.ideals", "cmlab.fixtures", "cmlab.structure", "cmlab.homology", "array"},
      {"cmlab.satisfying"}),
     # the shelling condition runs here, so structure loads
     (["cross-validate", "triangle-tree", "--samples", "5"], 0, {*PLAIN, "cmlab.ideals"},
